@@ -12,7 +12,9 @@ Library layout:
 - ``general``: criterion check, resilience certificate, end-to-end driver
 - ``defective``: defective vertex/edge colorings by iterated halving
 - ``edge_coloring``: palette-bucketed proper edge coloring
-- ``harness``: generators, experiments and the ``rlll`` CLI
+- ``generators``: seeded graph and instance families
+- ``experiment``: seed sweeps, run records and aggregates
+- ``cli``: the ``rlll`` command line
 """
 
 from .config import ThresholdConfig, relaxed_config, strict_config

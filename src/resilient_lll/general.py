@@ -74,13 +74,22 @@ class CriterionReport:
         }
 
 
+def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
+                    seed: int = 0) -> list:
+    """Probability estimate of every event, indexed by event id."""
+    return [event_probability(inst, ev.event_id, mc_samples=mc_samples, seed=seed)
+            for ev in inst.events]
+
+
 def criterion_check(inst: LllInstance, r: int, c: float, *, p_bound=None,
-                    mc_samples: int = 10_000, seed: int = 0) -> CriterionReport:
+                    estimates=None, mc_samples: int = 10_000,
+                    seed: int = 0) -> CriterionReport:
     """Whether max event probability p satisfies p <= 2^(-c*d_vars/r).
 
     The bound is inclusive. ``p_bound`` substitutes an analytic upper bound
     on p, skipping per-event estimation (useful when events are too wide to
-    enumerate)."""
+    enumerate). ``estimates`` supplies precomputed per-event estimates (see
+    ``event_estimates``) in place of computing them here."""
     if not 1 <= r <= max_parts(inst.d_vars):
         raise InputError(
             f"r = {r} outside [1, {max_parts(inst.d_vars)}] for "
@@ -89,20 +98,18 @@ def criterion_check(inst: LllInstance, r: int, c: float, *, p_bound=None,
     if p_bound is not None:
         p, exact, worst = float(p_bound), True, None
     else:
-        est, worst = _max_probability(inst, mc_samples, seed)
-        p, exact = est.value, est.exact
+        if estimates is None:
+            estimates = event_estimates(inst, mc_samples=mc_samples, seed=seed)
+        worst = max(range(len(estimates)), key=lambda a: estimates[a].value,
+                    default=None)
+        p = 0.0 if worst is None else estimates[worst].value
+        exact = all(est.exact for est in estimates)
     bound = 2.0 ** (-c * inst.d_vars / r)
     margin = math.inf if p == 0 else bound / p
     return CriterionReport(
         ok=p <= bound, p=p, bound=bound, margin=margin, exact=exact, c=c, r=r,
         worst_event=worst,
     )
-
-
-def _max_probability(inst, mc_samples, seed):
-    from .probability import max_event_probability
-
-    return max_event_probability(inst, mc_samples=mc_samples, seed=seed)
 
 
 @dataclass
@@ -125,7 +132,7 @@ class CertificateReport:
 
 def resilience_certificate(inst: LllInstance, part: Partition,
                            cfg: ThresholdConfig, *, p_bound=None,
-                           mc_samples: int = 10_000, seed: int = 0,
+                           estimates=None, mc_samples: int = 10_000, seed: int = 0,
                            keep_per_event: bool = False) -> CertificateReport:
     """Union bound on the vulnerability probability of any event.
 
@@ -136,9 +143,12 @@ def resilience_certificate(inst: LllInstance, part: Partition,
         (sum_i (2^(neighbors in part i) - 1) + 1) * p_A * d^c3
 
     Passing means the maximum over events is at most d^-c2. De-duplicating
-    the empty set keeps the bound monotone under partition refinement."""
+    the empty set keeps the bound monotone under partition refinement.
+    ``p_bound`` and ``estimates`` act as in ``criterion_check``."""
     if part.size != inst.event_count:
         raise InputError("partition must cover all events")
+    if p_bound is None and estimates is None:
+        estimates = event_estimates(inst, mc_samples=mc_samples, seed=seed)
     d_eff = max(inst.d, 1)
     amp = d_eff ** cfg.c3
     threshold = cfg.resilience_threshold(inst.d)
@@ -150,8 +160,7 @@ def resilience_certificate(inst: LllInstance, part: Partition,
         if p_bound is not None:
             p_a = float(p_bound)
         else:
-            est = event_probability(inst, ev.event_id, mc_samples=mc_samples,
-                                    seed=seed)
+            est = estimates[ev.event_id]
             p_a = est.value
             exact = exact and est.exact
         p_max = max(p_max, p_a)
@@ -219,8 +228,12 @@ def solve_general(inst: LllInstance, r: int, cfg: ThresholdConfig, seed: int,
     c = cfg.criterion_c if c is None else c
     warnings = []
 
-    crit = criterion_check(inst, r, c, p_bound=p_bound,
-                           mc_samples=cfg.mc_samples, seed=derive_seed(seed, "crit"))
+    # One estimate per event serves both the criterion and the certificate.
+    estimates = None
+    if p_bound is None:
+        estimates = event_estimates(inst, mc_samples=cfg.mc_samples,
+                                    seed=derive_seed(seed, "crit"))
+    crit = criterion_check(inst, r, c, p_bound=p_bound, estimates=estimates)
     if not crit.ok:
         msg = (f"criterion failed: p = {crit.p:.3g} > 2^(-c*d_vars/r) = "
                f"{crit.bound:.3g}")
@@ -238,8 +251,7 @@ def solve_general(inst: LllInstance, r: int, cfg: ThresholdConfig, seed: int,
     part = lp.partition
 
     cert = resilience_certificate(inst, part, cfg, p_bound=p_bound,
-                                  mc_samples=cfg.mc_samples,
-                                  seed=derive_seed(seed, "cert"))
+                                  estimates=estimates)
     if not cert.passes:
         msg = (f"resilience certificate failed: value {cert.value:.3g} > "
                f"threshold {cert.threshold:.3g}")

@@ -10,7 +10,7 @@ allocation graph (events linked through an owned variable).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CapacityError, ContractViolation, InputError
@@ -28,6 +28,7 @@ class VariableSpec:
     var_id: int
     domain_size: int
     weights: tuple
+    is_uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -38,6 +39,10 @@ class VariableSpec:
             raise InputError(f"variable {self.var_id}: negative weight")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
             raise InputError(f"variable {self.var_id}: weights sum to {sum(self.weights)}")
+        w0 = self.weights[0]
+        object.__setattr__(
+            self, "is_uniform", all(abs(w - w0) <= WEIGHT_TOL for w in self.weights)
+        )
 
     @classmethod
     def uniform(cls, var_id: int, domain_size: int) -> "VariableSpec":
@@ -46,11 +51,6 @@ class VariableSpec:
     @classmethod
     def fair_bit(cls, var_id: int) -> "VariableSpec":
         return cls.uniform(var_id, 2)
-
-    @property
-    def is_uniform(self) -> bool:
-        w0 = self.weights[0]
-        return all(abs(w - w0) <= WEIGHT_TOL for w in self.weights)
 
     def sample(self, rng) -> int:
         if self.is_uniform:
@@ -125,7 +125,8 @@ class CountThreshold:
         return False
 
     def structurally_false(self, dependent_vars) -> bool:
-        return all(len(g) < self.threshold for g in self.groups)
+        # Phrased so that a NaN threshold, which no count reaches, is false too.
+        return not any(len(g) >= self.threshold for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,12 @@ class LllInstance:
         self.variables = tuple(variables)
         self.events = tuple(events)
         self.owner = tuple(owner)  # var id -> owning event id
-        self.allocated = tuple(
-            tuple(v for v in range(len(self.variables)) if self.owner[v] == a)
-            for a in range(len(self.events))
-        )
+        allocated = [[] for _ in self.events]
+        for v, a in enumerate(self.owner):
+            # Unknown owners are reported by _validate.
+            if isinstance(a, int) and 0 <= a < len(allocated):
+                allocated[a].append(v)
+        self.allocated = tuple(tuple(vs) for vs in allocated)
         self.dep_graph = self._build_dep_graph()
         self.alloc_graph = self._build_alloc_graph()
         self.d = self.dep_graph.max_degree

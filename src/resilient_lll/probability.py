@@ -1,8 +1,14 @@
 """Probability oracles over instances and their two-row value tables.
 
-Every oracle is exact (full weighted enumeration) whenever the free support
-is at most 2^20 assignments, and falls back to seeded Monte Carlo above
-that, flagging the estimate as approximate.
+``CountThreshold`` event probabilities are exact at any support: the
+engine conditions on the reference value and on the free variables that
+occur in more than one group position, then counts each group's matches
+with a Poisson-binomial DP. It falls back to seeded Monte Carlo only when
+that conditioning would enumerate more than 2^20 cases. The other
+predicate kinds (``TruthTable``, ``MaxPartLoad``) are exact by full
+weighted enumeration while the free support is at most 2^20 assignments,
+and fall back to Monte Carlo above that. Sampled estimates are flagged as
+approximate.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from .config import ThresholdConfig
 from .errors import CapacityError, InputError
 from .graph import Partition
-from .model import LllInstance
+from .model import CountThreshold, LllInstance
 from .seeds import rng_for
 
 EXACT_ENUM_CAP = 1 << 20
@@ -58,12 +64,17 @@ def _probability_over(inst, event, fixed, free_vars, mc_samples, rng):
     rest take the values in ``fixed`` (which must cover them)."""
     if event.structurally_false():
         return ProbabilityEstimate(0.0, exact=True)
-    values = dict(fixed)
     if not free_vars:
-        return ProbabilityEstimate(1.0 if event.evaluate(values) else 0.0, exact=True)
-    support = inst.support(free_vars)
+        return ProbabilityEstimate(1.0 if event.evaluate(fixed) else 0.0, exact=True)
+    counting = isinstance(event.predicate, CountThreshold)
+    if counting:
+        value = _count_threshold_probability(inst, event.predicate, fixed, free_vars)
+        if value is not None:
+            return ProbabilityEstimate(value, exact=True)
     specs = [inst.variables[v] for v in free_vars]
-    if support <= EXACT_ENUM_CAP:
+    values = dict(fixed)
+    support = inst.support(free_vars)
+    if not counting and support <= EXACT_ENUM_CAP:
         uniform = all(s.is_uniform for s in specs)
         total = 0.0
         hits = 0
@@ -90,27 +101,118 @@ def _probability_over(inst, event, fixed, free_vars, mc_samples, rng):
     return ProbabilityEstimate(hits / mc_samples, exact=False, samples=mc_samples)
 
 
+def _count_threshold_probability(inst, pred, fixed, free_vars):
+    """Exact probability that some group of ``pred`` reaches its threshold,
+    or None when the conditioning below would enumerate more than
+    EXACT_ENUM_CAP cases.
+
+    Conditions on the reference value, then on the match/no-match outcome
+    of each free variable that occurs more than once across the groups.
+    Every other free group variable occurs in exactly one group, so the
+    groups are then independent, and each group's mass of fewer than
+    ceil(threshold) matches comes from a Poisson-binomial DP. With every
+    free variable uniform the masses are integer completion counts and the
+    result is ``hits / support``, the same float full enumeration gives;
+    otherwise they are probabilities.
+    """
+    variables = inst.variables
+    free = set(free_vars)
+    uniform = all(variables[v].is_uniform for v in free)
+
+    def total(v):
+        return variables[v].domain_size if uniform else 1.0
+
+    def split(v, ref):
+        """(mass of v == ref, mass of v != ref)."""
+        spec = variables[v]
+        m = 0
+        if ref in range(spec.domain_size):
+            m = 1 if uniform else spec.weights[ref]
+        return m, total(v) - m
+
+    ref_var = pred.ref_var
+    if ref_var is None:
+        refs = [pred.ref_value]
+    elif ref_var in free:
+        refs = range(variables[ref_var].domain_size)
+    else:
+        refs = [fixed[ref_var]]
+    occurrences = {}
+    for group in pred.groups:
+        for v in group:
+            if v in free and v != ref_var:
+                occurrences[v] = occurrences.get(v, 0) + 1
+    shared = [v for v, n in occurrences.items() if n > 1]
+    if len(refs) << len(shared) > EXACT_ENUM_CAP:
+        return None
+    slot = {v: i for i, v in enumerate(shared)}
+    # Mass of the free variables left unconditioned, and of those in no group.
+    rest = irrelevant = 1
+    for v in free:
+        if v != ref_var and v not in slot:
+            rest *= total(v)
+            if v not in occurrences:
+                irrelevant *= total(v)
+
+    # Counts are integers, so reaching the threshold means reaching its ceiling.
+    need = math.ceil(max(pred.threshold, 0))
+    hits = 0
+    for ref in refs:
+        ref_mass = split(ref_var, ref)[0] if ref_var in free else 1
+        if not ref_mass:
+            continue
+        # Per group: how far conditioned matches fall short of ``need``,
+        # occurrences of each shared variable, and miss[t], the mass of
+        # fewer than t matches among its once-occurring free variables.
+        groups = []
+        for group in pred.groups:
+            short = need
+            counts = [0] * len(shared)
+            dist = [1] + [0] * (need - 1)
+            top = 0
+            for v in group:
+                if v == ref_var:
+                    short -= 1
+                elif v not in free:
+                    short -= fixed[v] == ref
+                elif v in slot:
+                    counts[slot[v]] += 1
+                else:
+                    m, u = split(v, ref)
+                    top = min(top + 1, need - 1)
+                    for k in range(top, 0, -1):
+                        dist[k] = dist[k] * u + dist[k - 1] * m
+                    dist[0] *= u
+            miss = [0]
+            for x in dist:
+                miss.append(miss[-1] + x)
+            groups.append((short, counts, miss))
+        outcomes = [split(v, ref) for v in shared]
+        for pattern in itertools.product((True, False), repeat=len(shared)):
+            weight = ref_mass
+            for (m, u), hit in zip(outcomes, pattern):
+                weight *= m if hit else u
+            if not weight:
+                continue
+            missed = irrelevant
+            for short, counts, miss in groups:
+                short -= sum(c for c, hit in zip(counts, pattern) if hit)
+                missed *= miss[max(short, 0)]
+            hits += weight * (rest - missed)
+    if not uniform:
+        return float(hits)
+    support = 1
+    for v in free:
+        support *= variables[v].domain_size
+    return hits / support
+
+
 def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_000,
                       seed: int = 0) -> ProbabilityEstimate:
     """Probability the event is satisfied under fresh draws of its variables."""
     ev = inst.events[event_id]
     rng = rng_for(seed, "event_p", event_id)
     return _probability_over(inst, ev, {}, list(ev.dependent_vars), mc_samples, rng)
-
-
-def max_event_probability(inst: LllInstance, *, mc_samples: int = 10_000,
-                          seed: int = 0):
-    """(max probability estimate, arg event id); exact only if every
-    per-event estimate was exact."""
-    best = ProbabilityEstimate(0.0, exact=True)
-    arg = None
-    all_exact = True
-    for ev in inst.events:
-        est = event_probability(inst, ev.event_id, mc_samples=mc_samples, seed=seed)
-        all_exact = all_exact and est.exact
-        if arg is None or est.value > best.value:
-            best, arg = est, ev.event_id
-    return ProbabilityEstimate(best.value, exact=all_exact, samples=best.samples), arg
 
 
 def conditional_event_probability(

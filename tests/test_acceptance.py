@@ -219,7 +219,7 @@ def test_criterion_7_chernoff_envelopes():
         worst_e = max(worst_e, est.value)
     announce(7, "tail-bound envelopes",
              f"vertex {worst_v:.3f} <= {vertex_bound:.3f}; "
-             f"edge {worst_e:.3f} <= {edge_bound:.3f} (100k samples)")
+             f"edge {worst_e:.3f} <= {edge_bound:.3f} (exact estimates)")
 
 
 def test_criterion_8_edge_coloring_end_to_end():

@@ -11,6 +11,7 @@ from resilient_lll.graph import Partition
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
+    MaxPartLoad,
     TruthTable,
     VariableSpec,
     build_instance,
@@ -76,18 +77,100 @@ def test_probability_invariant_under_row_permutation():
     assert event_probability(i1, 0).value == event_probability(i2, 0).value
 
 
-def test_monte_carlo_within_tolerance():
-    # 25-bit support forces sampling; majority event has probability 1/2.
+def test_majority_of_25_bits_is_exact():
+    # 2^25 completions, beyond the enumeration cap: the count DP is exact.
     k = 25
+    oracle = sum(math.comb(k, j) for j in range(13, k + 1)) / 2 ** k
+    assert oracle == 0.5
     ev = EventSpec(
         0, tuple(range(k)),
         CountThreshold(groups=(tuple(range(k)),), threshold=13, ref_value=1),
     )
     inst = build_instance(fair_bits(k), [ev])
+    est = event_probability(inst, 0)
+    assert est.exact and est.value == oracle
+
+
+def test_monte_carlo_within_tolerance():
+    # 3^15 completions force sampling for MaxPartLoad; the oracle sums the
+    # multinomial mass of the count vectors whose largest part reaches 7.
+    k, threshold = 15, 7
+    oracle = sum(
+        math.factorial(k) // (math.factorial(a) * math.factorial(b)
+                              * math.factorial(k - a - b))
+        for a in range(k + 1) for b in range(k + 1 - a)
+        if max(a, b, k - a - b) >= threshold
+    ) / 3 ** k
+    ev = EventSpec(0, tuple(range(k)), MaxPartLoad(tuple(range(k)), threshold))
+    inst = build_instance([VariableSpec.uniform(i, 3) for i in range(k)], [ev])
     mc = 10_000
     est = event_probability(inst, 0, mc_samples=mc, seed=123)
     assert not est.exact and est.samples == mc
-    assert abs(est.value - 0.5) <= 4 / math.sqrt(mc)
+    assert abs(est.value - oracle) <= 4 / math.sqrt(mc)
+
+
+def _enumerated_probability(inst, event, fixed):
+    """Brute-force oracle: sum the weight of every satisfying completion of
+    the event's unfixed variables."""
+    free = [v for v in event.dependent_vars if v not in fixed]
+    specs = [inst.variables[v] for v in free]
+    values = dict(fixed)
+    hits, mass = 0, 0.0
+    for combo in itertools.product(*(range(s.domain_size) for s in specs)):
+        values.update(zip(free, combo))
+        if event.evaluate(values):
+            hits += 1
+            w = 1.0
+            for s, val in zip(specs, combo):
+                w *= s.weights[val]
+            mass += w
+    return hits, math.prod(s.domain_size for s in specs), mass
+
+
+@st.composite
+def count_threshold_cases(draw):
+    n = draw(st.integers(1, 8))
+    weighted = draw(st.booleans())
+    variables = []
+    for v in range(n):
+        size = draw(st.integers(1, 3))
+        if weighted:
+            raw = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)
+                       .filter(any))
+            variables.append(VariableSpec(v, size, tuple(x / sum(raw) for x in raw)))
+        else:
+            variables.append(VariableSpec.uniform(v, size))
+    var_ids = st.integers(0, n - 1)
+    # Groups may overlap and may repeat a variable.
+    groups = draw(st.lists(st.lists(var_ids, min_size=1, max_size=5).map(tuple),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):
+        ref = {"ref_var": draw(var_ids)}
+    else:
+        ref = {"ref_value": draw(st.integers(0, 3))}
+    threshold = draw(st.integers(0, 12)) / 2
+    event = EventSpec(0, tuple(range(n)),
+                      CountThreshold(groups=tuple(groups), threshold=threshold, **ref))
+    fixed = {
+        v: draw(st.integers(0, variables[v].domain_size - 1))
+        for v in draw(st.sets(var_ids))
+    }
+    return build_instance(variables, [event]), fixed
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_threshold_cases())
+def test_count_threshold_engine_matches_enumeration(case):
+    inst, fixed = case
+    event = inst.events[0]
+    est = conditional_event_probability(inst, 0, row1_fixed=fixed)
+    hits, support, mass = _enumerated_probability(inst, event, fixed)
+    assert est.exact
+    free = [v for v in event.dependent_vars if v not in fixed]
+    if all(inst.variables[v].is_uniform for v in free):
+        assert est.value == hits / support
+    else:
+        assert est.value == pytest.approx(mass, abs=1e-12)
 
 
 def test_conditional_with_no_swaps_equals_unconditional():
