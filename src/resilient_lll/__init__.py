@@ -4,7 +4,6 @@ Library layout:
 
 - ``graph``: immutable graphs, partitions, bounded-distance queries
 - ``model``: variables, bad events, allocation, derived graphs
-- ``randomness``: the two-row lazily sampled value table
 - ``probability``: exact/Monte-Carlo oracles and the vulnerability oracle
 - ``solver``: the staged first phase with fixed/reverted/deferred bookkeeping
 - ``shattering``: residual components solved by search or resampling
@@ -43,7 +42,6 @@ from .probability import (
     event_probability,
     vulnerability_probability,
 )
-from .randomness import RandomnessTable
 from .solver import run_first_stage, residual_instance, solve
 from .shattering import extract_components, solve_component
 from .light_partition import (

@@ -213,8 +213,12 @@ class LllInstance:
             if isinstance(a, int) and 0 <= a < len(allocated):
                 allocated[a].append(v)
         self.allocated = tuple(tuple(vs) for vs in allocated)
-        self.dep_graph = self._build_dep_graph()
-        self.alloc_graph = self._build_alloc_graph()
+        dependents = [[] for _ in self.variables]  # var id -> dependent event ids
+        for ev in self.events:
+            for v in ev.dependent_vars:
+                dependents[v].append(ev.event_id)
+        self.dep_graph = self._build_dep_graph(dependents)
+        self.alloc_graph = self._build_alloc_graph(dependents)
         self.d = self.dep_graph.max_degree
         self.d_vars = self.alloc_graph.max_degree
         # Events whose owned variables intersect an event's dependency set;
@@ -230,11 +234,7 @@ class LllInstance:
     def event_count(self) -> int:
         return len(self.events)
 
-    def _build_dep_graph(self) -> Graph:
-        dependents = [[] for _ in self.variables]
-        for ev in self.events:
-            for v in ev.dependent_vars:
-                dependents[v].append(ev.event_id)
+    def _build_dep_graph(self, dependents) -> Graph:
         edges = set()
         for evs in dependents:
             for i, a in enumerate(evs):
@@ -242,11 +242,7 @@ class LllInstance:
                     edges.add((a, b) if a < b else (b, a))
         return Graph(len(self.events), edges)
 
-    def _build_alloc_graph(self) -> Graph:
-        dependents = [[] for _ in self.variables]
-        for ev in self.events:
-            for v in ev.dependent_vars:
-                dependents[v].append(ev.event_id)
+    def _build_alloc_graph(self, dependents) -> Graph:
         edges = set()
         for v in range(len(self.variables)):
             own = self.owner[v]

@@ -1,4 +1,4 @@
-"""Probability oracles over instances and their two-row value tables.
+"""Probability oracles over instances and their first-row values.
 
 ``CountThreshold`` event probabilities are exact at any support: the
 engine conditions on the reference value and on the free variables that
@@ -7,8 +7,9 @@ with a Poisson-binomial DP. It falls back to seeded Monte Carlo only when
 that conditioning would enumerate more than 2^20 cases. The other
 predicate kinds (``TruthTable``, ``MaxPartLoad``) are exact by full
 weighted enumeration while the free support is at most 2^20 assignments,
-and fall back to Monte Carlo above that. Sampled estimates are flagged as
-approximate.
+and fall back to Monte Carlo above that; one enumerator serves these and
+the vulnerability oracle's outer probability. Sampled estimates are
+flagged as approximate.
 """
 
 from __future__ import annotations
@@ -59,29 +60,44 @@ def _validate_fixed(inst, fixed):
             raise InputError(f"value {val} out of domain for variable {v}")
 
 
-def _probability_over(inst, event, fixed, free_vars, mc_samples, rng):
+def _probability_over(inst, event, fixed, free_vars, mc_samples, make_rng):
     """Probability the event holds when ``free_vars`` are drawn fresh and the
     rest take the values in ``fixed`` (which must cover them)."""
     if event.structurally_false():
         return ProbabilityEstimate(0.0, exact=True)
     if not free_vars:
         return ProbabilityEstimate(1.0 if event.evaluate(fixed) else 0.0, exact=True)
-    counting = isinstance(event.predicate, CountThreshold)
-    if counting:
+    cap = EXACT_ENUM_CAP
+    if isinstance(event.predicate, CountThreshold):
         value = _count_threshold_probability(inst, event.predicate, fixed, free_vars)
         if value is not None:
             return ProbabilityEstimate(value, exact=True)
+        cap = 0
+    return _mass_over(inst, free_vars, fixed, event.evaluate, cap, mc_samples,
+                      make_rng)
+
+
+def _mass_over(inst, free_vars, base, test, cap, mc_samples, make_rng):
+    """Probability that ``test(values)`` holds when ``free_vars`` are drawn
+    from their distributions and every other variable keeps its value in
+    ``base``.
+
+    Exact by enumeration while the free support is at most ``cap``: a count
+    of hits over the support when every free variable is uniform, a sum of
+    weights otherwise. Above the cap, a Monte Carlo estimate over
+    ``mc_samples`` draws from the rng that ``make_rng()`` returns.
+    """
     specs = [inst.variables[v] for v in free_vars]
-    values = dict(fixed)
+    values = dict(base)
     support = inst.support(free_vars)
-    if not counting and support <= EXACT_ENUM_CAP:
+    if support <= cap:
         uniform = all(s.is_uniform for s in specs)
         total = 0.0
         hits = 0
         for combo in itertools.product(*(range(s.domain_size) for s in specs)):
             for v, val in zip(free_vars, combo):
                 values[v] = val
-            if event.evaluate(values):
+            if test(values):
                 if uniform:
                     hits += 1
                 else:
@@ -89,14 +105,13 @@ def _probability_over(inst, event, fixed, free_vars, mc_samples, rng):
                     for s, val in zip(specs, combo):
                         w *= s.weights[val]
                     total += w
-        if uniform:
-            return ProbabilityEstimate(hits / support, exact=True)
-        return ProbabilityEstimate(total, exact=True)
+        return ProbabilityEstimate(hits / support if uniform else total, exact=True)
+    rng = make_rng()
     hits = 0
     for _ in range(mc_samples):
         for v, s in zip(free_vars, specs):
             values[v] = s.sample(rng)
-        if event.evaluate(values):
+        if test(values):
             hits += 1
     return ProbabilityEstimate(hits / mc_samples, exact=False, samples=mc_samples)
 
@@ -211,8 +226,8 @@ def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_
                       seed: int = 0) -> ProbabilityEstimate:
     """Probability the event is satisfied under fresh draws of its variables."""
     ev = inst.events[event_id]
-    rng = rng_for(seed, "event_p", event_id)
-    return _probability_over(inst, ev, {}, list(ev.dependent_vars), mc_samples, rng)
+    return _probability_over(inst, ev, {}, list(ev.dependent_vars), mc_samples,
+                             lambda: rng_for(seed, "event_p", event_id))
 
 
 def conditional_event_probability(
@@ -220,37 +235,32 @@ def conditional_event_probability(
     event_id: int,
     swap_events=(),
     row1_fixed=None,
-    row2_fixed=None,
     *,
     mc_samples: int = 10_000,
     seed: int = 0,
 ) -> ProbabilityEstimate:
     """Probability of the swap event: the event is re-evaluated with the
-    owned variables of ``swap_events`` taking second-row values and all other
+    owned variables of ``swap_events`` drawn fresh and all other
     dependencies taking first-row values.
 
-    ``row1_fixed`` pins already-revealed first-row values; ``row2_fixed``
-    optionally pins materialized second-row cells. Unpinned cells are drawn
-    fresh from their distributions.
+    ``row1_fixed`` pins already-revealed first-row values; swap variables
+    ignore it. Unpinned values are drawn fresh from their distributions.
     """
     ev = inst.events[event_id]
     row1_fixed = row1_fixed or {}
-    row2_fixed = row2_fixed or {}
     _validate_fixed(inst, row1_fixed)
-    _validate_fixed(inst, row2_fixed)
     swap_vars = set()
     for b in swap_events:
         swap_vars.update(inst.allocated[b])
     fixed = {}
     free = []
     for v in ev.dependent_vars:
-        source = row2_fixed if v in swap_vars else row1_fixed
-        if v in source:
-            fixed[v] = source[v]
+        if v in row1_fixed and v not in swap_vars:
+            fixed[v] = row1_fixed[v]
         else:
             free.append(v)
-    rng = rng_for(seed, "cond_p", event_id, len(fixed))
-    return _probability_over(inst, ev, fixed, free, mc_samples, rng)
+    return _probability_over(inst, ev, fixed, free, mc_samples,
+                             lambda: rng_for(seed, "cond_p", event_id, len(fixed)))
 
 
 class VulnerabilityOracle:
@@ -304,7 +314,8 @@ class VulnerabilityOracle:
     def _swap_probability(self, event, base_values, swap_vars):
         fixed = {v: val for v, val in base_values.items() if v not in swap_vars}
         est = _probability_over(
-            self.inst, event, fixed, sorted(swap_vars), self.cfg.mc_samples, self._rng
+            self.inst, event, fixed, sorted(swap_vars), self.cfg.mc_samples,
+            lambda: self._rng
         )
         if not est.exact:
             self._inner_mc_events.add(event.event_id)
@@ -352,42 +363,23 @@ class VulnerabilityOracle:
             return ProbabilityEstimate(0.0, exact=True)
         deps = ev.dependent_vars
         free = [v for v in deps if v not in fixed]
-        samples = mc_samples or self.cfg.mc_samples
-
-        def finish(value, exact, n=0):
-            exact = exact and a not in self._inner_mc_events
-            return ProbabilityEstimate(value, exact=exact, samples=n)
-
         if not free:
             key = tuple(fixed[v] for v in deps)
-            return finish(1.0 if self.indicator(a, key) else 0.0, True)
-        support = self.inst.support(free)
-        specs = [self.inst.variables[v] for v in free]
-        if not force_mc and support <= self.cfg.exact_outer_cap:
-            uniform = all(s.is_uniform for s in specs)
-            total = 0.0
-            hits = 0
-            values = dict(fixed)
-            for combo in itertools.product(*(range(s.domain_size) for s in specs)):
-                for v, val in zip(free, combo):
-                    values[v] = val
-                if self.indicator(a, tuple(values[v] for v in deps)):
-                    if uniform:
-                        hits += 1
-                    else:
-                        w = 1.0
-                        for s, val in zip(specs, combo):
-                            w *= s.weights[val]
-                        total += w
-            return finish(hits / support if uniform else total, True)
-        hits = 0
-        values = dict(fixed)
-        for _ in range(samples):
-            for v, s in zip(free, specs):
-                values[v] = s.sample(self._rng)
-            if self.indicator(a, tuple(values[v] for v in deps)):
-                hits += 1
-        return finish(hits / samples, False, samples)
+            est = ProbabilityEstimate(1.0 if self.indicator(a, key) else 0.0, exact=True)
+        else:
+            est = _mass_over(
+                self.inst, free, fixed,
+                lambda values: self.indicator(a, tuple(values[v] for v in deps)),
+                0 if force_mc else self.cfg.exact_outer_cap,
+                mc_samples or self.cfg.mc_samples, lambda: self._rng,
+            )
+        if a not in self._inner_mc_events:
+            return est
+        # Some swap probability under the indicator was sampled, so the
+        # estimate is not exact even when the outer one is; it carries the
+        # inner sample count so that ``upper`` has a defined slack.
+        return ProbabilityEstimate(est.value, exact=False,
+                                   samples=est.samples or self.cfg.mc_samples)
 
 
 def vulnerability_probability(

@@ -23,3 +23,13 @@ def derive_seed(base: int, *tags) -> int:
 def rng_for(base: int, *tags) -> random.Random:
     """A fresh ``random.Random`` seeded from the derived child seed."""
     return random.Random(derive_seed(base, *tags))
+
+
+def first_row_value(seed: int, var_id: int, spec) -> int:
+    """The first-row value of variable ``var_id`` under table seed ``seed``.
+
+    A pure function of (seed, var_id): a str-seeded ``random.Random`` hashes
+    its seed with SHA-512, so the value is stable across platforms and does
+    not depend on the order in which variables are drawn.
+    """
+    return spec.sample(random.Random(f"{seed}/{var_id}/1"))

@@ -15,11 +15,9 @@ iterations, not communication rounds.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, ComponentFailure
-from .probability import EXACT_ENUM_CAP, conditional_event_probability
 from .seeds import derive_seed, rng_for
 
 EXHAUSTIVE_CAP = 1 << 16
@@ -53,70 +51,42 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def extract_components(residual) -> list:
-    """Partition live residual events into free-variable-connected
-    components, ordered by smallest member event id."""
-    live = residual.live_events
-    if not live:
-        return []
-    uf = _UnionFind(live)
+def group_by_free_vars(inst, events, free) -> list:
+    """Group ``events`` into maximal sets connected through shared variables
+    in ``free``: sorted tuples, ordered by smallest member event id."""
+    uf = _UnionFind(events)
     var_seen = {}
-    free = residual.free_vars
-    for a in live:
-        for v in residual.instance.events[a].dependent_vars:
+    for a in events:
+        for v in inst.events[a].dependent_vars:
             if v in free:
                 if v in var_seen:
                     uf.union(var_seen[v], a)
                 else:
                     var_seen[v] = a
     groups = {}
-    for a in live:
+    for a in events:
         groups.setdefault(uf.find(a), []).append(a)
+    return [tuple(sorted(groups[root])) for root in sorted(groups)]
+
+
+def extract_components(residual) -> list:
+    """Partition live residual events into free-variable-connected
+    components, ordered by smallest member event id."""
+    inst = residual.instance
+    free = residual.free_vars
     jobs = []
-    for root in sorted(groups):
-        events = tuple(sorted(groups[root]))
+    for events in group_by_free_vars(inst, residual.live_events, free):
         job_free = sorted(
-            {v for a in events for v in residual.instance.events[a].dependent_vars
-             if v in free}
+            {v for a in events for v in inst.events[a].dependent_vars if v in free}
         )
         conditioning = {
             v: residual.fixed_values[v]
             for a in events
-            for v in residual.instance.events[a].dependent_vars
+            for v in inst.events[a].dependent_vars
             if v not in free
         }
         jobs.append(ComponentJob(events, tuple(job_free), conditioning))
     return jobs
-
-
-def _component_criterion(residual, job):
-    """e * max conditional event probability * (component degree + 1);
-    None when exact conditional enumeration is infeasible."""
-    inst = residual.instance
-    free = set(job.free_vars)
-    p_max = 0.0
-    for a in job.events:
-        deps = inst.events[a].dependent_vars
-        if inst.support([v for v in deps if v in free]) > EXACT_ENUM_CAP:
-            return None, None
-        est = conditional_event_probability(
-            inst, a, row1_fixed=job.conditioning
-        )
-        p_max = max(p_max, est.value)
-    event_set = set(job.events)
-    deg = 0
-    for a in job.events:
-        shared = sum(
-            1 for b in inst.dep_graph.neighbors(a)
-            if b in event_set and _share_free_var(inst, free, a, b)
-        )
-        deg = max(deg, shared)
-    return math.e * p_max * (deg + 1), p_max
-
-
-def _share_free_var(inst, free, a, b):
-    deps_b = set(inst.events[b].dependent_vars)
-    return any(v in deps_b and v in free for v in inst.events[a].dependent_vars)
 
 
 def solve_component(residual, job: ComponentJob, cfg, seed: int,
@@ -137,9 +107,6 @@ def solve_component(residual, job: ComponentJob, cfg, seed: int,
         "method": method,
         "resamplings": 0,
     }
-    criterion, p_max = _component_criterion(residual, job)
-    stats["criterion"] = criterion
-    stats["max_conditional_p"] = p_max
 
     values = dict(job.conditioning)
     events = [inst.events[a] for a in job.events]

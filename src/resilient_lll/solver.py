@@ -26,8 +26,7 @@ from .errors import ContractViolation, InputError
 from .graph import Partition
 from .model import LllInstance, check_assignment
 from .probability import VulnerabilityOracle, vulnerability_probability
-from .randomness import RandomnessTable
-from .seeds import derive_seed
+from .seeds import derive_seed, first_row_value
 from . import shattering
 
 ROUNDS_PER_ITERATION = 5
@@ -50,10 +49,6 @@ class RunState:
     history: list           # (F, R, D) frozensets after each iteration; [0] is initial
     sampled_row1: dict      # var id -> committed first-row value
     round_counter: int
-    table: RandomnessTable
-
-    def fate(self, a: int) -> str:
-        return self.status[a]
 
 
 @dataclass
@@ -80,6 +75,7 @@ class StageReport:
             "reverted": self.reverted_count,
             "deferred": self.deferred_count,
             "residual_variables": self.residual_variable_count,
+            "danger_estimate_modes": dict(self.danger_estimate_modes),
         }
 
     def to_json(self) -> str:
@@ -96,7 +92,7 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     if part.size != inst.event_count:
         raise InputError("partition must cover every event")
     n = inst.event_count
-    table = RandomnessTable(inst.variables, derive_seed(seed, "table"))
+    table_seed = derive_seed(seed, "table")
     oracle = VulnerabilityOracle(inst, part, cfg, seed=derive_seed(seed, "danger"))
     danger_thr = cfg.danger_threshold(inst.d)
     dep = inst.dep_graph
@@ -116,10 +112,10 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         active = [a for a in members if a not in D]
         for a in active:
             for v in inst.allocated[a]:
-                sampled[v] = table.row1(v)
+                sampled[v] = first_row_value(table_seed, v, inst.variables[v])
         # Conditioning: committed values of fixed events plus this part's
-        # fresh samples. Reverted events' values stay materialized in the
-        # table for analysis but are never conditioned on again.
+        # fresh samples. Reverted events' values stay in ``sampled`` but are
+        # never conditioned on again.
         committed = {}
         for a in F:
             for v in inst.allocated[a]:
@@ -181,7 +177,6 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         history=history,
         sampled_row1=sampled,
         round_counter=ROUNDS_PER_ITERATION * part.part_count + ROUNDS_TAIL,
-        table=table,
     )
     _validate_state(inst, part, state)
 
@@ -190,12 +185,12 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         sorted(a for a in range(n)
                if any(v in free_vars for v in inst.events[a].dependent_vars))
     )
-    component_sizes = _component_sizes(inst, residual_events, free_vars)
+    components = shattering.group_by_free_vars(inst, residual_events, free_vars)
     report = StageReport(
         rounds_used=state.round_counter,
         dangerous_events=tuple(sorted(ever_dangerous)),
         residual_events=residual_events,
-        residual_component_sizes=component_sizes,
+        residual_component_sizes=tuple(sorted(map(len, components), reverse=True)),
         per_event_fate={a: (status[a], fate_iteration.get(a, -1)) for a in range(n)},
         fixed_count=len(F),
         reverted_count=len(R),
@@ -211,34 +206,6 @@ def _free_vars(inst, state):
     for a in state.reverted | state.deferred:
         free.update(inst.allocated[a])
     return free
-
-
-def _component_sizes(inst, residual_events, free_vars):
-    if not residual_events:
-        return ()
-    parent = {a: a for a in residual_events}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    var_owner_event = {}
-    for a in residual_events:
-        for v in inst.events[a].dependent_vars:
-            if v in free_vars:
-                if v in var_owner_event:
-                    ra, rb = find(var_owner_event[v]), find(a)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                else:
-                    var_owner_event[v] = a
-    sizes = {}
-    for a in residual_events:
-        r = find(a)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
 
 
 def _validate_state(inst, part, state):

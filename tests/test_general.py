@@ -22,7 +22,7 @@ from resilient_lll.model import (
 )
 from resilient_lll.probability import event_probability
 from resilient_lll.seeds import derive_seed
-from resilient_lll import solver
+from resilient_lll import generators, solver
 
 
 def test_criterion_zero_probability_instance():
@@ -192,3 +192,10 @@ def test_solve_general_output_always_validates():
         res = solve_general(inst, 2, cfg, seed=seed)
         assert check_assignment(inst, res.assignment).valid
         assert res.rounds_used == 5 * res.partition.part_count + 2
+
+
+def test_ring_solve_reports_every_danger_estimate_exact():
+    inst = generators.ring_family(60, 2, 5, 3)
+    for r in (1, 2):
+        stage = solve_general(inst, r, relaxed_config(), 3).to_dict()["stage"]
+        assert stage["danger_estimate_modes"] == {"exact": 60, "sampled": 0}

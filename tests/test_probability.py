@@ -22,7 +22,7 @@ from resilient_lll.probability import (
     event_probability,
     vulnerability_probability,
 )
-from resilient_lll.randomness import RandomnessTable
+from resilient_lll.seeds import first_row_value
 
 
 def fair_bits(n):
@@ -207,19 +207,24 @@ def test_conditional_matches_exhaustive_oracle_all_fixed_combos():
         assert est.exact and est.value == pytest.approx(oracle, abs=1e-12)
 
 
-def test_conditional_swap_set_uses_second_row_cells():
-    # Event fires iff var 0 == 1; var 0 owned by event 0. Swapping event 0
-    # makes the probability depend only on the second-row cell.
-    ev = EventSpec(0, (0,), TruthTable(frozenset({(1,)})))
-    inst = build_instance(fair_bits(1), [ev])
-    est = conditional_event_probability(
-        inst, 0, swap_events=[0], row1_fixed={0: 1}, row2_fixed={0: 0}
+def test_conditional_swap_set_ignores_pinned_values():
+    # Event 0 fires iff vars 0 and 1 are both 1; event 0 owns var 0 and
+    # event 1 owns var 1. Swapping event 0 draws var 0 fresh whatever its
+    # pinned first-row value, while var 1 keeps its pin.
+    ev = EventSpec(0, (0, 1), TruthTable(frozenset({(1, 1)})))
+    other = EventSpec(1, (1,), TruthTable(frozenset()))
+    inst = build_instance(fair_bits(2), [ev, other], {0: 0, 1: 1})
+    unpinned = conditional_event_probability(
+        inst, 0, swap_events=[0], row1_fixed={1: 1}
     )
-    assert est.exact and est.value == 0.0
-    est2 = conditional_event_probability(
-        inst, 0, swap_events=[0], row1_fixed={0: 0}, row2_fixed={0: 1}
-    )
-    assert est2.exact and est2.value == 1.0
+    assert unpinned.exact and unpinned.value == 0.5
+    for pin in (0, 1):
+        est = conditional_event_probability(
+            inst, 0, swap_events=[0], row1_fixed={0: pin, 1: 1}
+        )
+        assert est == unpinned
+    kept = conditional_event_probability(inst, 0, row1_fixed={0: 1, 1: 1})
+    assert kept.exact and kept.value == 1.0
 
 
 # --- vulnerability oracle -------------------------------------------------
@@ -312,42 +317,26 @@ def test_oracle_memoization_consistency():
     assert first == second
 
 
-# --- randomness table -----------------------------------------------------
+# --- first-row values -----------------------------------------------------
 
 
 def test_table_deterministic_across_orders():
     vs = [VariableSpec.uniform(i, 5) for i in range(20)]
-    t1 = RandomnessTable(vs, seed=42)
-    t2 = RandomnessTable(vs, seed=42)
     order = list(range(20))
     random.Random(0).shuffle(order)
-    vals1 = {(v, r): t1.value(v, r) for v in range(20) for r in (1, 2)}
-    vals2 = {(v, r): t2.value(v, r) for r in (2, 1) for v in order}
+    vals1 = {v: first_row_value(42, v, vs[v]) for v in range(20)}
+    vals2 = {v: first_row_value(42, v, vs[v]) for v in order}
     assert vals1 == vals2
 
 
 def test_table_cells_stable_once_materialized():
     vs = fair_bits(4)
-    t = RandomnessTable(vs, seed=1)
-    before = t.row1(2)
+    before = first_row_value(1, 2, vs[2])
     for _ in range(5):
-        assert t.row1(2) == before
-    assert t.materialized(2, 1) and not t.materialized(2, 2)
+        assert first_row_value(1, 2, vs[2]) == before
 
 
 def test_different_seeds_differ_somewhere():
     vs = [VariableSpec.uniform(i, 1000) for i in range(8)]
-    a = RandomnessTable(vs, seed=1)
-    b = RandomnessTable(vs, seed=2)
-    assert any(a.row1(v) != b.row1(v) for v in range(8))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 60))
-def test_table_rows_independent_of_each_other(seed):
-    vs = fair_bits(6)
-    t = RandomnessTable(vs, seed=seed)
-    # row-2 reads must not disturb row-1 cells
-    r1 = [t.row1(v) for v in range(6)]
-    _ = [t.row2(v) for v in range(6)]
-    assert [t.row1(v) for v in range(6)] == r1
+    assert any(first_row_value(1, v, vs[v]) != first_row_value(2, v, vs[v])
+               for v in range(8))

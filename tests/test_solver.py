@@ -8,14 +8,15 @@ from resilient_lll.graph import Partition
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
+    MaxPartLoad,
     TruthTable,
+    VariableSpec,
     brute_force_solve,
     build_instance,
     check_assignment,
 )
-from resilient_lll.probability import vulnerability_probability
-from resilient_lll.randomness import RandomnessTable
-from resilient_lll.seeds import derive_seed
+from resilient_lll.probability import VulnerabilityOracle, vulnerability_probability
+from resilient_lll.seeds import derive_seed, first_row_value
 from resilient_lll.solver import (
     DEFERRED,
     FIXED,
@@ -69,7 +70,7 @@ def test_rounds_accounting_is_linear_in_parts():
 def straight_line_reference(inst, part, cfg, seed):
     """Independent re-implementation of the staged loop, decision by
     decision, with no caching; exercises the same public oracles."""
-    table = RandomnessTable(inst.variables, derive_seed(seed, "table"))
+    table_seed = derive_seed(seed, "table")
     n = inst.event_count
     F, R, D = set(), set(), set()
     sampled = {}
@@ -78,7 +79,7 @@ def straight_line_reference(inst, part, cfg, seed):
         active = [a for a in members if a not in D]
         for a in active:
             for v in inst.allocated[a]:
-                sampled[v] = table.row1(v)
+                sampled[v] = first_row_value(table_seed, v, inst.variables[v])
         cond = {}
         for a in sorted(F | set(active)):
             for v in inst.allocated[a]:
@@ -242,6 +243,26 @@ def test_residual_conditional_probabilities_bounded():
             assert est.value <= bound + 1e-12
 
 
+def test_sampled_swap_probability_under_revealed_values_has_defined_slack():
+    # One event owns eleven 4-valued variables: its swap probability has
+    # support 4^11, above the exact enumeration cap, so it is sampled. With
+    # a single part every value is revealed when the event is tested, so
+    # the outer estimate itself is exact and draws no sample.
+    vs = [VariableSpec.uniform(i, 4) for i in range(11)]
+    ev = EventSpec(0, tuple(range(11)), MaxPartLoad(tuple(range(11)), 6))
+    inst = build_instance(vs, [ev])
+    part = Partition.singleton(1)
+    cfg = relaxed_config(mc_samples=200)
+    _, report = run_first_stage(inst, part, cfg, seed=0)
+    assert report.danger_estimate_modes == {"exact": 0, "sampled": 1}
+    est = VulnerabilityOracle(inst, part, cfg).probability(
+        0, {v: v % 4 for v in range(11)}
+    )
+    assert not est.exact and est.samples == cfg.mc_samples
+    assert est.value in (0.0, 1.0)
+    assert est.upper(2.0) >= est.value + 2.0 / cfg.mc_samples
+
+
 def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
     vs = fair_bits(1)
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
@@ -255,7 +276,6 @@ def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
                  (frozenset({0}), frozenset(), frozenset())],
         sampled_row1={0: 1},
         round_counter=7,
-        table=RandomnessTable(vs, 0),
     )
     with pytest.raises(ContractViolation):
         residual_instance(inst, state, strict_config())
