@@ -1,9 +1,9 @@
 """Seed-sweep experiment runner with crash-safe record persistence.
 
-Records are appended to a line-delimited JSON log as each run finishes, so
-a crash loses at most the in-flight run; aggregates are recomputed from the
-records alone. Reruns of (spec, seed) reproduce a record exactly, minus
-wall time.
+Records are appended to a line-delimited JSON log as each run finishes, in
+completion order, so a crash loses at most the runs in flight; aggregates
+are recomputed from the records alone. Reruns of (spec, seed) reproduce a
+record exactly, minus wall time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .config import resolve_config, ThresholdConfig
-from .errors import InputError
+from .errors import CapacityError, ComponentFailure, ContractViolation, InputError
 from .graph import Partition
 from . import defective as defective_mod
 from . import edge_coloring as ec_mod
@@ -31,6 +31,15 @@ CSV_COLUMNS = (
 
 ALGORITHMS = ("solve-general", "solve-resilient", "partition", "defective",
               "edgecolor")
+
+# Error class of a record, by the exception name that starts its error text;
+# any other exception counts as "other".
+ERROR_CLASSES = {
+    ContractViolation.__name__: "contract",
+    CapacityError.__name__: "capacity",
+    ComponentFailure.__name__: "component",
+    InputError.__name__: "input",
+}
 
 
 @dataclass
@@ -197,10 +206,19 @@ def _run_one_dict(spec_data: dict, seed: int) -> RunRecord:
 
 
 def aggregate(records) -> dict:
-    """Pure summary of a record set."""
+    """Pure summary of a record set.
+
+    ``error_classes`` counts the failed runs by the class of their error, so
+    that a broken guarantee (``contract``) stands apart from a run that hit
+    a budget (``capacity``), an unsolved component (``component``) or bad
+    input (``input``)."""
     total = len(records)
     ok = [r for r in records if r.valid]
     rounds = [r.rounds for r in records]
+    error_classes = dict.fromkeys([*ERROR_CLASSES.values(), "other"], 0)
+    for r in records:
+        if r.error:
+            error_classes[ERROR_CLASSES.get(r.error.split(":", 1)[0], "other")] += 1
     return {
         "runs": total,
         "successes": len(ok),
@@ -209,14 +227,15 @@ def aggregate(records) -> dict:
         "max_rounds": max(rounds, default=0),
         "max_component": max((r.max_component for r in records), default=0),
         "errors": sorted({r.error for r in records if r.error}),
+        "error_classes": error_classes,
     }
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1, fmt: str = "json"):
     """Run every seed, appending records to the output log as they finish.
 
-    Returns (records, summary). Records are produced in seed order
-    regardless of worker scheduling.
+    Returns (records, summary). The log is in completion order; the
+    returned records are in seed order regardless of worker scheduling.
     """
     sink = None
     if spec.output_path:
@@ -247,10 +266,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, fmt: str = "json"):
             }
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_one_dict, data, s) for s in spec.seeds]
-                for fut in futures:  # single writer, deterministic order
-                    record = fut.result()
-                    records.append(record)
-                    emit(record)
+                # Single writer: each record is logged as soon as its run ends.
+                for fut in concurrent.futures.as_completed(futures):
+                    emit(fut.result())
+                records = [fut.result() for fut in futures]
     finally:
         if sink:
             sink.close()

@@ -22,7 +22,7 @@ from .errors import InputError
 from .graph import Partition
 from .light_partition import compute_light_partition_detailed
 from .model import LllInstance
-from .probability import event_probability
+from .probability import count_classes, event_probability
 from .seeds import derive_seed
 from . import solver
 
@@ -76,9 +76,28 @@ class CriterionReport:
 
 def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
                     seed: int = 0) -> list:
-    """Probability estimate of every event, indexed by event id."""
-    return [event_probability(inst, ev.event_id, mc_samples=mc_samples, seed=seed)
-            for ev in inst.events]
+    """Probability estimate of every event, indexed by event id.
+
+    Events with the same threshold, reference value and multiset of
+    variable classes (``probability.count_classes``) share one exact
+    estimate. A sampled estimate stays per event: its seed names the event.
+    """
+    shared = {}
+    estimates = []
+    for ev in inst.events:
+        classes = count_classes(inst, ev)
+        shape = None
+        if classes is not None:
+            shape = (ev.predicate.threshold, ev.predicate.ref_value,
+                     tuple(sorted(classes)))
+        est = shared.get(shape)
+        if est is None:
+            est = event_probability(inst, ev.event_id, mc_samples=mc_samples,
+                                    seed=seed)
+            if shape is not None and est.exact:
+                shared[shape] = est
+        estimates.append(est)
+    return estimates
 
 
 def criterion_check(inst: LllInstance, r: int, c: float, *, p_bound=None,

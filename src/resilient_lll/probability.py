@@ -10,6 +10,14 @@ weighted enumeration while the free support is at most 2^20 assignments,
 and fall back to Monte Carlo above that; one enumerator serves these and
 the vulnerability oracle's outer probability. Sampled estimates are
 flagged as approximate.
+
+Over uniform variables a ``CountThreshold`` probability is an integer
+count of completions over the support, so it depends on the variables
+only through their classes (``count_classes``) and on the fixed values
+only through how they compare with the reference. Events of the same
+shape therefore share one result: exact event estimates in
+``general.event_estimates``, and vulnerability indicators in the
+oracle's memo.
 """
 
 from __future__ import annotations
@@ -222,6 +230,25 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
     return hits / support
 
 
+def count_classes(inst: LllInstance, event):
+    """Per dependent variable of a ``CountThreshold`` event whose variables
+    are all uniform, in dependency order, its class: (domain size,
+    occurrences in each group, whether it is the reference variable).
+    None for any other event."""
+    pred = event.predicate
+    deps = event.dependent_vars
+    variables = inst.variables
+    if not isinstance(pred, CountThreshold) or not all(
+            variables[v].is_uniform for v in deps):
+        return None
+    occurrences = {v: [0] * len(pred.groups) for v in deps}
+    for j, group in enumerate(pred.groups):
+        for v in group:
+            occurrences[v][j] += 1
+    return tuple((variables[v].domain_size, tuple(occurrences[v]), v == pred.ref_var)
+                 for v in deps)
+
+
 def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_000,
                       seed: int = 0) -> ProbabilityEstimate:
     """Probability the event is satisfied under fresh draws of its variables."""
@@ -269,8 +296,12 @@ class VulnerabilityOracle:
     conditional probability past the inner threshold — and how likely that
     is over the not-yet-revealed first-row values.
 
-    Indicator results are memoized per (event, revealed-values) key, so the
-    staged solver can re-query cheaply as conditioning grows.
+    Indicator results are memoized so the staged solver can re-query
+    cheaply as conditioning grows. A ``CountThreshold`` event over uniform
+    variables is keyed by its shape (see ``_memo_key``), so events of the
+    same shape share one result; any other event is keyed by (event,
+    revealed values). ``memo_counts`` counts the calls the memo answered
+    (hits) and all others (misses).
     """
 
     def __init__(self, inst: LllInstance, part: Partition, cfg: ThresholdConfig,
@@ -283,8 +314,10 @@ class VulnerabilityOracle:
         self.inner_thr = cfg.inner_threshold(inst.d)
         self._rng = rng_for(seed, "vulnerability")
         self._groups = {}
+        self._layouts = {}
         self._indicator_memo = {}
         self._inner_mc_events = set()
+        self.memo_counts = {"hits": 0, "misses": 0}
 
     def swap_groups(self, a: int):
         """Per part, the swap neighbors of event ``a`` with the owned
@@ -311,6 +344,64 @@ class VulnerabilityOracle:
         self._groups[a] = groups
         return groups
 
+    def _layout(self, a: int):
+        """Event ``a``'s variable classes, the dependency positions of the
+        variables in no swap member, and those of each swap member per part.
+
+        None when the event keeps the per-event memo key: any event but a
+        ``CountThreshold`` one over uniform variables, and such an event
+        whose swap probabilities could be sampled, since a sampled value
+        draws from the oracle's rng and is never shared."""
+        if a in self._layouts:
+            return self._layouts[a]
+        ev = self.inst.events[a]
+        classes = count_classes(self.inst, ev)
+        layout = None
+        if classes is not None:
+            position = {v: i for i, v in enumerate(ev.dependent_vars)}
+            parts = tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)
+                          for _, members in self.swap_groups(a))
+            swapped = {i for members in parts for m in members for i in m}
+            rest = tuple(i for i in range(len(classes)) if i not in swapped)
+            layout = (ev.predicate, classes, rest, parts)
+            # ``_count_threshold_probability`` samples above EXACT_ENUM_CAP
+            # cases, and a part's full swap set conditions on the most.
+            for members in parts:
+                free = [classes[i] for m in members for i in m]
+                refs = max((size for size, _, is_ref in free if is_ref), default=1)
+                shared = sum(sum(occ) > 1 for _, occ, is_ref in free if not is_ref)
+                if refs << shared > EXACT_ENUM_CAP:
+                    layout = None
+                    break
+        self._layouts[a] = layout
+        return layout
+
+    def _memo_key(self, a: int, key: tuple):
+        """The indicator memo key of event ``a`` under the revealed values
+        ``key`` (in dependency order).
+
+        For a shaped event: the threshold, the reference value, and the
+        sorted (class, value class) pairs of the variables in no swap
+        member and of each swap member, the members of a part sorted and
+        the parts sorted. The value class is whether the value equals a
+        constant reference, or the raw value when the reference is a
+        variable. Every swap probability is then an integer count that the
+        key determines, and the indicator is the same for every event
+        sharing it. The key is a 4-tuple, so it never equals a per-event
+        (event, values) key."""
+        layout = self._layout(a)
+        if layout is None:
+            return (a, key)
+        pred, classes, rest, parts = layout
+        if pred.ref_var is None:
+            key = [x == pred.ref_value for x in key]
+
+        def stats(positions):
+            return tuple(sorted((classes[i], key[i]) for i in positions))
+
+        return (pred.threshold, pred.ref_value, stats(rest),
+                tuple(sorted(tuple(sorted(map(stats, members))) for members in parts)))
+
     def _swap_probability(self, event, base_values, swap_vars):
         fixed = {v: val for v, val in base_values.items() if v not in swap_vars}
         est = _probability_over(
@@ -324,20 +415,22 @@ class VulnerabilityOracle:
     def indicator(self, a: int, key: tuple) -> bool:
         """Whether, under the given full first-row values of the event's
         dependencies, any single-part swap subset reaches the threshold."""
-        memo_key = (a, key)
-        cached = self._indicator_memo.get(memo_key)
-        if cached is not None:
-            return cached
         ev = self.inst.events[a]
         values = dict(zip(ev.dependent_vars, key))
-        result = False
-        if not ev.structurally_false():
+        if ev.structurally_false():
+            result = False
+        elif ev.evaluate(values) and 1.0 >= self.inner_thr:
             # The empty swap set degenerates to the event itself.
-            if ev.evaluate(values) and 1.0 >= self.inner_thr:
-                result = True
-            else:
-                result = self._any_subset_over(ev, values)
-        self._indicator_memo[memo_key] = result
+            result = True
+        else:
+            memo_key = self._memo_key(a, key)
+            result = self._indicator_memo.get(memo_key)
+            if result is not None:
+                self.memo_counts["hits"] += 1
+                return result
+            result = self._any_subset_over(ev, values)
+            self._indicator_memo[memo_key] = result
+        self.memo_counts["misses"] += 1
         return result
 
     def _any_subset_over(self, ev, values) -> bool:

@@ -63,6 +63,7 @@ class StageReport:
     deferred_count: int
     residual_variable_count: int
     danger_estimate_modes: dict = field(default_factory=dict)
+    indicator_memo: dict = field(default_factory=dict)  # {"hits", "misses"}
 
     def to_dict(self) -> dict:
         return {
@@ -76,6 +77,7 @@ class StageReport:
             "deferred": self.deferred_count,
             "residual_variables": self.residual_variable_count,
             "danger_estimate_modes": dict(self.danger_estimate_modes),
+            "indicator_memo": dict(self.indicator_memo),
         }
 
     def to_json(self) -> str:
@@ -197,6 +199,7 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         deferred_count=len(D),
         residual_variable_count=len(free_vars),
         danger_estimate_modes=estimate_modes,
+        indicator_memo=dict(oracle.memo_counts),
     )
     return state, report
 

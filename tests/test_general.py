@@ -10,6 +10,7 @@ from resilient_lll.graph import Partition
 from resilient_lll.general import (
     choose_parts,
     criterion_check,
+    event_estimates,
     max_parts,
     preset_parts,
     resilience_certificate,
@@ -20,9 +21,9 @@ from resilient_lll.model import (
     build_instance,
     check_assignment,
 )
-from resilient_lll.probability import event_probability
+from resilient_lll.probability import VulnerabilityOracle, event_probability
 from resilient_lll.seeds import derive_seed
-from resilient_lll import generators, solver
+from resilient_lll import general, generators, solver
 
 
 def test_criterion_zero_probability_instance():
@@ -199,3 +200,30 @@ def test_ring_solve_reports_every_danger_estimate_exact():
     for r in (1, 2):
         stage = solve_general(inst, r, relaxed_config(), 3).to_dict()["stage"]
         assert stage["danger_estimate_modes"] == {"exact": 60, "sampled": 0}
+
+
+def test_ring_solve_counts_indicator_memo_hits(monkeypatch):
+    calls = []
+    indicator = VulnerabilityOracle.indicator
+
+    def counted(self, a, key):
+        calls.append(a)
+        return indicator(self, a, key)
+
+    monkeypatch.setattr(VulnerabilityOracle, "indicator", counted)
+    inst = generators.ring_family(200, 2, 5, 4)
+    memo = solve_general(inst, 1, relaxed_config(), 4).to_dict()["stage"]["indicator_memo"]
+    assert memo["hits"] + memo["misses"] == len(calls) == 200
+    # Ring events come in a few shapes, so most indicators are shared.
+    assert memo["misses"] < memo["hits"]
+
+
+def test_event_estimates_share_exact_estimates_by_shape(monkeypatch):
+    inst = generators.window_family(40, 6, 2)
+    expected = [event_probability(inst, a) for a in range(inst.event_count)]
+    calls = []
+    monkeypatch.setattr(general, "event_probability",
+                        lambda inst, a, **kw: calls.append(a) or event_probability(inst, a, **kw))
+    assert event_estimates(inst) == expected
+    # Every window event counts ones over eight bits: one shape.
+    assert calls == [0]

@@ -8,6 +8,7 @@ from resilient_lll.errors import InputError
 from resilient_lll.experiment import (
     CSV_COLUMNS,
     ExperimentSpec,
+    RunRecord,
     aggregate,
     run_experiment,
     run_one,
@@ -138,6 +139,43 @@ def test_rounds_scale_linearly_across_partition_sizes(tmp_path):
                          parts=parts)
         records, _ = run_experiment(spec)
         assert records[0].rounds == 5 * parts + 2
+
+
+def test_parallel_sweep_logs_every_seed_once(tmp_path):
+    seeds = [4, 0, 3, 1, 2]
+    spec = make_spec(tmp_path, seeds)
+    parallel, summary = run_experiment(spec, workers=2)
+    spec.output_path = None
+    serial, _ = run_experiment(spec, workers=1)
+    assert [r.stable_key() for r in parallel] == [r.stable_key() for r in serial]
+    assert [r.seed for r in parallel] == seeds
+    assert summary == aggregate(parallel)
+    logged = [json.loads(line)["seed"]
+              for line in open(tmp_path / "records.jsonl")]
+    assert sorted(logged) == sorted(seeds)
+
+
+def test_aggregate_counts_errors_by_class():
+    def record(seed, error=None):
+        return RunRecord(spec_hash="x", seed=seed, rounds=7, valid=error is None,
+                         max_component=0, dangerous=0, reverted=0, deferred=0,
+                         wall_ms=1.0, error=error)
+
+    records = [
+        record(0),
+        record(1, "ContractViolation: run failed: events [3] were committed"),
+        record(2, "ContractViolation: solver produced an invalid assignment"),
+        record(3, "CapacityError: event 0: 15 swap neighbors in part 0 exceed"),
+        record(4, "ComponentFailure: component of 4 events unsolved"),
+        record(5, "InputError: unknown graph family 'x'"),
+        record(6, "ZeroDivisionError: float division by zero"),
+    ]
+    summary = aggregate(records)
+    assert summary["successes"] == 1
+    assert summary["error_classes"] == {"contract": 2, "capacity": 1, "component": 1,
+                                        "input": 1, "other": 1}
+    assert aggregate(records[:1])["error_classes"] == dict.fromkeys(
+        ("contract", "capacity", "component", "input", "other"), 0)
 
 
 def test_csv_format(tmp_path):

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from resilient_lll.config import relaxed_config, strict_config
-from resilient_lll.errors import CapacityError
+from resilient_lll.errors import CapacityError, ContractViolation
+from resilient_lll.general import event_estimates
 from resilient_lll.graph import Partition
 from resilient_lll.model import (
     CountThreshold,
@@ -274,10 +275,9 @@ def test_vulnerability_conditioned_on_full_row():
     assert (hot.value, cold.value) == (1.0, 0.0)
 
 
-def test_vulnerability_capacity_error_names_offender():
-    # A hub event whose 15 swap neighbors share one part exceeds the cap.
-    n_leaves = 15
-    vs = fair_bits(n_leaves)
+def hub_instance(n_leaves=15):
+    """A count-all-ones hub over bits each owned by its own leaf event, so
+    the hub has one same-part swap neighbor per bit."""
     hub = EventSpec(
         0, tuple(range(n_leaves)),
         CountThreshold(groups=(tuple(range(n_leaves)),), threshold=n_leaves, ref_value=1),
@@ -287,7 +287,12 @@ def test_vulnerability_capacity_error_names_offender():
         for i in range(n_leaves)
     ]
     allocation = {v: v + 1 for v in range(n_leaves)}
-    inst = build_instance(vs, [hub] + leaves, allocation)
+    return build_instance(fair_bits(n_leaves), [hub] + leaves, allocation)
+
+
+def test_vulnerability_capacity_error_names_offender():
+    # A hub event whose 15 swap neighbors share one part exceeds the cap.
+    inst = hub_instance()
     part = Partition.singleton(inst.event_count)
     cfg = relaxed_config(subset_cap=12)
     with pytest.raises(CapacityError, match="event 0"):
@@ -315,6 +320,171 @@ def test_oracle_memoization_consistency():
     first = oracle.probability(0, {0: 1})
     second = oracle.probability(0, {0: 1})
     assert first == second
+
+
+def test_satisfied_indicator_precedes_subset_cap():
+    # All ones satisfies the hub: the empty swap answers before the 15 swap
+    # neighbors are counted against the cap of 12.
+    inst = hub_instance()
+    oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
+                                 relaxed_config(subset_cap=12))
+    assert oracle.indicator(0, (1,) * 15) is True
+    with pytest.raises(CapacityError) as info:
+        oracle.indicator(0, (0,) + (1,) * 14)
+    assert str(info.value) == "event 0: 15 swap neighbors in part 0 exceed subset cap 12"
+    # A failed layout is not cached: the next unsatisfied query raises again.
+    with pytest.raises(CapacityError):
+        oracle.indicator(0, (1,) * 14 + (0,))
+
+
+def test_sampled_swap_probability_is_not_shared():
+    # Every bit occurs in both groups, so swapping all 21 bits conditions on
+    # 2^21 match patterns and is sampled; the twin event samples its own.
+    bits = tuple(range(21))
+    events = [EventSpec(a, bits, CountThreshold((bits, bits), 21, ref_value=1))
+              for a in (0, 1)]
+    inst = build_instance(fair_bits(21), events, [0] * 21)
+    oracle = VulnerabilityOracle(inst, Partition.singleton(2), relaxed_config())
+    zeros = dict.fromkeys(bits, 0)
+    assert [oracle.probability(a, zeros).exact for a in (0, 1)] == [False, False]
+    assert oracle.memo_counts == {"hits": 0, "misses": 2}
+
+
+@st.composite
+def shared_oracle_cases(draw):
+    """Small instances of count-threshold events (and a few others) with a
+    stream of oracle queries over full and partial reveals."""
+    n = draw(st.integers(2, 6))
+    weighted = draw(st.booleans())
+    variables = []
+    for v in range(n):
+        size = draw(st.integers(1, 3))
+        if weighted and draw(st.booleans()):
+            raw = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+            variables.append(VariableSpec(v, size, tuple(x / sum(raw) for x in raw)))
+        else:
+            variables.append(VariableSpec.uniform(v, size))
+    var_ids = st.integers(0, n - 1)
+    layouts = []
+    events = []
+    for a in range(draw(st.integers(2, 5))):
+        if layouts and draw(st.booleans()):
+            # A twin of an earlier event: the same variables, groups and
+            # threshold, so the two can differ only in the reference.
+            deps, groups, threshold = draw(st.sampled_from(layouts))
+        else:
+            deps = tuple(sorted(draw(st.sets(var_ids, min_size=1, max_size=5))))
+            # Groups may repeat a variable.
+            groups = tuple(draw(st.lists(
+                st.lists(st.sampled_from(deps), min_size=1, max_size=4).map(tuple),
+                min_size=1, max_size=3)))
+            threshold = draw(st.integers(0, 8)) / 2
+            layouts.append((deps, groups, threshold))
+        if draw(st.booleans()):
+            ref = {"ref_var": draw(st.sampled_from(deps))}
+        else:
+            ref = {"ref_value": draw(st.integers(0, 3))}
+        events.append(EventSpec(a, deps, CountThreshold(groups, threshold, **ref)))
+    if draw(st.booleans()):
+        deps = tuple(sorted(draw(st.sets(var_ids, min_size=1, max_size=4))))
+        events.append(EventSpec(len(events), deps,
+                                MaxPartLoad(deps, draw(st.integers(1, 3)))))
+    uncovered = set(range(n)) - {v for ev in events for v in ev.dependent_vars}
+    if uncovered:
+        ev = events[0]
+        events[0] = EventSpec(0, tuple(sorted(set(ev.dependent_vars) | uncovered)),
+                              ev.predicate)
+    owner = [draw(st.sampled_from([ev.event_id for ev in events
+                                   if v in ev.dependent_vars]))
+             for v in range(n)]
+    try:
+        inst = build_instance(variables, events, owner)
+    except ContractViolation:  # degree conditions of the model
+        assume(False)
+    parts = draw(st.integers(1, 3))
+    part = Partition(parts, tuple(draw(st.integers(0, parts - 1))
+                                  for _ in range(inst.event_count)))
+    cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    # Every full reveal of every event, and some partial ones, in random order.
+    queries = []
+    for ev in inst.events:
+        deps = ev.dependent_vars
+        for key in itertools.product(*(range(variables[v].domain_size) for v in deps)):
+            queries.append((ev.event_id, dict(zip(deps, key))))
+    for _ in range(draw(st.integers(0, 6))):
+        ev = draw(st.sampled_from(inst.events))
+        queries.append((ev.event_id, {
+            v: draw(st.integers(0, variables[v].domain_size - 1))
+            for v in draw(st.sets(st.sampled_from(ev.dependent_vars)))}))
+    draw(st.randoms()).shuffle(queries)
+    return inst, part, cfg, queries
+
+
+def oracle_case(domains, events, owner, c3, queries):
+    """A case over uniform variables with every event in one part."""
+    inst = build_instance([VariableSpec.uniform(v, d) for v, d in enumerate(domains)],
+                          events, owner)
+    return inst, Partition.singleton(inst.event_count), relaxed_config(c3=c3), queries
+
+
+def count_event(a, deps, groups, threshold, **ref):
+    return EventSpec(a, deps, CountThreshold(groups, threshold, **ref))
+
+
+# Three pairs of queries whose shapes differ in one ingredient of the memo
+# key each, with indicators that differ. Variable 0 occurs twice in event 0's
+# group: (1, 0, 0) reaches 1/2 by swapping event 2's variable alone, (0, 1, 0)
+# at most 3/8.
+OCCURRENCE_CASE = oracle_case(
+    (2, 2, 2),
+    [count_event(0, (0, 1, 2), ((0, 0, 1, 2),), 3, ref_value=1),
+     count_event(1, (0, 1), ((0, 1),), 2, ref_value=1),
+     count_event(2, (2,), ((2,),), 1, ref_value=1)],
+    (1, 1, 2), 1.0,
+    [(0, {0: 1, 1: 0, 2: 0}), (0, {0: 0, 1: 1, 2: 0})],
+)
+# The same values, grouped differently among the swap members: (1, 0, 0, 0)
+# needs every member swapped (1/16), (0, 0, 1, 0) only events 0 and 1 (1/8).
+GROUPING_CASE = oracle_case(
+    (2, 2, 2, 2),
+    [count_event(0, (0, 1, 2, 3), ((0, 1, 2, 3),), 4, ref_value=1),
+     count_event(1, (0, 1), ((0, 1),), 2, ref_value=1),
+     count_event(2, (2,), ((2,),), 1, ref_value=1)],
+    (1, 1, 2, 0), 3.5,
+    [(0, {0: 1, 1: 0, 2: 0, 3: 0}), (0, {0: 0, 1: 0, 2: 1, 3: 0})],
+)
+# Twins that differ only in the constant reference: no bit can equal 2.
+REFERENCE_CASE = oracle_case(
+    (2, 2, 2),
+    [count_event(0, (0, 1, 2), ((0, 1, 2),), 2, ref_value=0),
+     count_event(1, (0, 1, 2), ((0, 1, 2),), 2, ref_value=2),
+     count_event(2, (2,), ((2,),), 1, ref_value=1)],
+    (0, 1, 2), 1.0,
+    [(0, {0: 1, 1: 1, 2: 1}), (1, {0: 1, 1: 1, 2: 1})],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(OCCURRENCE_CASE)
+@example(GROUPING_CASE)
+@example(REFERENCE_CASE)
+@given(shared_oracle_cases())
+def test_shared_oracle_matches_fresh_oracle_per_query(case):
+    # One oracle shares indicator results across events of the same shape;
+    # every answer must equal that of an oracle that has seen nothing else.
+    inst, part, cfg, queries = case
+    shared = VulnerabilityOracle(inst, part, cfg, seed=5)
+    for a, fixed in queries:
+        deps = inst.events[a].dependent_vars
+        if len(fixed) == len(deps):
+            key = tuple(fixed[v] for v in deps)
+            fresh = VulnerabilityOracle(inst, part, cfg, seed=5)
+            assert shared.indicator(a, key) == fresh.indicator(a, key)
+        fresh = VulnerabilityOracle(inst, part, cfg, seed=5)
+        assert shared.probability(a, fixed) == fresh.probability(a, fixed)
+    # Exact event estimates are shared by shape as well.
+    assert event_estimates(inst) == [event_probability(inst, ev.event_id)
+                                     for ev in inst.events]
 
 
 # --- first-row values -----------------------------------------------------
