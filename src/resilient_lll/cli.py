@@ -63,7 +63,7 @@ def _add_common(p):
 
 def _config(args):
     cfg = resolve_config(args.constants)
-    if getattr(args, "mc_samples", None):
+    if getattr(args, "mc_samples", None) is not None:
         cfg = cfg.replace(mc_samples=args.mc_samples)
     return cfg
 

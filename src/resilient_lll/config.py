@@ -6,6 +6,13 @@ strict preset carries the constants the guarantees are proved at; those are
 far outside what desk-scale instances can exhibit, so a relaxed preset is
 provided for functional runs (it voids the formal guarantees, and the
 solver downgrades some hard failures to recorded warnings under it).
+
+``ThresholdConfig`` holds the paper's constants (c1, c2, c3, gamma and the
+defect constant) plus the two estimation knobs the presets and the CLI set,
+``mc_samples`` and ``subset_cap``. Implementation caps with one value in use
+are module constants next to the code they bound: ``EXACT_ENUM_CAP`` and
+``EXACT_OUTER_CAP`` in ``probability``, ``EXHAUSTIVE_CAP`` and
+``RESAMPLE_CAP_FACTOR`` in ``shattering``, ``BRUTE_FORCE_CAP`` in ``model``.
 """
 
 from __future__ import annotations
@@ -27,17 +34,12 @@ class ThresholdConfig:
     defect_const: float = 99.0  # light-partition per-part neighbor constant
     mc_samples: int = 10_000
     subset_cap: int = 12        # max same-part swap-neighbor count enumerated
-    resample_cap_factor: int = 100  # residual resamplings allowed per component event
-    exact_outer_cap: int = 4096     # enumerate outer completions up to this support
-    profile: str = "strict"
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3, self.gamma, self.defect_const) <= 0:
             raise InputError("all exponent constants must be positive")
-        if self.mc_samples < 1 or self.subset_cap < 0 or self.resample_cap_factor < 1:
+        if self.mc_samples < 1 or self.subset_cap < 0:
             raise InputError("sampling/capacity knobs must be positive")
-        if self.profile not in ("strict", "relaxed", "custom"):
-            raise InputError(f"unknown profile {self.profile!r}")
 
     @property
     def guarantee_grade(self) -> bool:
@@ -77,19 +79,24 @@ def strict_config(**overrides) -> ThresholdConfig:
 
 def relaxed_config(**overrides) -> ThresholdConfig:
     """Desk-scale functional constants; guarantees are monitored, not proved."""
-    base = dict(c1=1.5, c2=3.0, c3=1.0, mc_samples=2000, profile="relaxed")
+    base = dict(c1=1.5, c2=3.0, c3=1.0, mc_samples=2000)
     base.update(overrides)
     return ThresholdConfig(**base)
+
+
+def config_from_dict(data, source: str) -> ThresholdConfig:
+    """A config from a mapping of field values; anything but a mapping of
+    known fields raises InputError naming ``source``."""
+    try:
+        return ThresholdConfig(**data)
+    except TypeError as exc:
+        raise InputError(f"bad config in {source}: {exc}") from exc
 
 
 def config_from_file(path) -> ThresholdConfig:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    data.setdefault("profile", "custom")
-    try:
-        return ThresholdConfig(**data)
-    except TypeError as exc:
-        raise InputError(f"bad config file {path}: {exc}") from exc
+    return config_from_dict(data, f"file {path}")
 
 
 def resolve_config(spec: str) -> ThresholdConfig:

@@ -34,6 +34,7 @@ from . import general
 
 VERTEX = "vertex"
 EDGE = "edge"
+REPAIR_PASSES = 4  # sweeps of the edge-split repair before giving up
 
 
 # --- parameter arithmetic ---------------------------------------------------
@@ -73,8 +74,7 @@ def halving_iterations(delta: int, q: float) -> int:
 
 def inductive_degree(delta: int, q: float, i: int) -> float:
     """Class degree bound entering iteration i (1-based)."""
-    L = _lg_clamped(delta)
-    return delta / 2 ** (i - 1) + delta * (i - 1) / (2 ** (i - 1) * q * L)
+    return inductive_bound(delta, q, i - 1)
 
 
 def inductive_bound(delta: int, q: float, i: int) -> float:
@@ -240,7 +240,7 @@ def balanced_edge_split(n: int, edges, seed: int):
     return colors
 
 
-def _repair_edge_split(n, edges, degree, colors, passes: int = 4):
+def _repair_edge_split(n, edges, degree, colors):
     counts = {}
     incident = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(edges):
@@ -253,7 +253,7 @@ def _repair_edge_split(n, edges, degree, colors, passes: int = 4):
     def cap(v):
         return (degree[v] + 1) // 2
 
-    for _ in range(passes):
+    for _ in range(REPAIR_PASSES):
         dirty = False
         for v in range(n):
             for c in (0, 1):
@@ -281,8 +281,7 @@ def _repair_edge_split(n, edges, degree, colors, passes: int = 4):
 
 # --- the two-coloring instance ---------------------------------------------
 
-def build_split_instance(g: Graph, kind: str, q: float,
-                         delta_current: float | None = None):
+def build_split_instance(g: Graph, kind: str, q: float):
     """The instance whose valid assignments are admissible two-way splits.
 
     One fair bit per object, allocated to the object's own event; the bad
@@ -295,7 +294,7 @@ def build_split_instance(g: Graph, kind: str, q: float,
         raise InputError(f"kind must be vertex or edge, got {kind!r}")
     if q < 1:
         raise InputError("q must be at least 1")
-    delta = delta_current if delta_current is not None else g.max_degree
+    delta = g.max_degree
     if delta < 2:
         raise InputError("degree below 2: splitting is vacuous")
     threshold = split_threshold(delta, q)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .config import ThresholdConfig, lg
 from .defective import EDGE, halving_iterations, iterate_halving, iteration_floor
 from .errors import InputError, ReductionViolation
-from .graph import Graph
+from .graph import Graph, contiguous_sizes
 from .misra_gries import misra_gries_edge_coloring, proper_coloring_violations
 from .seeds import derive_seed
 
@@ -46,11 +46,9 @@ def split_palette(total_colors: int, bucket_count: int) -> PaletteSplit:
         raise InputError(
             f"cannot split {total_colors} colors into {bucket_count} buckets"
         )
-    base, extra = divmod(total_colors, bucket_count)
     ranges = []
     start = 0
-    for b in range(bucket_count):
-        width = base + (1 if b < extra else 0)
+    for width in contiguous_sizes(total_colors, bucket_count):
         ranges.append((start, start + width))
         start += width
     return PaletteSplit(total_colors, bucket_count, tuple(ranges))
@@ -101,7 +99,7 @@ def hardened_omega_bound(delta: int) -> float:
     return 8.0 * lg(delta) ** 2.5 / math.sqrt(delta)
 
 
-def plan_reduction(delta: int, eps: float, c_defect: float | None = None) -> ReductionPlan:
+def plan_reduction(delta: int, eps: float) -> ReductionPlan:
     """Derive q, bucket count, bucket degree bound and the palette split;
     every inequality the reduction relies on is checked in exact rationals.
 
@@ -142,11 +140,6 @@ def plan_reduction(delta: int, eps: float, c_defect: float | None = None) -> Red
             "holds": Fraction(min_range) >= rhs_chain,
         }
         implied_c = float(x / Fraction(iteration_floor(q)).limit_denominator(10 ** 12))
-        if c_defect is not None and implied_c > c_defect:
-            raise InputError(
-                f"halving constant {implied_c:.3f} exceeds assumed defect "
-                f"constant {c_defect}"
-            )
         if checks["palette_chain"]["holds"] and checks["bucket_range"]["holds"]:
             return ReductionPlan(
                 mode="bucketed",

@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from .config import resolve_config, ThresholdConfig
+from .config import config_from_dict, resolve_config, ThresholdConfig
 from .errors import CapacityError, ComponentFailure, ContractViolation, InputError
 from .graph import Partition
 from . import defective as defective_mod
@@ -116,13 +116,12 @@ class RunRecord:
 
 def _config(spec: ExperimentSpec) -> ThresholdConfig:
     if isinstance(spec.constants, dict):
-        return ThresholdConfig(**spec.constants)
+        return config_from_dict(spec.constants, "spec constants")
     return resolve_config(spec.constants)
 
 
 def run_one(spec: ExperimentSpec, seed: int) -> RunRecord:
     """Execute one seeded run; failures are captured, never raised."""
-    cfg = _config(spec)
     gen = spec.generator
     params = spec.algorithm_params
     start = time.perf_counter()
@@ -131,6 +130,7 @@ def run_one(spec: ExperimentSpec, seed: int) -> RunRecord:
         max_component=0, dangerous=0, reverted=0, deferred=0, wall_ms=0.0,
     )
     try:
+        cfg = _config(spec)
         subject = generators.generate(gen["kind"], gen["family"], gen["params"], seed)
         if spec.algorithm == "solve-general":
             r = int(params.get("r", 1))
@@ -201,10 +201,6 @@ def run_one(spec: ExperimentSpec, seed: int) -> RunRecord:
     return record
 
 
-def _run_one_dict(spec_data: dict, seed: int) -> RunRecord:
-    return run_one(ExperimentSpec.from_dict(spec_data), seed)
-
-
 def aggregate(records) -> dict:
     """Pure summary of a record set.
 
@@ -257,15 +253,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, fmt: str = "json"):
                 records.append(record)
                 emit(record)
         else:
-            data = {
-                "generator": spec.generator,
-                "algorithm": spec.algorithm,
-                "seeds": spec.seeds,
-                "constants": spec.constants,
-                "algorithm_params": spec.algorithm_params,
-            }
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_one_dict, data, s) for s in spec.seeds]
+                futures = [pool.submit(run_one, spec, s) for s in spec.seeds]
                 # Single writer: each record is logged as soon as its run ends.
                 for fut in concurrent.futures.as_completed(futures):
                     emit(fut.result())

@@ -15,7 +15,7 @@ where the uniform envelope is hopeless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ThresholdConfig, lg
 from .errors import InputError
@@ -101,8 +101,7 @@ def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
 
 
 def criterion_check(inst: LllInstance, r: int, c: float, *, p_bound=None,
-                    estimates=None, mc_samples: int = 10_000,
-                    seed: int = 0) -> CriterionReport:
+                    estimates=None) -> CriterionReport:
     """Whether max event probability p satisfies p <= 2^(-c*d_vars/r).
 
     The bound is inclusive. ``p_bound`` substitutes an analytic upper bound
@@ -118,7 +117,7 @@ def criterion_check(inst: LllInstance, r: int, c: float, *, p_bound=None,
         p, exact, worst = float(p_bound), True, None
     else:
         if estimates is None:
-            estimates = event_estimates(inst, mc_samples=mc_samples, seed=seed)
+            estimates = event_estimates(inst)
         worst = max(range(len(estimates)), key=lambda a: estimates[a].value,
                     default=None)
         p = 0.0 if worst is None else estimates[worst].value
@@ -139,7 +138,6 @@ class CertificateReport:
     uniform_bound: float
     p_used: float
     exact: bool
-    per_event: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -151,8 +149,7 @@ class CertificateReport:
 
 def resilience_certificate(inst: LllInstance, part: Partition,
                            cfg: ThresholdConfig, *, p_bound=None,
-                           estimates=None, mc_samples: int = 10_000, seed: int = 0,
-                           keep_per_event: bool = False) -> CertificateReport:
+                           estimates=None) -> CertificateReport:
     """Union bound on the vulnerability probability of any event.
 
     For each event: count every nonempty same-part subset of its inclusive
@@ -167,14 +164,13 @@ def resilience_certificate(inst: LllInstance, part: Partition,
     if part.size != inst.event_count:
         raise InputError("partition must cover all events")
     if p_bound is None and estimates is None:
-        estimates = event_estimates(inst, mc_samples=mc_samples, seed=seed)
+        estimates = event_estimates(inst)
     d_eff = max(inst.d, 1)
     amp = d_eff ** cfg.c3
     threshold = cfg.resilience_threshold(inst.d)
     value = 0.0
     p_max = 0.0
     exact = True
-    per_event = {}
     for ev in inst.events:
         if p_bound is not None:
             p_a = float(p_bound)
@@ -188,10 +184,7 @@ def resilience_certificate(inst: LllInstance, part: Partition,
         for b in inst.alloc_graph.neighbors(ev.event_id):
             loads[part.part_of(b)] += 1
         subset_count = sum(2.0 ** load - 1.0 for load in loads) + 1.0
-        total = subset_count * p_a * amp
-        if keep_per_event:
-            per_event[ev.event_id] = total
-        value = max(value, total)
+        value = max(value, subset_count * p_a * amp)
     r = part.part_count
     uniform = r * 2.0 ** (cfg.gamma * inst.d_vars / r) * p_max * amp
     return CertificateReport(
@@ -201,7 +194,6 @@ def resilience_certificate(inst: LllInstance, part: Partition,
         uniform_bound=uniform,
         p_used=p_max,
         exact=exact,
-        per_event=per_event,
     )
 
 

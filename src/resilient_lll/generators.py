@@ -7,6 +7,8 @@ from .graph import Graph
 from .model import CountThreshold, EventSpec, VariableSpec, build_instance
 from .seeds import rng_for
 
+MAX_REPAIR_SWAPS = 200_000  # swap attempts before random_regular_graph gives up
+
 
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi style G(n, p), deterministic given seed."""
@@ -19,7 +21,7 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_regular_graph(n: int, d: int, seed: int, max_repair: int = 200_000) -> Graph:
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """Exactly d-regular simple graph via stub pairing plus swap repair.
 
     Pairs stubs uniformly, then removes self-loops and duplicate edges by
@@ -47,7 +49,7 @@ def random_regular_graph(n: int, d: int, seed: int, max_repair: int = 200_000) -
         return pair[0] == pair[1] or counts[key(pair)] > 1
 
     bad = [i for i, pair in enumerate(pairs) if is_bad(pair)]
-    budget = max_repair
+    budget = MAX_REPAIR_SWAPS
     while bad:
         if budget <= 0:
             raise InputError(
@@ -137,10 +139,6 @@ def ring_family(n_events: int, shared_degree: int = 2, private_bits: int = 5,
             allocation[v] = i
     inst = build_instance(variables, events, allocation)
     return inst
-
-
-def exact_event_probability_of_family(shared_degree: int, private_bits: int) -> float:
-    return 2.0 ** -(1 + shared_degree + private_bits)
 
 
 def window_family(n_events: int, private_bits: int = 6, seed: int = 0):

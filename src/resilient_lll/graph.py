@@ -145,12 +145,19 @@ class Partition:
         """Split 0..n-1 into r contiguous blocks with sizes differing by <= 1."""
         if r < 1 or r > max(n, 1):
             raise InputError(f"cannot split {n} items into {r} parts")
-        base, extra = divmod(n, r)
         assignment = []
-        for p in range(r):
-            width = base + (1 if p < extra else 0)
+        for p, width in enumerate(contiguous_sizes(n, r)):
             assignment.extend([p] * width)
         return cls(r, tuple(assignment))
+
+
+def contiguous_sizes(n: int, r: int):
+    """Sizes of r contiguous blocks covering n items, differing by at most
+    one, the larger blocks first, yielded one at a time (a palette split
+    may have millions of blocks). Callers check that 1 <= r."""
+    base, extra = divmod(n, r)
+    for p in range(r):
+        yield base + (1 if p < extra else 0)
 
 
 def per_part_neighbor_counts(g: Graph, part: Partition, v: int) -> list:
@@ -184,11 +191,18 @@ def load_graph(path) -> Graph:
             if node_count is None:
                 if fields[0] != "n" or len(fields) != 2:
                     raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
-                node_count = int(fields[1])
-                continue
-            if len(fields) != 2:
+                fields = fields[1:]
+            elif len(fields) != 2:
                 raise InputError(f"{path}:{lineno}: expected 'u v'")
-            edges.append((int(fields[0]), int(fields[1])))
+            try:
+                numbers = tuple(int(f) for f in fields)
+            except ValueError:
+                raise InputError(
+                    f"{path}:{lineno}: non-integer token in {line!r}") from None
+            if node_count is None:
+                node_count = numbers[0]
+            else:
+                edges.append(numbers)
     if node_count is None:
         raise InputError(f"{path}: missing 'n <count>' header")
     return Graph(node_count, edges)

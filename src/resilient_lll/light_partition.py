@@ -61,12 +61,7 @@ def group_base_parts(base_count: int, group_count: int):
     by at most one."""
     if group_count < 1 or group_count > base_count:
         raise InputError(f"cannot group {base_count} parts into {group_count}")
-    base, extra = divmod(base_count, group_count)
-    mapping = []
-    for grp in range(group_count):
-        width = base + (1 if grp < extra else 0)
-        mapping.extend([grp] * width)
-    return mapping
+    return list(Partition.contiguous(base_count, group_count).assignment)
 
 
 @dataclass

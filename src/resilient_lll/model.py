@@ -156,13 +156,6 @@ class MaxPartLoad:
         return len(self.counted) < self.threshold
 
 
-PREDICATE_KINDS = {
-    "truth_table": TruthTable,
-    "count_threshold": CountThreshold,
-    "max_part_load": MaxPartLoad,
-}
-
-
 @dataclass(frozen=True)
 class EventSpec:
     """A bad event: a predicate over an ordered list of dependent variables."""
@@ -221,9 +214,6 @@ class LllInstance:
         self.alloc_graph = self._build_alloc_graph(dependents)
         self.d = self.dep_graph.max_degree
         self.d_vars = self.alloc_graph.max_degree
-        # Events whose owned variables intersect an event's dependency set;
-        # exactly these can perturb it by re-drawing their owned values.
-        self.swap_neighbors = self._build_swap_neighbors()
         self._validate()
 
     @property
@@ -250,14 +240,6 @@ class LllInstance:
                 if b != own:
                     edges.add((own, b) if own < b else (b, own))
         return Graph(len(self.events), edges)
-
-    def _build_swap_neighbors(self):
-        out = []
-        for ev in self.events:
-            deps = set(ev.dependent_vars)
-            nbrs = sorted({self.owner[v] for v in deps})
-            out.append(tuple(nbrs))
-        return tuple(out)
 
     def _validate(self):
         for v, a in enumerate(self.owner):

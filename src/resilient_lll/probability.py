@@ -33,6 +33,7 @@ from .model import CountThreshold, LllInstance
 from .seeds import rng_for
 
 EXACT_ENUM_CAP = 1 << 20
+EXACT_OUTER_CAP = 4096  # vulnerability: enumerate outer completions up to this support
 
 
 @dataclass(frozen=True)
@@ -321,19 +322,24 @@ class VulnerabilityOracle:
 
     def swap_groups(self, a: int):
         """Per part, the swap neighbors of event ``a`` with the owned
-        variables through which they can perturb it."""
+        variables through which they can perturb it.
+
+        The swap neighbors are the owners of ``a``'s dependencies: exactly
+        these events can perturb it by re-drawing their owned values. Each
+        comes with the dependencies it owns, in ascending id order, and the
+        members of a part are in ascending event id order."""
         cached = self._groups.get(a)
         if cached is not None:
             return cached
-        deps = set(self.inst.events[a].dependent_vars)
+        owned = {}
+        for v in sorted(self.inst.events[a].dependent_vars):
+            owned.setdefault(self.inst.owner[v], []).append(v)
         by_part = {}
-        for b in self.inst.swap_neighbors[a]:
-            sv = tuple(v for v in self.inst.allocated[b] if v in deps)
-            if sv:
-                by_part.setdefault(self.part.part_of(b), []).append((b, sv))
+        for b in sorted(owned):
+            by_part.setdefault(self.part.part_of(b), []).append((b, tuple(owned[b])))
         groups = []
         for part_idx in sorted(by_part):
-            members = sorted(by_part[part_idx])
+            members = by_part[part_idx]
             if len(members) > self.cfg.subset_cap:
                 raise CapacityError(
                     f"event {a}: {len(members)} swap neighbors in part {part_idx} "
@@ -463,7 +469,7 @@ class VulnerabilityOracle:
             est = _mass_over(
                 self.inst, free, fixed,
                 lambda values: self.indicator(a, tuple(values[v] for v in deps)),
-                0 if force_mc else self.cfg.exact_outer_cap,
+                0 if force_mc else EXACT_OUTER_CAP,
                 mc_samples or self.cfg.mc_samples, lambda: self._rng,
             )
         if a not in self._inner_mc_events:

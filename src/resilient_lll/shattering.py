@@ -21,6 +21,7 @@ from .errors import CapacityError, ComponentFailure
 from .seeds import derive_seed, rng_for
 
 EXHAUSTIVE_CAP = 1 << 16
+RESAMPLE_CAP_FACTOR = 100  # residual resamplings allowed per component event
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def solve_component(residual, job: ComponentJob, cfg, seed: int,
     }
     for v in job.free_vars:
         values[v] = inst.variables[v].sample(rng)
-    cap = cfg.resample_cap_factor * max(len(job.events), 1)
+    cap = RESAMPLE_CAP_FACTOR * max(len(job.events), 1)
     per_event = dict.fromkeys(job.events, 0)
     while True:
         bad = next((ev for ev in events if ev.evaluate(values)), None)

@@ -32,7 +32,6 @@ from . import shattering
 ROUNDS_PER_ITERATION = 5
 ROUNDS_TAIL = 2
 
-UNSAMPLED = "unsampled"
 FIXED = "fixed"
 REVERTED = "reverted"
 DEFERRED = "deferred"
@@ -42,7 +41,6 @@ DEFERRED = "deferred"
 class RunState:
     """Mutable bookkeeping for one staged run."""
 
-    status: list
     fixed: set
     reverted: set
     deferred: set
@@ -99,11 +97,10 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     danger_thr = cfg.danger_threshold(inst.d)
     dep = inst.dep_graph
 
-    status = [UNSAMPLED] * n
     F, R, D = set(), set(), set()
     history = [(frozenset(), frozenset(), frozenset())]
     sampled = {}
-    fate_iteration = {}
+    fate = {}  # event id -> (status, iteration index of the decision)
     ever_dangerous = set()
     last_projection = {}
     last_verdict = {}
@@ -154,25 +151,21 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
             if a in dangerous or any(b in dangerous for b in dep.neighbors(a)):
                 newly_reverted.append(a)
                 R.add(a)
-                status[a] = REVERTED
-                fate_iteration[a] = i
+                fate[a] = (REVERTED, i)
             else:
                 F.add(a)
-                status[a] = FIXED
-                fate_iteration[a] = i
+                fate[a] = (FIXED, i)
         for a in newly_reverted:
             for b in dep.two_hop(a):
                 if part.part_of(b) > i and b not in D:
                     D.add(b)
-                    status[b] = DEFERRED
-                    fate_iteration[b] = i
+                    fate[b] = (DEFERRED, i)
         history.append((frozenset(F), frozenset(R), frozenset(D)))
         if debug:
             _assert_local_decisions(inst, part, cfg, i, active, committed,
                                     dangerous, set(newly_reverted), seed)
 
     state = RunState(
-        status=status,
         fixed=F,
         reverted=R,
         deferred=D,
@@ -193,7 +186,7 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         dangerous_events=tuple(sorted(ever_dangerous)),
         residual_events=residual_events,
         residual_component_sizes=tuple(sorted(map(len, components), reverse=True)),
-        per_event_fate={a: (status[a], fate_iteration.get(a, -1)) for a in range(n)},
+        per_event_fate={a: fate[a] for a in range(n)},
         fixed_count=len(F),
         reverted_count=len(R),
         deferred_count=len(D),

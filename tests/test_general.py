@@ -103,7 +103,7 @@ def test_certificate_matches_subset_count_oracle():
     p_by_event = {
         a: event_probability(inst, a).value for a in range(inst.event_count)
     }
-    cert = resilience_certificate(inst, part, cfg, keep_per_event=True)
+    cert = resilience_certificate(inst, part, cfg)
     oracle = subset_count_oracle(inst, part, cfg, p_by_event)
     assert cert.value == pytest.approx(oracle, rel=1e-12)
 

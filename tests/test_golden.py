@@ -1,9 +1,9 @@
 """Solver outputs match the benchmark's stored golden hashes.
 
-Re-runs the first three stored ops (in key order) of two LLL workloads of
+Re-runs the first three stored ops (in key order) of every workload of
 ``perfbench/golden.json`` untraced and compares each output's canonical
-hash, so a change that alters assignments fails here, not only in a manual
-benchmark run.
+hash, so a change that alters assignments, colorings or partitions fails
+here, not only in a manual benchmark run.
 """
 
 import json
@@ -22,7 +22,8 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 GOLDEN = json.loads((REPO / "perfbench" / "golden.json").read_text())
 CASES = [
     (name, seed, digest)
-    for name in ("ring-general", "ring-staged-r4")
+    for name in ("ring-general", "ring-staged-r4", "edgecolor-bucketed",
+                 "partition-regular")
     for seed, digest in sorted(GOLDEN[name].items())[:3]
 ]
 

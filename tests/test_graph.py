@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,3 +141,14 @@ def test_graph_file_roundtrip(tmp_path):
     h = load_graph(path)
     assert h.node_count == g.node_count
     assert h.adjacency == g.adjacency
+
+
+@pytest.mark.parametrize("text,line", [
+    ("n x\n0 1\n", 1),
+    ("# comment\nn 4\n0 1\n2 three\n", 4),
+])
+def test_graph_file_non_integer_token_is_input_error(tmp_path, text, line):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{line}:")):
+        load_graph(path)

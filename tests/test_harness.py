@@ -4,6 +4,7 @@ import math
 import pytest
 
 from resilient_lll.cli import main as cli_main
+from resilient_lll.config import config_from_file, relaxed_config, strict_config
 from resilient_lll.errors import InputError
 from resilient_lll.experiment import (
     CSV_COLUMNS,
@@ -285,3 +286,49 @@ def test_cli_rejects_unknown_family(tmp_path):
         "--out", str(tmp_path / "x"),
     ])
     assert rc == 2
+
+
+# --- configuration input ----------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", [strict_config, relaxed_config])
+def test_config_round_trips_through_a_file(tmp_path, preset):
+    cfg = preset()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert config_from_file(path) == cfg
+
+
+@pytest.mark.parametrize("key", ["bogus", "profile", "exact_outer_cap"])
+def test_config_file_with_unknown_key_rejected(tmp_path, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c1": 2.0, key: 1}))
+    with pytest.raises(InputError, match=key):
+        config_from_file(path)
+
+
+def test_spec_constants_with_unknown_key_recorded_as_input_error():
+    spec = ExperimentSpec(
+        generator={"kind": "instance", "family": "ring", "params": {"n": 12}},
+        algorithm="solve-general", seeds=[0], constants={"bogus": 1},
+    )
+    record = run_one(spec, 0)
+    assert not record.valid
+    assert record.error.startswith("InputError: ")
+    assert aggregate([record])["error_classes"]["input"] == 1
+
+
+def test_cli_rejects_zero_mc_samples(tmp_path):
+    graph_path = tmp_path / "g.edges"
+    graph_path.write_text("n 3\n0 1\n1 2\n")
+    rc = cli_main(["partition", "--graph", str(graph_path),
+                   "--mc-samples", "0", "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+
+
+def test_cli_bad_graph_file_is_input_error(tmp_path, capsys):
+    graph_path = tmp_path / "bad.edges"
+    graph_path.write_text("n 3\n0 one\n")
+    rc = cli_main(["partition", "--graph", str(graph_path)])
+    assert rc == 2
+    assert f"error: {graph_path}:2:" in capsys.readouterr().err

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from resilient_lll.config import relaxed_config, strict_config
+from resilient_lll.defective import EDGE, VERTEX, build_split_instance
 from resilient_lll.errors import CapacityError, ContractViolation
 from resilient_lll.general import event_estimates
+from resilient_lll.generators import random_regular_graph, ring_family, window_family
 from resilient_lll.graph import Partition
+from resilient_lll.light_partition import build_light_partition_instance
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -273,6 +276,42 @@ def test_vulnerability_conditioned_on_full_row():
     hot = vulnerability_probability(inst, 0, part, fixed={0: 1}, cfg=cfg)
     cold = vulnerability_probability(inst, 0, part, fixed={0: 0}, cfg=cfg)
     assert (hot.value, cold.value) == (1.0, 0.0)
+
+
+SWAP_FAMILIES = {
+    "ring": lambda seed: ring_family(30, seed=seed),
+    "window": lambda seed: window_family(20, seed=seed),
+    "vertex-split": lambda seed: build_split_instance(
+        random_regular_graph(16, 5, seed), VERTEX, 1),
+    "edge-split": lambda seed: build_split_instance(
+        random_regular_graph(12, 4, seed), EDGE, 1),
+    "light-partition": lambda seed: build_light_partition_instance(
+        random_regular_graph(20, 6, seed), 2.0),
+}
+
+
+def expected_swap_groups(inst, part, a):
+    """Event ``a``'s dependencies grouped by their owner, in ascending id
+    order, and the owners grouped by part."""
+    deps = inst.events[a].dependent_vars
+    by_part = {}
+    for b in sorted({inst.owner[v] for v in deps}):
+        owned = tuple(sorted(v for v in deps if inst.owner[v] == b))
+        by_part.setdefault(part.part_of(b), []).append((b, owned))
+    return tuple((p, tuple(by_part[p])) for p in sorted(by_part))
+
+
+@pytest.mark.parametrize("family", sorted(SWAP_FAMILIES))
+def test_swap_groups_are_dependencies_grouped_by_owner(family):
+    rng = random.Random(family)
+    cfg = relaxed_config(subset_cap=64)
+    for seed in range(3):
+        inst = SWAP_FAMILIES[family](seed)
+        r = rng.randint(1, 3)
+        part = Partition(r, tuple(rng.randrange(r) for _ in range(inst.event_count)))
+        oracle = VulnerabilityOracle(inst, part, cfg)
+        for a in range(inst.event_count):
+            assert oracle.swap_groups(a) == expected_swap_groups(inst, part, a)
 
 
 def hub_instance(n_leaves=15):

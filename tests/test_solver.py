@@ -268,7 +268,6 @@ def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
     inst = build_instance(vs, [taut])
     state = RunState(
-        status=[FIXED],
         fixed={0},
         reverted=set(),
         deferred=set(),
