@@ -132,14 +132,29 @@ def defect_violations(g: Graph, coloring: DefectiveColoring) -> list:
             if same >= coloring.defect_bound:
                 bad.append({"vertex": v, "count": same})
     else:
-        counts = {}
-        for (u, v), c in zip(coloring.edges, coloring.colors):
-            counts[(u, c)] = counts.get((u, c), 0) + 1
-            counts[(v, c)] = counts.get((v, c), 0) + 1
-        for (v, c), count in sorted(counts.items()):
+        loads, stride = _edge_label_loads(g.node_count, coloring.edges,
+                                         coloring.colors)
+        for key, count in enumerate(loads):
             if count >= coloring.defect_bound:
+                v, c = divmod(key, stride)
                 bad.append({"vertex": v, "color": c, "count": count})
     return bad
+
+
+def _edge_label_loads(n: int, edges, labels):
+    """Each vertex's incident edge count per label, recounted from the
+    labels alone: a flat list indexed ``v * stride + label`` (so in
+    (vertex, label) order), with stride the largest label plus one.
+
+    Linear in the edge count; the list holds n * stride entries."""
+    if labels and min(labels) < 0:
+        raise InputError("edge labels must be non-negative integers")
+    stride = max(labels, default=0) + 1
+    loads = [0] * (n * stride)
+    for (u, v), label in zip(edges, labels):
+        loads[u * stride + label] += 1
+        loads[v * stride + label] += 1
+    return loads, stride
 
 
 # --- deterministic balanced splits -----------------------------------------
@@ -241,35 +256,37 @@ def balanced_edge_split(n: int, edges, seed: int):
 
 
 def _repair_edge_split(n, edges, degree, colors):
-    counts = {}
+    counts = ([0] * n, [0] * n)  # counts[c][v]: v's incident edges of color c
+    for (u, v), c in zip(edges, colors):
+        of_color = counts[c]
+        of_color[u] += 1
+        of_color[v] += 1
+    cap = [(d + 1) // 2 for d in degree]
+    if all(max(zero, one) <= k for zero, one, k in zip(*counts, cap)):
+        return  # no vertex over its cap: no pass would move an edge
     incident = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(edges):
         incident[u].append(idx)
         incident[v].append(idx)
-        c = colors[idx]
-        counts[(u, c)] = counts.get((u, c), 0) + 1
-        counts[(v, c)] = counts.get((v, c), 0) + 1
-
-    def cap(v):
-        return (degree[v] + 1) // 2
 
     for _ in range(REPAIR_PASSES):
         dirty = False
         for v in range(n):
             for c in (0, 1):
-                while counts.get((v, c), 0) > cap(v):
+                here, there = counts[c], counts[1 - c]
+                while here[v] > cap[v]:
                     moved = False
                     for idx in incident[v]:
                         if colors[idx] != c:
                             continue
                         u, w = edges[idx]
                         other = w if u == v else u
-                        if counts.get((other, 1 - c), 0) + 1 <= cap(other):
+                        if there[other] + 1 <= cap[other]:
                             colors[idx] = 1 - c
-                            counts[(v, c)] -= 1
-                            counts[(v, 1 - c)] = counts.get((v, 1 - c), 0) + 1
-                            counts[(other, c)] -= 1
-                            counts[(other, 1 - c)] = counts.get((other, 1 - c), 0) + 1
+                            here[v] -= 1
+                            there[v] += 1
+                            here[other] -= 1
+                            there[other] += 1
                             moved = True
                             dirty = True
                             break
@@ -508,16 +525,11 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
 
 
 def _max_class_degree(g: Graph, kind: str, labels, edges) -> int:
-    worst = 0
     if kind == VERTEX:
+        worst = 0
         for v in range(g.node_count):
             same = sum(1 for w in g.neighbors(v) if labels[w] == labels[v])
             worst = max(worst, same)
-    else:
-        counts = {}
-        for (u, v), label in zip(edges, labels):
-            for end in (u, v):
-                key = (end, label)
-                counts[key] = counts.get(key, 0) + 1
-                worst = max(worst, counts[key])
-    return worst
+        return worst
+    loads, _ = _edge_label_loads(g.node_count, edges, labels)
+    return max(loads, default=0)

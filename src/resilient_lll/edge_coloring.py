@@ -19,26 +19,63 @@ verifiable guarantees (properness, palette size) are preserved end to end.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import ThresholdConfig, lg
 from .defective import EDGE, halving_iterations, iterate_halving, iteration_floor
 from .errors import InputError, ReductionViolation
-from .graph import Graph, contiguous_sizes
+from .graph import Graph
 from .misra_gries import misra_gries_edge_coloring, proper_coloring_violations
 from .seeds import derive_seed
 
 
 @dataclass(frozen=True)
 class PaletteSplit:
+    """Contiguous half-open color ranges, one per bucket, whose sizes
+    differ by at most one, the larger first. A range is computed from
+    (total_colors, bucket_count) when it is read, since a plan at high
+    degree asks for millions of buckets."""
     total_colors: int
     bucket_count: int
-    ranges: tuple  # (start, end) half-open, contiguous, sizes differ by <= 1
+
+    @property
+    def ranges(self) -> "PaletteRanges":
+        return PaletteRanges(self.total_colors, self.bucket_count)
 
     def range_sizes(self):
-        return [end - start for start, end in self.ranges]
+        base, extra = divmod(self.total_colors, self.bucket_count)
+        sizes = [base + 1] * extra
+        sizes.extend(itertools.repeat(base, self.bucket_count - extra))
+        return sizes
+
+
+class PaletteRanges(Sequence):
+    """The (start, end) range of each bucket of a PaletteSplit, read-only
+    and indexed like a tuple."""
+
+    def __init__(self, total_colors: int, bucket_count: int):
+        self._total = total_colors
+        self._count = bucket_count
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(self._count)[i])
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError(f"bucket {i} out of range for {self._count} buckets")
+        base, extra = divmod(self._total, self._count)
+        start = i * base + min(i, extra)
+        return (start, start + base + (1 if i < extra else 0))
 
 
 def split_palette(total_colors: int, bucket_count: int) -> PaletteSplit:
@@ -46,12 +83,7 @@ def split_palette(total_colors: int, bucket_count: int) -> PaletteSplit:
         raise InputError(
             f"cannot split {total_colors} colors into {bucket_count} buckets"
         )
-    ranges = []
-    start = 0
-    for width in contiguous_sizes(total_colors, bucket_count):
-        ranges.append((start, start + width))
-        start += width
-    return PaletteSplit(total_colors, bucket_count, tuple(ranges))
+    return PaletteSplit(total_colors, bucket_count)
 
 
 @dataclass
@@ -266,12 +298,14 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
 
 
 def verify_edge_coloring(g: Graph, coloring: dict, palette_bound: int) -> dict:
-    """Properness violations (pairwise incident scan) plus palette usage."""
+    """Properness violations (a linear per-vertex color check, listing the
+    clashing pairs) plus palette usage. An edge that is absent or colored
+    None is uncolored, and raises InputError."""
     edges = tuple(g.edges())
-    missing = [e for e in edges if e not in coloring]
+    colors = [coloring.get(e) for e in edges]
+    missing = [e for e, c in zip(edges, colors) if c is None]
     if missing:
         raise InputError(f"coloring missing edges, e.g. {missing[:5]}")
-    colors = [coloring[e] for e in edges]
     violations = proper_coloring_violations(g.node_count, edges, colors)
     used = sorted(set(colors))
     return {

@@ -145,19 +145,11 @@ class Partition:
         """Split 0..n-1 into r contiguous blocks with sizes differing by <= 1."""
         if r < 1 or r > max(n, 1):
             raise InputError(f"cannot split {n} items into {r} parts")
+        base, extra = divmod(n, r)
         assignment = []
-        for p, width in enumerate(contiguous_sizes(n, r)):
-            assignment.extend([p] * width)
+        for p in range(r):
+            assignment.extend([p] * (base + (1 if p < extra else 0)))
         return cls(r, tuple(assignment))
-
-
-def contiguous_sizes(n: int, r: int):
-    """Sizes of r contiguous blocks covering n items, differing by at most
-    one, the larger blocks first, yielded one at a time (a palette split
-    may have millions of blocks). Callers check that 1 <= r."""
-    base, extra = divmod(n, r)
-    for p in range(r):
-        yield base + (1 if p < extra else 0)
 
 
 def per_part_neighbor_counts(g: Graph, part: Partition, v: int) -> list:

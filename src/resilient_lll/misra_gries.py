@@ -137,13 +137,28 @@ def misra_gries_edge_coloring(n: int, edges, palette_size=None):
 
 
 def proper_coloring_violations(n: int, edges, colors):
-    """Pairs of incident edges sharing a color (independent quadratic scan)."""
-    by_vertex = [[] for _ in range(n)]
+    """Pairs of incident edges sharing a color, as (vertex, e1, e2) edge
+    indexes, ordered by vertex and then by edge index (uncolored edges
+    never clash).
+
+    Independent of the colorer and linear in the edge count: a set of
+    each vertex's colors finds the vertices with a repeated color, and
+    only those get the pairwise listing."""
+    present = [[] for _ in range(n)]
+    for (u, v), c in zip(edges, colors):
+        if c is not None:
+            present[u].append(c)
+            present[v].append(c)
+    clashing = [v for v in range(n) if len(set(present[v])) < len(present[v])]
+    if not clashing:
+        return []
+    by_vertex = {v: [] for v in clashing}
     for idx, (u, v) in enumerate(edges):
-        by_vertex[u].append(idx)
-        by_vertex[v].append(idx)
+        for end in (u, v):
+            if end in by_vertex:
+                by_vertex[end].append(idx)
     bad = []
-    for v in range(n):
+    for v in clashing:
         incident = by_vertex[v]
         for i, e1 in enumerate(incident):
             for e2 in incident[i + 1:]:

@@ -90,7 +90,7 @@ def extract_components(residual) -> list:
     return jobs
 
 
-def solve_component(residual, job: ComponentJob, cfg, seed: int,
+def solve_component(residual, job: ComponentJob, seed: int,
                     method: str = "auto"):
     """Assign the component's free variables so no component event holds.
 
@@ -154,7 +154,7 @@ def solve_component(residual, job: ComponentJob, cfg, seed: int,
         per_event[bad.event_id] += 1
 
 
-def solve_residual(residual, cfg, seed: int):
+def solve_residual(residual, seed: int):
     """Solve every component; returns (free-var assignment, per-component
     stats). Components are independent, so any execution order gives the
     same global validity; per-component seeds derive from the component's
@@ -163,7 +163,7 @@ def solve_residual(residual, cfg, seed: int):
     all_stats = []
     for job in extract_components(residual):
         part, stats = solve_component(
-            residual, job, cfg, derive_seed(seed, "comp", job.events[0])
+            residual, job, derive_seed(seed, "comp", job.events[0])
         )
         assignment.update(part)
         all_stats.append(stats)

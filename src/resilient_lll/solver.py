@@ -335,7 +335,7 @@ def solve(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         )
     try:
         free_assignment, comp_stats = shattering.solve_residual(
-            residual, cfg, derive_seed(seed, "post")
+            residual, derive_seed(seed, "post")
         )
     except Exception as exc:
         exc.args = (

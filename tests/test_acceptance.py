@@ -239,7 +239,7 @@ def test_criterion_8_edge_coloring_end_to_end():
         assert res.colors_used <= bound
         # palette inequality verified in exact arithmetic on this run
         assert res.plan.checks["direct_palette"]["holds"]
-        # independent pairwise properness scan
+        # independent properness check: a color set per vertex
         edges = tuple(g.edges())
         colors = [res.colors[e] for e in edges]
         assert proper_coloring_violations(g.node_count, edges, colors) == []
@@ -282,7 +282,6 @@ def chain_component(k, arity):
 
 
 def test_criterion_10_resampling_behavior():
-    cfg = relaxed_config()
     total_resamples = 0
     total_events = 0
     solved = 0
@@ -300,7 +299,7 @@ def test_criterion_10_resampling_behavior():
         )
         job = extract_components(residual)[0]
         assignment, stats = solve_component(
-            residual, job, cfg, seed=trial, method="resample"
+            residual, job, seed=trial, method="resample"
         )
         assert not any(ev.evaluate(assignment) for ev in inst.events)
         solved += 1

@@ -8,7 +8,11 @@ from hypothesis import given, settings, strategies as st
 from resilient_lll.config import lg, relaxed_config, strict_config
 from resilient_lll.defective import (
     EDGE,
+    REPAIR_PASSES,
     VERTEX,
+    DefectiveColoring,
+    _max_class_degree,
+    _repair_edge_split,
     balanced_edge_split,
     balanced_vertex_split,
     build_split_instance,
@@ -160,6 +164,83 @@ def test_balanced_edge_split_guarantee(seed):
         cap = (g.degree(v) + 1) // 2
         assert counts.get((v, 0), 0) <= cap
         assert counts.get((v, 1), 0) <= cap
+
+
+def dict_loads(edges, labels):
+    """Reference recount of (vertex, label) loads in a dict."""
+    counts = {}
+    for (u, v), label in zip(edges, labels):
+        counts[(u, label)] = counts.get((u, label), 0) + 1
+        counts[(v, label)] = counts.get((v, label), 0) + 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 6))
+def test_edge_load_counts_match_dict_recount(seed, label_count, bound):
+    rng = random.Random(seed)
+    g = gnp_graph(rng.randrange(2, 20), rng.random(), seed)
+    edges = tuple(g.edges())
+    labels = tuple(rng.randrange(label_count) for _ in edges)
+    counts = dict_loads(edges, labels)
+    assert _max_class_degree(g, EDGE, labels, edges) == max(counts.values(), default=0)
+    coloring = DefectiveColoring(EDGE, labels, label_count, 1.0, 1.0, bound,
+                                 edges=edges)
+    assert defect_violations(g, coloring) == [
+        {"vertex": v, "color": c, "count": count}
+        for (v, c), count in sorted(counts.items()) if count >= bound
+    ]
+
+
+def dict_repair(n, edges, degree, colors):
+    """Reference repair over a (vertex, color)-keyed dict: the same scan
+    order and move rule as the edge-split repair."""
+    counts = dict_loads(edges, colors)
+    incident = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+
+    def cap(v):
+        return (degree[v] + 1) // 2
+
+    for _ in range(REPAIR_PASSES):
+        dirty = False
+        for v in range(n):
+            for c in (0, 1):
+                while counts.get((v, c), 0) > cap(v):
+                    moved = False
+                    for idx in incident[v]:
+                        if colors[idx] != c:
+                            continue
+                        other = sum(edges[idx]) - v
+                        if counts.get((other, 1 - c), 0) + 1 <= cap(other):
+                            colors[idx] = 1 - c
+                            for end in (v, other):
+                                counts[(end, c)] -= 1
+                                counts[(end, 1 - c)] = counts.get((end, 1 - c), 0) + 1
+                            moved = dirty = True
+                            break
+                    if not moved:
+                        break
+        if not dirty:
+            break
+    return colors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_edge_split_repair_matches_dict_reference(seed):
+    # Random starting bits are far from balanced, so the repair moves many
+    # edges and often gives up; both must end on the same bits.
+    rng = random.Random(seed)
+    g = gnp_graph(rng.randrange(2, 20), rng.random(), seed)
+    edges = list(g.edges())
+    degree = [g.degree(v) for v in range(g.node_count)]
+    start = [rng.randrange(2) for _ in edges]
+    colors = list(start)
+    _repair_edge_split(g.node_count, edges, degree, colors)
+    assert colors == dict_repair(g.node_count, edges, degree, list(start))
 
 
 def test_split_once_vertex_contract_32_regular():

@@ -32,6 +32,30 @@ def test_balanced_palette_split_sizes():
     assert split.ranges[0] == (0, 6) and split.ranges[-1] == (18, 23)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.data())
+def test_palette_ranges_match_stored_contiguous_ranges(total, data):
+    # Ranges are computed on read; they must equal the contiguous blocks,
+    # larger first, that a stored tuple would hold.
+    count = data.draw(st.integers(1, total))
+    base, extra = divmod(total, count)
+    stored, start = [], 0
+    for i in range(count):
+        width = base + (1 if i < extra else 0)
+        stored.append((start, start + width))
+        start += width
+    ranges = split_palette(total, count).ranges
+    assert len(ranges) == count
+    assert list(ranges) == stored
+    assert [ranges[-i] for i in range(1, count + 1)] == stored[::-1]
+    assert ranges[1:3] == tuple(stored[1:3])
+    assert split_palette(total, count).range_sizes() == [e - s for s, e in stored]
+    with pytest.raises(IndexError):
+        ranges[count]
+    with pytest.raises(IndexError):
+        ranges[-count - 1]
+
+
 def test_palette_chain_frozen_exact_values():
     # The displayed chain at q = 16, c = 1, evaluated in exact rationals:
     # c q^2 lg^4 q + c q^1.5 lg^4 q - 1 >= (1 + q^-0.5 / 2)(c q^2 lg^4 q + c q lg^4 q)
@@ -179,6 +203,57 @@ def test_verify_reports_conflicts():
     assert len(report["violations"]) == 1
     good = {(0, 1): 0, (1, 2): 1}
     assert verify_edge_coloring(g, good, palette_bound=2)["proper"]
+
+
+def test_verify_rejects_uncolored_edges():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match=r"\(1, 2\)"):
+        verify_edge_coloring(g, {(0, 1): 0, (1, 2): None}, palette_bound=2)
+    with pytest.raises(InputError, match=r"\(1, 2\)"):
+        verify_edge_coloring(g, {(0, 1): 0}, palette_bound=2)
+
+
+def quadratic_violations(n, edges, colors):
+    """Reference: every pair of incident edges, by vertex."""
+    by_vertex = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        by_vertex[u].append(idx)
+        by_vertex[v].append(idx)
+    bad = []
+    for v in range(n):
+        incident = by_vertex[v]
+        for i, e1 in enumerate(incident):
+            for e2 in incident[i + 1:]:
+                if colors[e1] is not None and colors[e1] == colors[e2]:
+                    bad.append((v, e1, e2))
+    return bad
+
+
+@st.composite
+def colored_edge_lists(draw):
+    """A small edge list (repeats allowed) with a coloring that mixes
+    None, random colors and planted clashes."""
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=40))
+    colors = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)),
+                           min_size=len(edges), max_size=len(edges)))
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        a = draw(st.integers(0, len(edges) - 1))
+        b = draw(st.integers(0, len(edges) - 1))
+        if set(edges[a]) & set(edges[b]):
+            colors[b] = colors[a] if colors[a] is not None else 0
+            colors[a] = colors[b]
+    return n, edges, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_edge_lists())
+def test_proper_coloring_violations_matches_quadratic_reference(case):
+    n, edges, colors = case
+    assert proper_coloring_violations(n, edges, colors) == \
+        quadratic_violations(n, edges, colors)
 
 
 def test_verify_matches_pairwise_scan_on_random_colorings():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from _families import fair_bits, ring_instance
-from resilient_lll.config import relaxed_config
 from resilient_lll.errors import ComponentFailure
 from resilient_lll.model import (
     CountThreshold,
@@ -102,7 +101,7 @@ def test_single_event_single_bit_component():
     inst = build_instance(vs, [ev])
     residual = make_residual(inst)
     job = extract_components(residual)[0]
-    assignment, stats = solve_component(residual, job, relaxed_config(), seed=0)
+    assignment, stats = solve_component(residual, job, seed=0)
     assert assignment == {0: 0}
     assert stats["method"] == "exhaustive"
 
@@ -110,9 +109,8 @@ def test_single_event_single_bit_component():
 def test_component_solution_passes_restricted_checker():
     inst = ring_instance(12, privates=2)
     residual = make_residual(inst)
-    cfg = relaxed_config()
     for job in extract_components(residual):
-        assignment, _ = solve_component(residual, job, cfg, seed=3)
+        assignment, _ = solve_component(residual, job, seed=3)
         values = dict(job.conditioning)
         values.update(assignment)
         for a in job.events:
@@ -126,7 +124,7 @@ def test_unsolvable_component_raises():
     residual = make_residual(inst)
     job = extract_components(residual)[0]
     with pytest.raises(ComponentFailure):
-        solve_component(residual, job, relaxed_config(), seed=0)
+        solve_component(residual, job, seed=0)
 
 
 def chain_component(k, arity=4):
@@ -146,7 +144,6 @@ def chain_component(k, arity=4):
 def test_resampling_solves_within_cap_and_expected_rate():
     # e*p*(d+1) <= 0.9 components must all resolve; mean resamplings per
     # event stays below 1/eps + 1 at eps = 0.1 (monitored bound).
-    cfg = relaxed_config()
     total_resamples = 0
     total_events = 0
     solved = 0
@@ -157,7 +154,7 @@ def test_resampling_solves_within_cap_and_expected_rate():
         residual = make_residual(inst)
         job = extract_components(residual)[0]
         assignment, stats = solve_component(
-            residual, job, cfg, seed=trial, method="resample"
+            residual, job, seed=trial, method="resample"
         )
         values = dict(assignment)
         assert not any(ev.evaluate(values) for ev in inst.events)
@@ -171,10 +168,9 @@ def test_resampling_solves_within_cap_and_expected_rate():
 def test_resample_method_deterministic():
     inst = chain_component(4, arity=4)
     residual = make_residual(inst)
-    cfg = relaxed_config()
     job = extract_components(residual)[0]
-    a1, s1 = solve_component(residual, job, cfg, seed=8, method="resample")
-    a2, s2 = solve_component(residual, job, cfg, seed=8, method="resample")
+    a1, s1 = solve_component(residual, job, seed=8, method="resample")
+    a2, s2 = solve_component(residual, job, seed=8, method="resample")
     assert a1 == a2 and s1["resamplings"] == s2["resamplings"]
 
 
@@ -185,14 +181,13 @@ def test_resample_cap_enforced():
     residual = make_residual(inst)
     job = extract_components(residual)[0]
     with pytest.raises(ComponentFailure, match="cap"):
-        solve_component(residual, job, relaxed_config(), seed=0, method="resample")
+        solve_component(residual, job, seed=0, method="resample")
 
 
 def test_solve_residual_merges_disjoint_components():
     inst = ring_instance(18, privates=2)
     residual = make_residual(inst)
-    cfg = relaxed_config()
-    assignment, stats = solve_residual(residual, cfg, seed=5)
+    assignment, stats = solve_residual(residual, seed=5)
     assert set(assignment) == set(range(inst.var_count))
     assert not any(ev.evaluate(assignment) for ev in inst.events)
     assert stats, "expected at least one component"
@@ -214,5 +209,5 @@ def test_conditioning_respected():
     )
     job = extract_components(residual)[0]
     assert job.conditioning == {0: 1, 1: 1}
-    assignment, _ = solve_component(residual, job, relaxed_config(), seed=1)
+    assignment, _ = solve_component(residual, job, seed=1)
     assert assignment == {2: 0}
