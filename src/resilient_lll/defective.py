@@ -191,64 +191,59 @@ def balanced_vertex_split(adjacency, seed: int):
     return bits
 
 
-def balanced_edge_split(n: int, edges, seed: int):
+def balanced_edge_split(n: int, edges, degree):
     """Two-color edges so every vertex has at most ceil(deg/2) incident
-    edges per color.
+    edges per color; ``degree`` holds each vertex's degree in ``edges``.
 
-    Walk each component along an alternating-color trail: odd-degree
-    vertices are tied to a virtual hub so every real vertex is balanced by
-    the in/out pairing, and the odd-trail seam lands on the hub whenever one
-    exists (otherwise a repair pass shifts the stray unit to a neighbor with
-    slack)."""
+    Odd-degree vertices are tied to a virtual hub n, so every component
+    has an Euler circuit. One iterative Hierholzer loop walks them over
+    edge ids: a vertex's edges come from one iterator in id order (its hub
+    edge last), and the far endpoint of edge ``eid`` from ``v`` is
+    ``xor[eid] ^ v``. Walks start at the hub, so odd components wrap their
+    seam there, then at the vertices with an edge by (degree, id), so an
+    even component's seam lands on a minimum-degree vertex. Each circuit,
+    in the order Hierholzer emits its edges, alternates colors 0, 1, 0, ...,
+    so each pass through a vertex uses one edge of each color. An odd
+    circuit with no hub edge leaves one stray unit at its seam, which the
+    repair pass shifts to a neighbor with slack."""
     m = len(edges)
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    odd = [v for v in range(n) if degree[v] % 2 == 1]
+    odd = [v for v in range(n) if degree[v] & 1]
     hub = n
-    all_edges = list(edges) + [(hub, v) for v in odd]
     adjacency = [[] for _ in range(n + 1)]
-    for idx, (u, v) in enumerate(all_edges):
-        adjacency[u].append((idx, v))
-        adjacency[v].append((idx, u))
+    for eid, (u, v) in enumerate(edges):
+        adjacency[u].append(eid)
+        adjacency[v].append(eid)
+    xor = [u ^ v for u, v in edges]
+    for eid, v in enumerate(odd, m):
+        adjacency[v].append(eid)
+        adjacency[hub].append(eid)
+        xor.append(hub ^ v)
 
-    used = [False] * len(all_edges)
-    pointer = [0] * (n + 1)
-    bits = [0] * len(all_edges)
-
-    def walk(start):
-        """Hierholzer circuit from start; returns edge ids in circuit order
-        (reversed traversal, which preserves consecutive adjacency)."""
-        stack = [(start, None)]
-        trail = []
-        while stack:
-            v, entry = stack[-1]
-            advanced = False
-            while pointer[v] < len(adjacency[v]):
-                eid, w = adjacency[v][pointer[v]]
-                pointer[v] += 1
+    unused = [iter(incident) for incident in adjacency]
+    used = [False] * len(xor)
+    bits = [0] * len(xor)
+    order = sorted((v for v in range(n) if degree[v]), key=degree.__getitem__)
+    if odd:
+        order.insert(0, hub)
+    entered = []  # the open path of the current walk, as edge ids
+    for start in order:
+        trail = []  # the circuit's edges in the order Hierholzer emits them
+        v = start
+        while True:
+            for eid in unused[v]:
                 if not used[eid]:
                     used[eid] = True
-                    stack.append((w, eid))
-                    advanced = True
+                    entered.append(eid)
+                    v ^= xor[eid]
                     break
-            if not advanced:
-                stack.pop()
-                if entry is not None:
-                    trail.append(entry)
-        return trail
-
-    # The hub first, so odd components wrap their seam there; even-degree
-    # components start at a minimum-degree vertex, which absorbs any seam
-    # with the least damage.
-    order = ([hub] if odd else []) + sorted(
-        range(n), key=lambda v: (degree[v], v)
-    )
-    for start in order:
-        trail = walk(start)
-        for pos, eid in enumerate(trail):
-            bits[eid] = pos % 2
+            else:
+                if not entered:
+                    break
+                eid = entered.pop()
+                trail.append(eid)
+                v ^= xor[eid]
+        for eid in trail[1::2]:
+            bits[eid] = 1
 
     colors = bits[:m]
     _repair_edge_split(n, edges, degree, colors)
@@ -385,7 +380,7 @@ def _split_edge_class(n, edges, q, cfg, seed, method):
     if method == "auto":
         method = "lll" if _lll_route_viable(delta, q, cfg, EDGE) else "balanced"
     if method == "balanced" or delta <= 1:
-        return balanced_edge_split(n, edges, seed), "balanced"
+        return balanced_edge_split(n, edges, degree), "balanced"
     sub = Graph(n, edges)
     inst = build_split_instance(sub, EDGE, q)
     order = {e: i for i, e in enumerate(sub.edges())}

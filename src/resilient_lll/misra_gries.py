@@ -1,10 +1,12 @@
 """Proper edge coloring with max_degree + 1 colors.
 
-Classic centralized fan-rotation method: color edges one at a time; when no
-color is free at both endpoints, build a maximal fan at one endpoint,
-invert a two-color alternating path to free a shared color, then rotate a
-fan prefix. Deterministic: ties always break toward the smallest color or
-vertex id.
+Classic centralized fan-rotation method: color edges one at a time; build
+a maximal fan at the busier endpoint, invert a two-color alternating path
+when the last fan vertex's smallest free color is taken at that endpoint,
+then rotate a fan prefix. Deterministic: ties always break toward the smallest color or
+vertex id. Each vertex keeps a row indexed by color that holds the edge of
+that color there, so a vertex's smallest free color is the first empty slot
+of its row.
 """
 
 from __future__ import annotations
@@ -27,59 +29,28 @@ def misra_gries_edge_coloring(n: int, edges, palette_size=None):
         raise InputError(f"palette {palette} below max degree + 1 = {delta + 1}")
 
     color = [None] * len(edges)
-    used = [dict() for _ in range(n)]  # vertex -> {color: edge index}
+    # at[v][c]: the edge of color c at vertex v, or None if c is free at v
+    at = [[None] * palette for _ in range(n)]
+    xor = [u ^ v for u, v in edges]  # the far endpoint of e from v is xor[e] ^ v
 
-    def other(eidx, v):
-        a, b = edges[eidx]
-        return b if a == v else a
-
-    def is_free(v, c):
-        return c not in used[v]
-
-    def free_color(v):
-        for c in range(palette):
-            if c not in used[v]:
-                return c
-        raise ContractViolation(f"no free color at vertex {v}")
-
-    def set_color(eidx, c):
-        a, b = edges[eidx]
-        old = color[eidx]
-        if old is not None:
-            del used[a][old]
-            del used[b][old]
-        color[eidx] = c
-        if c is not None:
-            if c in used[a] or c in used[b]:
+    def recolor(eids, new_colors):
+        """Give edge eids[i] the color new_colors[i]: uncolor them all
+        first, so that a clash found while coloring is a real one."""
+        for eidx in eids:
+            old = color[eidx]
+            if old is not None:
+                a, b = edges[eidx]
+                at[a][old] = None
+                at[b][old] = None
+                color[eidx] = None
+        for eidx, c in zip(eids, new_colors):
+            a, b = edges[eidx]
+            row_a, row_b = at[a], at[b]
+            if row_a[c] is not None or row_b[c] is not None:
                 raise ContractViolation("transient color clash")
-            used[a][c] = eidx
-            used[b][c] = eidx
-
-    def maximal_fan(u, v0, e0):
-        """Vertices v0.. and their u-edges; each next edge's color is free
-        at the previous fan vertex."""
-        fan = [v0]
-        fan_edges = [e0]
-        members = {v0}
-        while True:
-            tail = fan[-1]
-            nxt = None
-            for c in range(palette):
-                if c in used[tail]:
-                    continue
-                eidx = used[u].get(c)
-                if eidx is None:
-                    continue
-                w = other(eidx, u)
-                if w in members:
-                    continue
-                nxt = (w, eidx)
-                break
-            if nxt is None:
-                return fan, fan_edges
-            fan.append(nxt[0])
-            fan_edges.append(nxt[1])
-            members.add(nxt[0])
+            row_a[c] = eidx
+            row_b[c] = eidx
+            color[eidx] = c
 
     def invert_path(u, c, d):
         """Flip colors along the maximal c/d-alternating path leaving u
@@ -87,51 +58,65 @@ def misra_gries_edge_coloring(n: int, edges, palette_size=None):
         path = []
         cur, col = u, d
         while True:
-            eidx = used[cur].get(col)
+            eidx = at[cur][col]
             if eidx is None:
                 break
             path.append(eidx)
-            cur = other(eidx, cur)
+            cur ^= xor[eidx]
             col = c if col == d else d
-        flips = [(eidx, c if color[eidx] == d else d) for eidx in path]
-        for eidx, _ in flips:
-            set_color(eidx, None)
-        for eidx, new in flips:
-            set_color(eidx, new)
+        recolor(path, [c if color[eidx] == d else d for eidx in path])
 
-    def prefix_is_fan(u, fan, fan_edges, end):
-        for j in range(end):
-            nxt_color = color[fan_edges[j + 1]]
-            if nxt_color is None or not is_free(fan[j], nxt_color):
-                return False
-        return True
-
-    for e0 in range(len(edges)):
-        u, v = edges[e0]
+    for e0, (u, v) in enumerate(edges):
         if degree[v] > degree[u]:
             u, v = v, u  # anchor the fan at the busier endpoint
-        fan, fan_edges = maximal_fan(u, v, e0)
-        c = free_color(u)
-        d = free_color(fan[-1])
-        if is_free(u, d):
+        u_at = at[u]
+        # The maximal fan v = fan[0], fan[1], ... at u: each next u-edge
+        # has the smallest color free at the previous fan vertex whose far
+        # end is not in the fan yet.
+        fan = [v]
+        fan_edges = [e0]
+        tail_at = at[v]
+        while True:
+            for c, eidx in enumerate(u_at):
+                if eidx is not None and tail_at[c] is None:
+                    w = xor[eidx] ^ u
+                    if w not in fan:
+                        break
+            else:
+                break
+            fan.append(w)
+            fan_edges.append(eidx)
+            tail_at = at[w]
+        try:
+            c = u_at.index(None)  # the smallest color free at u
+            d = tail_at.index(None)  # and at the last fan vertex
+        except ValueError:
+            stuck = u if None not in u_at else fan[-1]
+            raise ContractViolation(f"no free color at vertex {stuck}") from None
+        if u_at[d] is None:
             w_idx = len(fan) - 1
         else:
             invert_path(u, c, d)
-            if not is_free(u, d):
+            if u_at[d] is not None:
                 raise ContractViolation("path inversion failed to free color")
+            # The first fan vertex with d free whose prefix is still a fan.
             w_idx = None
-            for i in range(len(fan)):
-                if is_free(fan[i], d) and prefix_is_fan(u, fan, fan_edges, i):
+            for i, x in enumerate(fan):
+                if at[x][d] is not None:
+                    continue
+                for j in range(i):
+                    nxt_color = color[fan_edges[j + 1]]
+                    if nxt_color is None or at[fan[j]][nxt_color] is not None:
+                        break
+                else:
                     w_idx = i
                     break
             if w_idx is None:
                 raise ContractViolation("no rotatable fan prefix after inversion")
-        targets = [color[fan_edges[i + 1]] for i in range(w_idx)]
-        for i in range(w_idx + 1):
-            set_color(fan_edges[i], None)
-        for i, target in enumerate(targets):
-            set_color(fan_edges[i], target)
-        set_color(fan_edges[w_idx], d)
+        # Rotate: each fan edge up to w takes its successor's color, and
+        # the edge to w takes d.
+        recolor(fan_edges[:w_idx + 1],
+                [color[e] for e in fan_edges[1:w_idx + 1]] + [d])
 
     return color
 

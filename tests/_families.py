@@ -1,5 +1,10 @@
 """Shared instance families for the test suite."""
 
+import random
+
+from hypothesis import strategies as st
+
+from resilient_lll.graph import Graph
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -50,3 +55,62 @@ def ring_instance(n_events=30, privates=4):
         for v in own_private:
             allocation[v] = i
     return build_instance(vs, events, allocation)
+
+
+def degrees(n, edges):
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return degree
+
+
+def cycle_sum_edges(vertices, cycles, rng):
+    """The symmetric difference of ``cycles`` random cycles through
+    ``vertices``: every degree is even, and unlike a single cycle or a
+    complete graph the degrees differ from vertex to vertex."""
+    edges = set()
+    if len(vertices) >= 3:
+        for _ in range(cycles):
+            cycle = rng.sample(vertices, rng.randint(3, len(vertices)))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                edges ^= {(min(a, b), max(a, b))}
+    return sorted(edges)
+
+
+def cycle_sum_graph(n, cycles, seed):
+    return Graph(n, cycle_sum_edges(list(range(n)), cycles, random.Random(seed)))
+
+
+@st.composite
+def edge_lists(draw, max_component=12):
+    """(n, edges) of a simple graph: up to four components plus up to three
+    isolated vertices. A component is a random graph of its own density
+    from empty to complete, or a sum of cycles, whose degrees are all even
+    but differ. Vertex ids are shuffled across components; the edges come
+    either sorted with u < v, as ``Graph.edges`` yields them, or in a
+    random order and orientation."""
+    sizes = draw(st.lists(st.integers(1, max_component), max_size=4))
+    isolated = draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    n = sum(sizes) + isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    base = 0
+    for size in sizes:
+        block = list(range(base, base + size))
+        density = draw(st.sampled_from((0.0, 0.3, 0.6, 1.0, "even")))
+        if density == "even":
+            pairs = cycle_sum_edges(block, draw(st.integers(1, 3)), rng)
+        else:
+            pairs = [(a, b) for a in block for b in block[a - base + 1:]
+                     if rng.random() < density]
+        edges.extend((label[a], label[b]) for a, b in pairs)
+        base += size
+    if draw(st.booleans()):
+        edges = sorted((min(e), max(e)) for e in edges)
+    else:
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    return n, edges

@@ -31,6 +31,9 @@ from resilient_lll.errors import InputError
 from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
 from resilient_lll.graph import Graph
 
+from _families import cycle_sum_graph, degrees, edge_lists
+from _reference_edge_loops import balanced_edge_split as reference_edge_split
+
 
 def complete_graph(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
@@ -155,7 +158,8 @@ def test_balanced_vertex_split_guarantee(seed):
 def test_balanced_edge_split_guarantee(seed):
     g = gnp_graph(24, 0.25, seed % 991)
     edges = list(g.edges())
-    bits = balanced_edge_split(g.node_count, edges, seed)
+    degree = [g.degree(v) for v in range(g.node_count)]
+    bits = balanced_edge_split(g.node_count, edges, degree)
     counts = {}
     for (u, v), c in zip(edges, bits):
         counts[(u, c)] = counts.get((u, c), 0) + 1
@@ -164,6 +168,28 @@ def test_balanced_edge_split_guarantee(seed):
         cap = (g.degree(v) + 1) // 2
         assert counts.get((v, 0), 0) <= cap
         assert counts.get((v, 1), 0) <= cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_balanced_edge_split_matches_reference_walk(case):
+    n, edges = case
+    assert balanced_edge_split(n, edges, degrees(n, edges)) == reference_edge_split(
+        n, edges, 0)
+
+
+@pytest.mark.parametrize("make, args", [
+    (circulant_graph, (65, 20)),
+    (gnp_graph, (90, 0.3, 4)),
+    (random_regular_graph, (60, 7, 2)),
+    (cycle_sum_graph, (80, 12, 5)),
+], ids=["circulant-65-20", "gnp-90", "regular-60-7", "cycle-sum-80"])
+def test_balanced_edge_split_matches_reference_walk_on_larger_graphs(make, args):
+    g = make(*args)
+    edges = list(g.edges())
+    degree = [g.degree(v) for v in range(g.node_count)]
+    assert balanced_edge_split(g.node_count, edges, degree) == reference_edge_split(
+        g.node_count, edges, 0)
 
 
 def dict_loads(edges, labels):

@@ -15,12 +15,15 @@ from resilient_lll.edge_coloring import (
     verify_edge_coloring,
 )
 from resilient_lll.errors import InputError, ReductionViolation
-from resilient_lll.generators import circulant_graph, gnp_graph
+from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
 from resilient_lll.graph import Graph
 from resilient_lll.misra_gries import (
     misra_gries_edge_coloring,
     proper_coloring_violations,
 )
+
+from _families import cycle_sum_graph, degrees, edge_lists
+from _reference_edge_loops import misra_gries_edge_coloring as reference_colorer
 
 
 # --- palette arithmetic -----------------------------------------------------
@@ -127,6 +130,29 @@ def test_fan_rotation_proper_on_random_graphs(seed):
     assert proper_coloring_violations(n, edges, colors) == []
     if edges:
         assert max(colors) <= g.max_degree  # at most delta + 1 colors
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists(), st.integers(1, 3))
+def test_fan_rotation_matches_reference_colorer(case, extra):
+    n, edges = case
+    assert misra_gries_edge_coloring(n, edges) == reference_colorer(n, edges)
+    palette = max(degrees(n, edges), default=0) + 1 + extra
+    assert misra_gries_edge_coloring(n, edges, palette) == reference_colorer(
+        n, edges, palette)
+
+
+@pytest.mark.parametrize("make, args", [
+    (circulant_graph, (65, 20)),
+    (gnp_graph, (90, 0.3, 4)),
+    (random_regular_graph, (60, 7, 2)),
+    (cycle_sum_graph, (80, 12, 5)),
+], ids=["circulant-65-20", "gnp-90", "regular-60-7", "cycle-sum-80"])
+def test_fan_rotation_matches_reference_colorer_on_larger_graphs(make, args):
+    g = make(*args)
+    edges = list(g.edges())
+    assert misra_gries_edge_coloring(g.node_count, edges) == reference_colorer(
+        g.node_count, edges)
 
 
 def test_palette_floor_validated():
