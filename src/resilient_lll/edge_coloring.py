@@ -19,10 +19,7 @@ verifiable guarantees (properness, palette size) are preserved end to end.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,39 +40,14 @@ class PaletteSplit:
     total_colors: int
     bucket_count: int
 
-    @property
-    def ranges(self) -> "PaletteRanges":
-        return PaletteRanges(self.total_colors, self.bucket_count)
-
-    def range_sizes(self):
+    def range(self, label: int) -> tuple:
+        """The half-open (start, end) color range of bucket ``label``."""
+        if not 0 <= label < self.bucket_count:
+            raise IndexError(
+                f"bucket {label} out of range for {self.bucket_count} buckets")
         base, extra = divmod(self.total_colors, self.bucket_count)
-        sizes = [base + 1] * extra
-        sizes.extend(itertools.repeat(base, self.bucket_count - extra))
-        return sizes
-
-
-class PaletteRanges(Sequence):
-    """The (start, end) range of each bucket of a PaletteSplit, read-only
-    and indexed like a tuple."""
-
-    def __init__(self, total_colors: int, bucket_count: int):
-        self._total = total_colors
-        self._count = bucket_count
-
-    def __len__(self):
-        return self._count
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(self._count)[i])
-        i = operator.index(i)
-        if i < 0:
-            i += self._count
-        if not 0 <= i < self._count:
-            raise IndexError(f"bucket {i} out of range for {self._count} buckets")
-        base, extra = divmod(self._total, self._count)
-        start = i * base + min(i, extra)
-        return (start, start + base + (1 if i < extra else 0))
+        start = label * base + min(label, extra)
+        return (start, start + base + (1 if label < extra else 0))
 
 
 def split_palette(total_colors: int, bucket_count: int) -> PaletteSplit:
@@ -262,13 +234,13 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
             buckets.setdefault(label, []).append(idx)
         for label in range(plan.palette.bucket_count):
             members = buckets.get(label, [])
-            start, end = plan.palette.ranges[label]
+            start, end = plan.palette.range(label)
             bucket_edges = [edges[i] for i in members]
-            degree = {}
+            degree = [0] * g.node_count
             for u, v in bucket_edges:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            delta_b = max(degree.values(), default=0)
+                degree[u] += 1
+                degree[v] += 1
+            delta_b = max(degree)
             bucket_degrees.append(delta_b)
             if delta_b >= plan.delta_prime:
                 raise ReductionViolation(

@@ -61,7 +61,7 @@ class Graph:
 
     def two_hop(self, v: int) -> frozenset:
         """All nodes within distance 2 of v, excluding v. Memoized; the
-        resampling stage queries these sets every iteration."""
+        staged phase asks for it once per reverted event, to defer."""
         if self._two_hop is None:
             self._two_hop = {}
         cached = self._two_hop.get(v)

@@ -200,21 +200,23 @@ class LllInstance:
         self.variables = tuple(variables)
         self.events = tuple(events)
         self.owner = tuple(owner)  # var id -> owning event id
+        self._validate_owners()
         allocated = [[] for _ in self.events]
         for v, a in enumerate(self.owner):
-            # Unknown owners are reported by _validate.
-            if isinstance(a, int) and 0 <= a < len(allocated):
-                allocated[a].append(v)
+            allocated[a].append(v)
         self.allocated = tuple(tuple(vs) for vs in allocated)
-        dependents = [[] for _ in self.variables]  # var id -> dependent event ids
+        dependents = [[] for _ in self.variables]
         for ev in self.events:
             for v in ev.dependent_vars:
                 dependents[v].append(ev.event_id)
-        self.dep_graph = self._build_dep_graph(dependents)
-        self.alloc_graph = self._build_alloc_graph(dependents)
+        # var id -> ascending ids of the events that depend on it; the one
+        # answer to which events see a variable.
+        self.dependents = tuple(tuple(evs) for evs in dependents)
+        self.dep_graph = self._build_dep_graph()
+        self.alloc_graph = self._build_alloc_graph()
         self.d = self.dep_graph.max_degree
         self.d_vars = self.alloc_graph.max_degree
-        self._validate()
+        self._validate_degrees()
 
     @property
     def var_count(self) -> int:
@@ -224,31 +226,37 @@ class LllInstance:
     def event_count(self) -> int:
         return len(self.events)
 
-    def _build_dep_graph(self, dependents) -> Graph:
-        edges = set()
-        for evs in dependents:
-            for i, a in enumerate(evs):
-                for b in evs[i + 1:]:
-                    edges.add((a, b) if a < b else (b, a))
+    def _build_dep_graph(self) -> Graph:
+        # An event's neighbours are its variables' dependents; each pair is
+        # listed once, from its smaller endpoint.
+        edges = []
+        for ev in self.events:
+            a = ev.event_id
+            nbrs = set()
+            for v in ev.dependent_vars:
+                nbrs.update(self.dependents[v])
+            edges.extend((a, b) for b in nbrs if b > a)
         return Graph(len(self.events), edges)
 
-    def _build_alloc_graph(self, dependents) -> Graph:
+    def _build_alloc_graph(self) -> Graph:
         edges = set()
         for v in range(len(self.variables)):
             own = self.owner[v]
-            for b in dependents[v]:
+            for b in self.dependents[v]:
                 if b != own:
                     edges.add((own, b) if own < b else (b, own))
         return Graph(len(self.events), edges)
 
-    def _validate(self):
+    def _validate_owners(self):
         for v, a in enumerate(self.owner):
-            if not 0 <= a < len(self.events):
-                raise InputError(f"variable {v} allocated to unknown event {a}")
+            if type(a) is not int or not 0 <= a < len(self.events):
+                raise InputError(f"variable {v} allocated to unknown event {a!r}")
             if v not in self.events[a].dependent_vars:
                 raise InputError(
                     f"variable {v} allocated to event {a} which does not depend on it"
                 )
+
+    def _validate_degrees(self):
         if self.d_vars > self.d:
             raise ContractViolation(f"allocation degree {self.d_vars} exceeds {self.d}")
         if self.d > 0 and not self.d < 2 * self.d_vars * self.d_vars:

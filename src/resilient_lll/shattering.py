@@ -52,20 +52,17 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def group_by_free_vars(inst, events, free) -> list:
-    """Group ``events`` into maximal sets connected through shared variables
-    in ``free``: sorted tuples, ordered by smallest member event id."""
-    uf = _UnionFind(events)
-    var_seen = {}
-    for a in events:
-        for v in inst.events[a].dependent_vars:
-            if v in free:
-                if v in var_seen:
-                    uf.union(var_seen[v], a)
-                else:
-                    var_seen[v] = a
+def group_by_free_vars(inst, free) -> list:
+    """Group the events that depend on a variable in ``free`` into maximal
+    sets connected through shared variables in ``free``: sorted tuples,
+    ordered by smallest member event id."""
+    uf = _UnionFind(a for v in free for a in inst.dependents[v])
+    for v in free:
+        first, *rest = inst.dependents[v]
+        for b in rest:
+            uf.union(first, b)
     groups = {}
-    for a in events:
+    for a in uf.parent:
         groups.setdefault(uf.find(a), []).append(a)
     return [tuple(sorted(groups[root])) for root in sorted(groups)]
 
@@ -76,7 +73,7 @@ def extract_components(residual) -> list:
     inst = residual.instance
     free = residual.free_vars
     jobs = []
-    for events in group_by_free_vars(inst, residual.live_events, free):
+    for events in group_by_free_vars(inst, free):
         job_free = sorted(
             {v for a in events for v in inst.events[a].dependent_vars if v in free}
         )

@@ -100,51 +100,46 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     F, R, D = set(), set(), set()
     history = [(frozenset(), frozenset(), frozenset())]
     sampled = {}
+    # Conditioning: values of fixed events plus the active part's fresh
+    # samples. A reverted event's values stay in ``sampled`` but leave
+    # ``committed`` once its iteration is decided.
+    committed = {}
     fate = {}  # event id -> (status, iteration index of the decision)
+    dangerous = set()  # events whose latest verdict is dangerous
     ever_dangerous = set()
-    last_projection = {}
-    last_verdict = {}
     estimate_modes = {"exact": 0, "sampled": 0}
+    # Events to re-query: every event once, then the dependents of the
+    # variables that entered or left ``committed``.
+    touched = set(range(n))
 
     parts = part.parts()
     for i, members in enumerate(parts):
         active = [a for a in members if a not in D]
         for a in active:
             for v in inst.allocated[a]:
-                sampled[v] = first_row_value(table_seed, v, inst.variables[v])
-        # Conditioning: committed values of fixed events plus this part's
-        # fresh samples. Reverted events' values stay in ``sampled`` but are
-        # never conditioned on again.
-        committed = {}
-        for a in F:
-            for v in inst.allocated[a]:
-                committed[v] = sampled[v]
-        for a in active:
-            for v in inst.allocated[a]:
-                committed[v] = sampled[v]
+                committed[v] = sampled[v] = first_row_value(
+                    table_seed, v, inst.variables[v])
+                touched.update(inst.dependents[v])
 
-        dangerous = set()
-        for a in range(n):
+        for a in sorted(touched):
             deps = inst.events[a].dependent_vars
-            projection = tuple((v, committed[v]) for v in deps if v in committed)
-            if last_projection.get(a) != projection:
-                try:
-                    est = oracle.probability(a, dict(projection))
-                except Exception as exc:
-                    exc.args = (
-                        f"danger test failed for event {a} in iteration {i}: "
-                        + (str(exc.args[0]) if exc.args else ""),
-                    )
-                    raise
-                # One-sided conservative: sampled estimates get a 2-sigma
-                # bump before the comparison, so noise errs toward danger.
-                verdict = est.upper(2.0) >= danger_thr
-                estimate_modes["exact" if est.exact else "sampled"] += 1
-                last_projection[a] = projection
-                last_verdict[a] = verdict
-            if last_verdict[a]:
+            projection = {v: committed[v] for v in deps if v in committed}
+            try:
+                est = oracle.probability(a, projection)
+            except Exception as exc:
+                exc.args = (
+                    f"danger test failed for event {a} in iteration {i}: "
+                    + (str(exc.args[0]) if exc.args else ""),
+                )
+                raise
+            # One-sided conservative: sampled estimates get a 2-sigma
+            # bump before the comparison, so noise errs toward danger.
+            if est.upper(2.0) >= danger_thr:
                 dangerous.add(a)
-        ever_dangerous |= dangerous
+                ever_dangerous.add(a)
+            else:
+                dangerous.discard(a)
+            estimate_modes["exact" if est.exact else "sampled"] += 1
 
         newly_reverted = []
         for a in active:
@@ -164,6 +159,11 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         if debug:
             _assert_local_decisions(inst, part, cfg, i, active, committed,
                                     dangerous, set(newly_reverted), seed)
+        touched = set()
+        for a in newly_reverted:
+            for v in inst.allocated[a]:
+                del committed[v]
+                touched.update(inst.dependents[v])
 
     state = RunState(
         fixed=F,
@@ -176,11 +176,8 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     _validate_state(inst, part, state)
 
     free_vars = _free_vars(inst, state)
-    residual_events = tuple(
-        sorted(a for a in range(n)
-               if any(v in free_vars for v in inst.events[a].dependent_vars))
-    )
-    components = shattering.group_by_free_vars(inst, residual_events, free_vars)
+    components = shattering.group_by_free_vars(inst, free_vars)
+    residual_events = tuple(sorted(a for c in components for a in c))
     report = StageReport(
         rounds_used=state.round_counter,
         dangerous_events=tuple(sorted(ever_dangerous)),

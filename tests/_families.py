@@ -1,13 +1,16 @@
 """Shared instance families for the test suite."""
 
+import itertools
 import random
 
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
-from resilient_lll.graph import Graph
+from resilient_lll.errors import ContractViolation
+from resilient_lll.graph import Graph, Partition
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
+    MaxPartLoad,
     TruthTable,
     VariableSpec,
     build_instance,
@@ -114,3 +117,65 @@ def edge_lists(draw, max_component=12):
         rng.shuffle(edges)
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
     return n, edges
+
+
+SKEWED_WEIGHTS = ((0.25, 0.75), (0.1, 0.9), (0.2, 0.3, 0.5), (0.5, 0.25, 0.25))
+
+
+def sublists(items):
+    return st.lists(st.sampled_from(items), min_size=1, unique=True)
+
+
+@st.composite
+def small_instances(draw):
+    """A random small instance and event partition: uniform and weighted
+    variables of domain 2 or 3, events of all three predicate kinds over
+    one to four variables each, a random allocation and 1-3 parts."""
+    n_vars = draw(st.integers(1, 7))
+    variables = []
+    for v in range(n_vars):
+        if draw(st.booleans()):
+            variables.append(VariableSpec.uniform(v, draw(st.integers(2, 3))))
+        else:
+            weights = draw(st.sampled_from(SKEWED_WEIGHTS))
+            variables.append(VariableSpec(v, len(weights), weights))
+    n_events = draw(st.integers(1, 5))
+    deps = [set(draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=4,
+                              unique=True)))
+            for _ in range(n_events)]
+    for v in range(n_vars):
+        if not any(v in dep for dep in deps):
+            deps[draw(st.integers(0, n_events - 1))].add(v)
+    events = []
+    for a, dep in enumerate(tuple(sorted(d)) for d in deps):
+        kind = draw(st.sampled_from(("truth_table", "count_threshold",
+                                     "max_part_load")))
+        if kind == "truth_table":
+            rows = list(itertools.product(
+                *(range(variables[v].domain_size) for v in dep)))
+            predicate = TruthTable(frozenset(draw(st.sets(st.sampled_from(rows)))))
+        elif kind == "count_threshold":
+            groups = tuple(tuple(draw(sublists(dep)))
+                           for _ in range(draw(st.integers(1, 2))))
+            threshold = draw(st.integers(1, max(map(len, groups)) + 1))
+            if draw(st.booleans()):
+                predicate = CountThreshold(groups, threshold,
+                                           ref_var=draw(st.sampled_from(dep)))
+            else:
+                predicate = CountThreshold(groups, threshold,
+                                           ref_value=draw(st.integers(0, 2)))
+        else:
+            counted = tuple(draw(sublists(dep)))
+            predicate = MaxPartLoad(counted, draw(st.integers(2, len(counted) + 1)))
+        events.append(EventSpec(a, dep, predicate))
+    allocation = {
+        v: draw(st.sampled_from([a for a, dep in enumerate(deps) if v in dep]))
+        for v in range(n_vars)
+    }
+    try:
+        inst = build_instance(variables, events, allocation)
+    except ContractViolation:
+        reject()  # the degrees break the instance's own d < 2 * d_vars^2 rule
+    parts = draw(st.integers(1, 3))
+    assignment = tuple(draw(st.integers(0, parts - 1)) for _ in range(n_events))
+    return inst, Partition(parts, assignment)

@@ -31,8 +31,8 @@ from _reference_edge_loops import misra_gries_edge_coloring as reference_colorer
 
 def test_balanced_palette_split_sizes():
     split = split_palette(23, 4)
-    assert split.range_sizes() == [6, 6, 6, 5]
-    assert split.ranges[0] == (0, 6) and split.ranges[-1] == (18, 23)
+    assert [end - start for start, end in map(split.range, range(4))] == [6, 6, 6, 5]
+    assert split.range(0) == (0, 6) and split.range(3) == (18, 23)
 
 
 @settings(max_examples=200, deadline=None)
@@ -47,16 +47,12 @@ def test_palette_ranges_match_stored_contiguous_ranges(total, data):
         width = base + (1 if i < extra else 0)
         stored.append((start, start + width))
         start += width
-    ranges = split_palette(total, count).ranges
-    assert len(ranges) == count
-    assert list(ranges) == stored
-    assert [ranges[-i] for i in range(1, count + 1)] == stored[::-1]
-    assert ranges[1:3] == tuple(stored[1:3])
-    assert split_palette(total, count).range_sizes() == [e - s for s, e in stored]
+    split = split_palette(total, count)
+    assert [split.range(i) for i in range(count)] == stored
     with pytest.raises(IndexError):
-        ranges[count]
+        split.range(count)
     with pytest.raises(IndexError):
-        ranges[-count - 1]
+        split.range(-1)
 
 
 def test_palette_chain_frozen_exact_values():
@@ -82,7 +78,8 @@ def test_plan_direct_mode_at_desk_degrees():
 def test_plan_trivially_large_epsilon():
     plan = plan_reduction(10, 1.0)
     assert plan.palette.bucket_count >= 1
-    assert sum(plan.palette.range_sizes()) == plan.palette.total_colors == 20
+    last = plan.palette.range(plan.palette.bucket_count - 1)
+    assert last[1] == plan.palette.total_colors == 20
 
 
 def test_plan_bucketed_mode_at_astronomic_degree():
@@ -95,8 +92,9 @@ def test_plan_bucketed_mode_at_astronomic_degree():
     assert plan.checks["palette_chain"]["holds"]
     assert plan.checks["bucket_range"]["holds"]
     assert plan.palette.bucket_count == 2 ** plan.iterations
-    # every bucket range covers (1 + eps/2) * delta'
-    assert min(plan.palette.range_sizes()) >= (1 + plan.eps_prime) * plan.delta_prime
+    # every bucket range covers (1 + eps/2) * delta'; the last is the smallest
+    start, end = plan.palette.range(plan.palette.bucket_count - 1)
+    assert end - start >= (1 + plan.eps_prime) * plan.delta_prime
 
 
 def test_plan_rejects_hopeless_parameters():
@@ -206,8 +204,20 @@ def test_color_edges_bucketed_path_with_injected_plan():
     # palette containment per bucket: each edge's color inside its range
     # (recovered from the verification having passed the global bound and
     # each bucket using only range colors by construction)
-    for (start, end), deg in zip(plan.palette.ranges, res.bucket_degrees):
+    for label, deg in enumerate(res.bucket_degrees):
+        start, end = plan.palette.range(label)
         assert deg + 1 <= end - start
+    # each bucket degree equals a recount of the edges colored in its range
+    ends = [plan.palette.range(label)[1] for label in range(2 ** k)]
+    load = {}
+    for (u, v), c in res.colors.items():
+        label = next(i for i, end in enumerate(ends) if c < end)
+        for w in (u, v):
+            load[label, w] = load.get((label, w), 0) + 1
+    assert res.bucket_degrees == [
+        max((n for (b, _), n in load.items() if b == label), default=0)
+        for label in range(2 ** k)
+    ]
 
 
 def test_injected_plan_with_too_small_ranges_fails_loudly():
@@ -305,7 +315,7 @@ def test_verify_matches_pairwise_scan_on_random_colorings():
 def test_bucket_independence_disjoint_ranges():
     split = split_palette(56, 8)
     seen = set()
-    for start, end in split.ranges:
+    for start, end in map(split.range, range(split.bucket_count)):
         block = set(range(start, end))
         assert not block & seen
         seen |= block

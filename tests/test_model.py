@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from _families import small_instances
 from resilient_lll.errors import CapacityError, InputError
+from resilient_lll.graph import Graph
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -64,6 +67,46 @@ def test_dep_graph_matches_intersection_oracle():
             assert (b in inst.dep_graph.adjacency[a]) == expected
 
 
+def pair_set_builders(inst):
+    """Verbatim copies of the per-variable pair-set builders the instance
+    used before: (dependents, dep graph, alloc graph)."""
+    dependents = [[] for _ in inst.variables]
+    for ev in inst.events:
+        for v in ev.dependent_vars:
+            dependents[v].append(ev.event_id)
+    dep_edges = set()
+    for evs in dependents:
+        for i, a in enumerate(evs):
+            for b in evs[i + 1:]:
+                dep_edges.add((a, b) if a < b else (b, a))
+    alloc_edges = set()
+    for v in range(len(inst.variables)):
+        own = inst.owner[v]
+        for b in dependents[v]:
+            if b != own:
+                alloc_edges.add((own, b) if own < b else (b, own))
+    n = len(inst.events)
+    return dependents, Graph(n, dep_edges), Graph(n, alloc_edges)
+
+
+def assert_graphs_match_pair_set_builders(inst):
+    dependents, dep, alloc = pair_set_builders(inst)
+    assert [list(evs) for evs in inst.dependents] == dependents
+    assert inst.dep_graph.adjacency == dep.adjacency
+    assert inst.alloc_graph.adjacency == alloc.adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_graphs_match_pair_set_builders_on_random_instances(case):
+    assert_graphs_match_pair_set_builders(case[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graphs_match_pair_set_builders_on_larger_instances(seed):
+    assert_graphs_match_pair_set_builders(random_instance(40, 30, 4, seed=seed))
+
+
 def test_default_allocation_is_lowest_id_dependent_event():
     inst = random_instance(10, 8, 3, seed=1)
     for v in range(inst.var_count):
@@ -86,6 +129,20 @@ def test_allocation_must_be_dependent():
     events = [all_ones_event(0, [0]), all_ones_event(1, [1])]
     with pytest.raises(InputError):
         build_instance(vs, events, allocation={0: 1, 1: 0})
+
+
+@pytest.mark.parametrize("owner", [2, 5, -1, "x", 1.0, True])
+@pytest.mark.parametrize("route", ["build_instance", "instance_from_dict"])
+def test_unknown_owner_is_an_input_error_naming_the_variable(owner, route):
+    vs = fair_bits(2)
+    events = [all_ones_event(0, [0, 1]), all_ones_event(1, [1])]
+    with pytest.raises(InputError, match="variable 1 allocated to unknown event"):
+        if route == "build_instance":
+            build_instance(vs, events, allocation={0: 0, 1: owner})
+        else:
+            data = instance_to_dict(build_instance(vs, events))
+            data["allocation"]["1"] = owner
+            instance_from_dict(data)
 
 
 def test_dangling_variable_rejected():

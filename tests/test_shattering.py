@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _families import fair_bits, ring_instance
+from _families import fair_bits, ring_instance, small_instances
 from resilient_lll.errors import ComponentFailure
 from resilient_lll.model import (
     CountThreshold,
@@ -12,7 +13,9 @@ from resilient_lll.model import (
     build_instance,
 )
 from resilient_lll.shattering import (
+    _UnionFind,
     extract_components,
+    group_by_free_vars,
     solve_component,
     solve_residual,
 )
@@ -93,6 +96,34 @@ def test_components_match_union_find_oracle():
         assert sorted(job.events for job in jobs) == union_find_oracle(inst, free)
         seen_vars = [v for job in jobs for v in job.free_vars]
         assert len(seen_vars) == len(set(seen_vars)), "free vars must not overlap"
+
+
+def var_seen_grouping(inst, events, free):
+    """Verbatim copy of the grouping group_by_free_vars replaced: union
+    each event with the first listed event seen on each free variable."""
+    uf = _UnionFind(events)
+    var_seen = {}
+    for a in events:
+        for v in inst.events[a].dependent_vars:
+            if v in free:
+                if v in var_seen:
+                    uf.union(var_seen[v], a)
+                else:
+                    var_seen[v] = a
+    groups = {}
+    for a in events:
+        groups.setdefault(uf.find(a), []).append(a)
+    return [tuple(sorted(groups[root])) for root in sorted(groups)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_group_by_free_vars_matches_var_seen_grouping(case, data):
+    inst = case[0]
+    free = frozenset(data.draw(st.sets(st.integers(0, inst.var_count - 1))))
+    live = [a for a in range(inst.event_count)
+            if any(v in free for v in inst.events[a].dependent_vars)]
+    assert group_by_free_vars(inst, free) == var_seen_grouping(inst, live, free)
 
 
 def test_single_event_single_bit_component():

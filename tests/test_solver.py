@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, reject, settings, strategies as st
@@ -37,7 +38,13 @@ from resilient_lll.solver import (
 )
 
 
-from _families import fair_bits, never_event, path_instance, ring_instance
+from _families import (
+    fair_bits,
+    never_event,
+    path_instance,
+    ring_instance,
+    small_instances,
+)
 
 
 def test_no_danger_means_everything_fixed():
@@ -138,6 +145,63 @@ def test_reference_agreement_with_nontrivial_dynamics():
             hit = True
             break
     assert hit, "no seed produced mixed fates; family parameters are off"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(), st.integers(0, 2 ** 32))
+def test_reference_agreement_on_random_exact_instances(case, seed):
+    inst, part = case
+    cfg = relaxed_config()
+    _, report = run_first_stage(inst, part, cfg, seed, debug=True)
+    if report.danger_estimate_modes["sampled"]:
+        reject()  # the reference runs the exact path only
+    assert report.per_event_fate == straight_line_reference(inst, part, cfg, seed)
+
+
+def changed_projections(inst, part, state, report):
+    """Per iteration, the (event, projection) pairs whose projection of the
+    committed values differs from the event's previous one (every event in
+    the first iteration), recounted from the fates, ascending by event."""
+    fate = report.per_event_fate
+    last = {}
+    per_iteration = []
+    for i, members in enumerate(part.parts()):
+        owners = {a for a, (status, when) in fate.items()
+                  if status == FIXED and when < i}
+        owners.update(a for a in members if fate[a][0] != DEFERRED)
+        changed = []
+        for ev in inst.events:
+            projection = {v: state.sampled_row1[v] for v in ev.dependent_vars
+                          if inst.owner[v] in owners}
+            if last.get(ev.event_id) != projection:
+                last[ev.event_id] = projection
+                changed.append((ev.event_id, projection))
+        per_iteration.append(changed)
+    return per_iteration
+
+
+def test_stage_queries_only_events_whose_projection_changed():
+    inst = ring_instance(30)
+    cfg = relaxed_config()
+    part = Partition.round_robin(30, 3)
+    probability = VulnerabilityOracle.probability
+    calls = []
+
+    def recording(oracle, a, projection):
+        calls.append((a, dict(projection)))
+        return probability(oracle, a, projection)
+
+    dynamics = 0
+    with mock.patch.object(VulnerabilityOracle, "probability", recording):
+        for seed in range(12):
+            calls.clear()
+            state, report = run_first_stage(inst, part, cfg, seed=seed)
+            expected = changed_projections(inst, part, state, report)
+            # Calls come iteration by iteration, each in ascending order,
+            # and a projection fixes the iteration it was taken in.
+            assert calls == [q for queries in expected for q in queries]
+            dynamics += bool(state.reverted and state.deferred)
+    assert dynamics, "no seed produced reverts and deferrals"
 
 
 def test_debug_locality_layer_accepts_honest_run():
@@ -320,68 +384,6 @@ def test_solve_deterministic_output():
 
 LIBRARY_ERRORS = (InputError, CapacityError, ContractViolation, ComponentFailure,
                   ReductionViolation)
-SKEWED_WEIGHTS = ((0.25, 0.75), (0.1, 0.9), (0.2, 0.3, 0.5), (0.5, 0.25, 0.25))
-
-
-def sublists(items):
-    return st.lists(st.sampled_from(items), min_size=1, unique=True)
-
-
-@st.composite
-def small_instances(draw):
-    """A random small instance and event partition: uniform and weighted
-    variables of domain 2 or 3, events of all three predicate kinds over
-    one to four variables each, a random allocation and 1-3 parts."""
-    n_vars = draw(st.integers(1, 7))
-    variables = []
-    for v in range(n_vars):
-        if draw(st.booleans()):
-            variables.append(VariableSpec.uniform(v, draw(st.integers(2, 3))))
-        else:
-            weights = draw(st.sampled_from(SKEWED_WEIGHTS))
-            variables.append(VariableSpec(v, len(weights), weights))
-    n_events = draw(st.integers(1, 5))
-    deps = [set(draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=4,
-                              unique=True)))
-            for _ in range(n_events)]
-    for v in range(n_vars):
-        if not any(v in dep for dep in deps):
-            deps[draw(st.integers(0, n_events - 1))].add(v)
-    events = []
-    for a, dep in enumerate(tuple(sorted(d)) for d in deps):
-        kind = draw(st.sampled_from(("truth_table", "count_threshold",
-                                     "max_part_load")))
-        if kind == "truth_table":
-            rows = list(itertools.product(
-                *(range(variables[v].domain_size) for v in dep)))
-            predicate = TruthTable(frozenset(draw(st.sets(st.sampled_from(rows)))))
-        elif kind == "count_threshold":
-            groups = tuple(tuple(draw(sublists(dep)))
-                           for _ in range(draw(st.integers(1, 2))))
-            threshold = draw(st.integers(1, max(map(len, groups)) + 1))
-            if draw(st.booleans()):
-                predicate = CountThreshold(groups, threshold,
-                                           ref_var=draw(st.sampled_from(dep)))
-            else:
-                predicate = CountThreshold(groups, threshold,
-                                           ref_value=draw(st.integers(0, 2)))
-        else:
-            counted = tuple(draw(sublists(dep)))
-            predicate = MaxPartLoad(counted, draw(st.integers(2, len(counted) + 1)))
-        events.append(EventSpec(a, dep, predicate))
-    allocation = {
-        v: draw(st.sampled_from([a for a, dep in enumerate(deps) if v in dep]))
-        for v in range(n_vars)
-    }
-    try:
-        inst = build_instance(variables, events, allocation)
-    except ContractViolation:
-        reject()  # the degrees break the instance's own d < 2 * d_vars^2 rule
-    parts = draw(st.integers(1, 3))
-    assignment = tuple(draw(st.integers(0, parts - 1)) for _ in range(n_events))
-    return inst, Partition(parts, assignment)
-
-
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.integers(0, 2 ** 32))
 def test_solve_against_brute_force_on_random_small_instances(case, seed):
