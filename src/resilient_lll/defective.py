@@ -105,6 +105,7 @@ class DefectiveColoring:
     defect_bound: float    # strict upper bound: counts must stay below it
     edges: tuple = ()      # object order for edge kind
     history: tuple = ()    # per-iteration measurements
+    classes: tuple = ()    # a halving's final (label, objects, local) classes
 
     def to_dict(self) -> dict:
         out = {
@@ -132,29 +133,22 @@ def defect_violations(g: Graph, coloring: DefectiveColoring) -> list:
             if same >= coloring.defect_bound:
                 bad.append({"vertex": v, "count": same})
     else:
-        loads, stride = _edge_label_loads(g.node_count, coloring.edges,
-                                         coloring.colors)
+        # Each vertex's incident edge count per label, recounted from the
+        # labels alone in a flat list indexed v * stride + label, so in
+        # (vertex, label) order; it holds n * stride entries.
+        labels = coloring.colors
+        if labels and min(labels) < 0:
+            raise InputError("edge labels must be non-negative integers")
+        stride = max(labels, default=0) + 1
+        loads = [0] * (g.node_count * stride)
+        for (u, v), label in zip(coloring.edges, labels):
+            loads[u * stride + label] += 1
+            loads[v * stride + label] += 1
         for key, count in enumerate(loads):
             if count >= coloring.defect_bound:
                 v, c = divmod(key, stride)
                 bad.append({"vertex": v, "color": c, "count": count})
     return bad
-
-
-def _edge_label_loads(n: int, edges, labels):
-    """Each vertex's incident edge count per label, recounted from the
-    labels alone: a flat list indexed ``v * stride + label`` (so in
-    (vertex, label) order), with stride the largest label plus one.
-
-    Linear in the edge count; the list holds n * stride entries."""
-    if labels and min(labels) < 0:
-        raise InputError("edge labels must be non-negative integers")
-    stride = max(labels, default=0) + 1
-    loads = [0] * (n * stride)
-    for (u, v), label in zip(edges, labels):
-        loads[u * stride + label] += 1
-        loads[v * stride + label] += 1
-    return loads, stride
 
 
 # --- deterministic balanced splits -----------------------------------------
@@ -325,10 +319,9 @@ def build_split_instance(g: Graph, kind: str, q: float):
             allocation[v] = v
         return build_instance(variables, events, allocation)
 
-    edges = tuple(g.edges())
-    index = {e: i for i, e in enumerate(edges)}
+    edges = g.edges()
     incident = [[] for _ in range(g.node_count)]
-    for (u, v), i in index.items():
+    for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
     variables = [VariableSpec.fair_bit(i) for i in range(len(edges))]
@@ -371,11 +364,7 @@ def _split_vertex_class(adjacency, q, cfg, seed, method):
     return [res.assignment[v] for v in range(len(adjacency))], "lll"
 
 
-def _split_edge_class(n, edges, q, cfg, seed, method):
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+def _split_edge_class(n, edges, degree, q, cfg, seed, method):
     delta = max(degree, default=0)
     if method == "auto":
         method = "lll" if _lll_route_viable(delta, q, cfg, EDGE) else "balanced"
@@ -399,19 +388,17 @@ def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
     if delta < 1:
         kind_len = g.node_count if kind == VERTEX else 0
         return DefectiveColoring(kind, tuple([0] * kind_len), 2, 0.5, q, 1.0,
-                                 edges=tuple(g.edges()))
+                                 edges=g.edges())
     threshold = split_threshold(max(delta, 2), q)
     if kind == VERTEX:
         bits, used = _split_vertex_class(
-            [list(g.neighbors(v)) for v in range(g.node_count)],
-            q, cfg, derive_seed(seed, "vertex_split"), method,
-        )
+            list(g.adjacency), q, cfg, derive_seed(seed, "vertex_split"), method)
         edges = ()
     else:
-        edges = tuple(g.edges())
+        edges = g.edges()
         bits, used = _split_edge_class(
-            g.node_count, edges, q, cfg, derive_seed(seed, "edge_split"), method
-        )
+            g.node_count, edges, [len(a) for a in g.adjacency], q, cfg,
+            derive_seed(seed, "edge_split"), method)
     coloring = DefectiveColoring(
         kind=kind,
         colors=tuple(bits),
@@ -435,14 +422,20 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                     seed: int, method: str = "auto") -> DefectiveColoring:
     """Repeatedly split every color class in two, asserting the inductive
     class-degree bound after each iteration; classes within an iteration are
-    disjoint and solved independently under class-keyed seeds."""
+    disjoint and solved independently under class-keyed seeds. A class is
+    (label, ascending objects, local), with ``local`` each vertex's class
+    degree (edge kind) or each member's class neighbors by member index
+    (vertex kind); its nonempty halves become labels 2L and 2L + 1."""
     if kind not in (VERTEX, EDGE):
         raise InputError(f"kind must be vertex or edge, got {kind!r}")
     if q < 1:
         raise InputError("q must be at least 1")
     delta = g.max_degree
-    edges = tuple(g.edges()) if kind == EDGE else ()
-    n_objects = g.node_count if kind == VERTEX else len(edges)
+    n = g.node_count
+    edges = g.edges() if kind == EDGE else ()
+    n_objects = n if kind == VERTEX else len(edges)
+    local = list(g.adjacency) if kind == VERTEX else [len(a) for a in g.adjacency]
+    classes = [(0, list(range(n_objects)), local)]
     k = halving_iterations(delta, q)
     if cfg.guarantee_grade and not split_precondition_ok(delta, q, log_exponent=4):
         raise InputError(
@@ -450,9 +443,8 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
             "strict path"
         )
     if k < 1:
-        bound = float(delta + 1)
-        return DefectiveColoring(kind, tuple([0] * n_objects), 1,
-                                 float(max(delta, 1)), q, bound + 1, edges=edges)
+        return DefectiveColoring(kind, tuple([0] * n_objects), 1, float(max(delta, 1)),
+                                 q, float(delta + 2), edges=edges, classes=tuple(classes))
     floor_val = iteration_floor(q)
     for i in range(1, k + 1):
         if inductive_degree(delta, q, i) < 2 * floor_val:
@@ -461,35 +453,27 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                 f"{inductive_degree(delta, q, i):.2f} below {2 * floor_val:.2f}"
             )
 
-    labels = [0] * n_objects
     history = []
     for i in range(1, k + 1):
-        classes = {}
-        for obj, label in enumerate(labels):
-            classes.setdefault(label, []).append(obj)
-        seen = sum(len(v) for v in classes.values())
-        if seen != n_objects:
-            raise ContractViolation("classes must partition the objects")
+        halves = []
         methods_used = set()
-        for label in sorted(classes):
-            objs = classes[label]
+        for label, objs, local in classes:
             class_seed = derive_seed(seed, "halve", i, label)
             if kind == VERTEX:
-                local = {v: li for li, v in enumerate(objs)}
-                adjacency = [
-                    [local[w] for w in g.neighbors(v) if w in local]
-                    for v in objs
-                ]
-                bits, used = _split_vertex_class(adjacency, q, cfg, class_seed,
-                                                 method)
+                bits, used = _split_vertex_class(local, q, cfg, class_seed, method)
+                split = _vertex_halves(objs, local, bits)
             else:
                 class_edges = [edges[e] for e in objs]
-                bits, used = _split_edge_class(g.node_count, class_edges, q,
-                                               cfg, class_seed, method)
+                bits, used = _split_edge_class(n, class_edges, local, q, cfg,
+                                               class_seed, method)
+                split = _edge_halves(n, objs, class_edges, local, bits)
             methods_used.add(used)
-            for obj, bit in zip(objs, bits):
-                labels[obj] = labels[obj] * 2 + bit
-        measured = _max_class_degree(g, kind, labels, edges)
+            halves += [(2 * label + bit, members, half_local)
+                       for bit, (members, half_local) in enumerate(split) if members]
+        if sum(len(members) for _, members, _ in halves) != n_objects:
+            raise ContractViolation("classes must partition the objects")
+        measured = max(max(map(len, local)) if kind == VERTEX else max(local)
+                       for _, _, local in halves)
         bound = inductive_bound(delta, q, i)
         if measured > bound:
             raise ContractViolation(
@@ -503,7 +487,12 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
             "bound": bound,
             "methods": sorted(methods_used),
         })
+        classes = halves
 
+    labels = [0] * n_objects
+    for label, objs, _ in classes:
+        for obj in objs:
+            labels[obj] = label
     x = delta / 2 ** k
     L = _lg_clamped(delta)
     q_out = q * L / k
@@ -516,15 +505,30 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
         defect_bound=x + x / q_out,
         edges=edges,
         history=tuple(history),
+        classes=tuple(classes),
     )
 
 
-def _max_class_degree(g: Graph, kind: str, labels, edges) -> int:
-    if kind == VERTEX:
-        worst = 0
-        for v in range(g.node_count):
-            same = sum(1 for w in g.neighbors(v) if labels[w] == labels[v])
-            worst = max(worst, same)
-        return worst
-    loads, _ = _edge_label_loads(g.node_count, edges, labels)
-    return max(loads, default=0)
+def _vertex_halves(objs, adjacency, bits):
+    """The (members, adjacency) halves of a vertex class: each member keeps
+    its same-bit neighbors, in order, numbered by their index in the half."""
+    halves = (([], []), ([], []))
+    index = []
+    for obj, bit in zip(objs, bits):
+        index.append(len(halves[bit][0]))
+        halves[bit][0].append(obj)
+    for nbrs, bit in zip(adjacency, bits):
+        halves[bit][1].append([index[w] for w in nbrs if bits[w] == bit])
+    return halves
+
+
+def _edge_halves(n, objs, class_edges, degree, bits):
+    """The (members, degree) halves of an edge class: degrees in half 1 are
+    counted from its edges, and in half 0 they are the rest."""
+    members, ones = ([], []), [0] * n
+    for obj, (u, v), bit in zip(objs, class_edges, bits):
+        members[bit].append(obj)
+        if bit:
+            ones[u] += 1
+            ones[v] += 1
+    return (members[0], [d - one for d, one in zip(degree, ones)]), (members[1], ones)

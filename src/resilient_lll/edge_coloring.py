@@ -207,7 +207,7 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
     bucket count from eps); the per-bucket degree and range assertions
     still apply, so an inadmissible plan fails loudly rather than
     miscoloring."""
-    edges = tuple(g.edges())
+    edges = g.edges()
     delta = g.max_degree
     if not edges:
         plan = ReductionPlan("direct", eps, 0.0, 0, 0.0, 0.0, eps,
@@ -219,8 +219,8 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
     colors = [None] * len(edges)
     bucket_degrees = []
     if plan.mode == "direct":
-        raw = misra_gries_edge_coloring(g.node_count, edges)
-        colors = list(raw)
+        colors = misra_gries_edge_coloring(g.node_count, edges,
+                                           [len(a) for a in g.adjacency])
         bucket_degrees = [delta]
     else:
         defective = iterate_halving(g, EDGE, plan.q, cfg, derive_seed(seed, "buckets"))
@@ -229,17 +229,10 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
                 f"halving produced {defective.color_count} buckets, plan "
                 f"expected {plan.palette.bucket_count}"
             )
-        buckets = {}
-        for idx, label in enumerate(defective.colors):
-            buckets.setdefault(label, []).append(idx)
+        buckets = {label: rest for label, *rest in defective.classes}
         for label in range(plan.palette.bucket_count):
-            members = buckets.get(label, [])
+            members, degree = buckets.get(label, ((), [0] * g.node_count))
             start, end = plan.palette.range(label)
-            bucket_edges = [edges[i] for i in members]
-            degree = [0] * g.node_count
-            for u, v in bucket_edges:
-                degree[u] += 1
-                degree[v] += 1
             delta_b = max(degree)
             bucket_degrees.append(delta_b)
             if delta_b >= plan.delta_prime:
@@ -252,7 +245,8 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
                     f"bucket {label} needs {delta_b + 1} colors but its range "
                     f"holds {end - start}"
                 )
-            raw = misra_gries_edge_coloring(g.node_count, bucket_edges)
+            raw = misra_gries_edge_coloring(
+                g.node_count, [edges[i] for i in members], degree)
             for i, c in zip(members, raw):
                 colors[i] = start + c
 
@@ -273,7 +267,7 @@ def verify_edge_coloring(g: Graph, coloring: dict, palette_bound: int) -> dict:
     """Properness violations (a linear per-vertex color check, listing the
     clashing pairs) plus palette usage. An edge that is absent or colored
     None is uncolored, and raises InputError."""
-    edges = tuple(g.edges())
+    edges = g.edges()
     colors = [coloring.get(e) for e in edges]
     missing = [e for e, c in zip(edges, colors) if c is None]
     if missing:

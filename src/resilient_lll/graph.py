@@ -16,7 +16,7 @@ from .errors import InputError
 class Graph:
     """Simple undirected graph over dense node ids 0..n-1."""
 
-    __slots__ = ("node_count", "adjacency", "max_degree", "_two_hop")
+    __slots__ = ("node_count", "adjacency", "max_degree", "_two_hop", "_edges")
 
     def __init__(self, node_count: int, edges):
         if node_count < 0:
@@ -38,6 +38,7 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self.max_degree = max((len(a) for a in self.adjacency), default=0)
         self._two_hop = None
+        self._edges = None
 
     @classmethod
     def empty(cls, node_count: int) -> "Graph":
@@ -52,12 +53,12 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def edges(self):
-        """Iterate edges as (u, v) pairs with u < v, in sorted order."""
-        for u in range(self.node_count):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
+    def edges(self) -> tuple:
+        """The edges as sorted (u, v) pairs with u < v, built once."""
+        if self._edges is None:
+            self._edges = tuple((u, v) for u, nbrs in enumerate(self.adjacency)
+                                for v in nbrs if u < v)
+        return self._edges
 
     def two_hop(self, v: int) -> frozenset:
         """All nodes within distance 2 of v, excluding v. Memoized; the

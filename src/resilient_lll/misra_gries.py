@@ -14,15 +14,13 @@ from __future__ import annotations
 from .errors import ContractViolation, InputError
 
 
-def misra_gries_edge_coloring(n: int, edges, palette_size=None):
+def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
     """Color ``edges`` (pairs over 0..n-1) properly with colors
-    0..palette_size-1; palette defaults to max degree + 1."""
-    degree = [0] * n
-    for u, v in edges:
-        if u == v:
-            raise InputError("self-loops cannot be edge colored")
-        degree[u] += 1
-        degree[v] += 1
+    0..palette_size-1; ``degree`` holds each vertex's degree in ``edges``,
+    and the palette defaults to max degree + 1."""
+    xor = [u ^ v for u, v in edges]  # the far endpoint of e from v is xor[e] ^ v
+    if 0 in xor:
+        raise InputError("self-loops cannot be edge colored")
     delta = max(degree, default=0)
     palette = palette_size if palette_size is not None else delta + 1
     if palette < delta + 1:
@@ -31,7 +29,6 @@ def misra_gries_edge_coloring(n: int, edges, palette_size=None):
     color = [None] * len(edges)
     # at[v][c]: the edge of color c at vertex v, or None if c is free at v
     at = [[None] * palette for _ in range(n)]
-    xor = [u ^ v for u, v in edges]  # the far endpoint of e from v is xor[e] ^ v
 
     def recolor(eids, new_colors):
         """Give edge eids[i] the color new_colors[i]: uncolor them all

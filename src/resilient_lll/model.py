@@ -428,18 +428,23 @@ def instance_to_dict(inst: LllInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> LllInstance:
-    variables = [
-        VariableSpec(d["id"], d["domain"], tuple(float(w) for w in d["weights"]))
-        for d in data["variables"]
-    ]
-    events = [
-        EventSpec(d["id"], tuple(d["vars"]), _predicate_from_dict(d["predicate"]))
-        for d in data["events"]
-    ]
-    allocation = None
-    if data.get("allocation"):
-        allocation = {int(k): v for k, v in data["allocation"].items()}
-    return build_instance(variables, events, allocation)
+    """Inverse of instance_to_dict; bad input is an InputError naming its field."""
+    field = "variables"
+    try:
+        variables = [
+            VariableSpec(d["id"], d["domain"], tuple(float(w) for w in d["weights"]))
+            for d in data["variables"]
+        ]
+        field = "events"
+        events = [
+            EventSpec(d["id"], tuple(d["vars"]), _predicate_from_dict(d["predicate"]))
+            for d in data["events"]
+        ]
+        field = "allocation"
+        allocation = {int(k): v for k, v in (data.get("allocation") or {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"instance {field}: {type(exc).__name__}: {exc}") from None
+    return build_instance(variables, events, allocation or None)
 
 
 def save_instance(inst: LllInstance, path) -> None:

@@ -351,8 +351,9 @@ class VulnerabilityOracle:
         return groups
 
     def _layout(self, a: int):
-        """Event ``a``'s variable classes, the dependency positions of the
-        variables in no swap member, and those of each swap member per part.
+        """Event ``a``'s variable classes and the dependency positions of
+        each swap member per part. Every dependency has an owner and every
+        owner is a swap member, so the members cover every position.
 
         None when the event keeps the per-event memo key: any event but a
         ``CountThreshold`` one over uniform variables, and such an event
@@ -367,9 +368,7 @@ class VulnerabilityOracle:
             position = {v: i for i, v in enumerate(ev.dependent_vars)}
             parts = tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)
                           for _, members in self.swap_groups(a))
-            swapped = {i for members in parts for m in members for i in m}
-            rest = tuple(i for i in range(len(classes)) if i not in swapped)
-            layout = (ev.predicate, classes, rest, parts)
+            layout = (ev.predicate, classes, parts)
             # ``_count_threshold_probability`` samples above EXACT_ENUM_CAP
             # cases, and a part's full swap set conditions on the most.
             for members in parts:
@@ -387,25 +386,24 @@ class VulnerabilityOracle:
         ``key`` (in dependency order).
 
         For a shaped event: the threshold, the reference value, and the
-        sorted (class, value class) pairs of the variables in no swap
-        member and of each swap member, the members of a part sorted and
-        the parts sorted. The value class is whether the value equals a
-        constant reference, or the raw value when the reference is a
-        variable. Every swap probability is then an integer count that the
-        key determines, and the indicator is the same for every event
-        sharing it. The key is a 4-tuple, so it never equals a per-event
-        (event, values) key."""
+        sorted (class, value class) pairs of each swap member, the members
+        of a part sorted and the parts sorted. The value class is whether
+        the value equals a constant reference, or the raw value when the
+        reference is a variable. Every swap probability is then an integer
+        count that the key determines, and the indicator is the same for
+        every event sharing it. The key is a 3-tuple, so it never equals a
+        per-event (event, values) key."""
         layout = self._layout(a)
         if layout is None:
             return (a, key)
-        pred, classes, rest, parts = layout
+        pred, classes, parts = layout
         if pred.ref_var is None:
             key = [x == pred.ref_value for x in key]
 
         def stats(positions):
             return tuple(sorted((classes[i], key[i]) for i in positions))
 
-        return (pred.threshold, pred.ref_value, stats(rest),
+        return (pred.threshold, pred.ref_value,
                 tuple(sorted(tuple(sorted(map(stats, members))) for members in parts)))
 
     def _swap_probability(self, event, base_values, swap_vars):

@@ -6,6 +6,7 @@ import random
 from hypothesis import reject, strategies as st
 
 from resilient_lll.errors import ContractViolation
+from resilient_lll.generators import circulant_graph, gnp_graph
 from resilient_lll.graph import Graph, Partition
 from resilient_lll.model import (
     CountThreshold,
@@ -179,3 +180,17 @@ def small_instances(draw):
     parts = draw(st.integers(1, 3))
     assignment = tuple(draw(st.integers(0, parts - 1)) for _ in range(n_events))
     return inst, Partition(parts, assignment)
+
+
+@st.composite
+def halving_graphs(draw):
+    """Random G(n, p) graphs, and circulant graphs relabelled by a seeded
+    permutation so that class members are not in ring order."""
+    seed = draw(st.integers(0, 10 ** 6))
+    if draw(st.booleans()):
+        return gnp_graph(draw(st.integers(2, 40)), draw(st.floats(0.0, 1.0)), seed)
+    n = draw(st.integers(3, 72))
+    g = circulant_graph(n, 2 * draw(st.integers(1, (n - 1) // 2)))
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in g.edges()])

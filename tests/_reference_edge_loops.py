@@ -1,15 +1,43 @@
-"""Reference copies of the edge-split walk and the fan-rotation colorer.
+"""Reference copies of the edge-split walk, the fan-rotation colorer and
+the halving loop.
 
 These are the earlier implementations of ``defective.balanced_edge_split``
 (closure walk over ``(edge id, endpoint)`` adjacency, a walk from every
-vertex, with its unread ``seed`` parameter) and
+vertex, with its unread ``seed`` parameter),
 ``misra_gries.misra_gries_edge_coloring`` (dict of colors per vertex, one
-helper call per step), kept verbatim so that the differential tests can
-require the library's loops to give the same bits and colors, edge for edge.
+helper call per step), ``defective.iterate_halving`` (labels regrouped into
+a class dict and every load recounted each iteration, each class's degrees
+counted again by its split) and the bucketed branch of
+``edge_coloring.color_edges`` (labels regrouped into buckets, each bucket's
+degrees counted again), kept verbatim so that the differential tests can
+require the library's loops to give the same bits, labels, history and
+colors, edge for edge. The copied loops call the library's edge split,
+imported as ``library_edge_split`` since this module keeps the older walk
+under its own name.
 """
 
-from resilient_lll.defective import _repair_edge_split
-from resilient_lll.errors import ContractViolation, InputError
+from resilient_lll import general
+from resilient_lll.config import ThresholdConfig
+from resilient_lll.defective import (
+    EDGE,
+    VERTEX,
+    DefectiveColoring,
+    _lg_clamped,
+    _lll_route_viable,
+    _repair_edge_split,
+    _split_vertex_class,
+    balanced_edge_split as library_edge_split,
+    build_split_instance,
+    edge_split_p_bound,
+    halving_iterations,
+    inductive_bound,
+    inductive_degree,
+    iteration_floor,
+    split_precondition_ok,
+)
+from resilient_lll.errors import ContractViolation, InputError, ReductionViolation
+from resilient_lll.graph import Graph
+from resilient_lll.seeds import derive_seed
 
 
 def balanced_edge_split(n: int, edges, seed: int):
@@ -198,3 +226,178 @@ def misra_gries_edge_coloring(n: int, edges, palette_size=None):
         set_color(fan_edges[w_idx], d)
 
     return color
+
+
+def _split_edge_class(n, edges, q, cfg, seed, method):
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    delta = max(degree, default=0)
+    if method == "auto":
+        method = "lll" if _lll_route_viable(delta, q, cfg, EDGE) else "balanced"
+    if method == "balanced" or delta <= 1:
+        return library_edge_split(n, edges, degree), "balanced"
+    sub = Graph(n, edges)
+    inst = build_split_instance(sub, EDGE, q)
+    order = {e: i for i, e in enumerate(sub.edges())}
+    p_bound = min(edge_split_p_bound(delta, q), 1.0)
+    r = general.choose_parts(inst.d_vars, p_bound, cfg.criterion_c)
+    res = general.solve_general(inst, r, cfg, seed, p_bound=p_bound, mode="relaxed")
+    return [res.assignment[order[e]] for e in edges], "lll"
+
+
+def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
+                    seed: int, method: str = "auto") -> DefectiveColoring:
+    """Repeatedly split every color class in two, asserting the inductive
+    class-degree bound after each iteration; classes within an iteration are
+    disjoint and solved independently under class-keyed seeds."""
+    if kind not in (VERTEX, EDGE):
+        raise InputError(f"kind must be vertex or edge, got {kind!r}")
+    if q < 1:
+        raise InputError("q must be at least 1")
+    delta = g.max_degree
+    edges = tuple(g.edges()) if kind == EDGE else ()
+    n_objects = g.node_count if kind == VERTEX else len(edges)
+    k = halving_iterations(delta, q)
+    if cfg.guarantee_grade and not split_precondition_ok(delta, q, log_exponent=4):
+        raise InputError(
+            f"q = {q} outside the admissible window for degree {delta} on the "
+            "strict path"
+        )
+    if k < 1:
+        bound = float(delta + 1)
+        return DefectiveColoring(kind, tuple([0] * n_objects), 1,
+                                 float(max(delta, 1)), q, bound + 1, edges=edges)
+    floor_val = iteration_floor(q)
+    for i in range(1, k + 1):
+        if inductive_degree(delta, q, i) < 2 * floor_val:
+            raise ContractViolation(
+                f"iteration arithmetic broke at i={i}: class degree bound "
+                f"{inductive_degree(delta, q, i):.2f} below {2 * floor_val:.2f}"
+            )
+
+    labels = [0] * n_objects
+    history = []
+    for i in range(1, k + 1):
+        classes = {}
+        for obj, label in enumerate(labels):
+            classes.setdefault(label, []).append(obj)
+        seen = sum(len(v) for v in classes.values())
+        if seen != n_objects:
+            raise ContractViolation("classes must partition the objects")
+        methods_used = set()
+        for label in sorted(classes):
+            objs = classes[label]
+            class_seed = derive_seed(seed, "halve", i, label)
+            if kind == VERTEX:
+                local = {v: li for li, v in enumerate(objs)}
+                adjacency = [
+                    [local[w] for w in g.neighbors(v) if w in local]
+                    for v in objs
+                ]
+                bits, used = _split_vertex_class(adjacency, q, cfg, class_seed,
+                                                 method)
+            else:
+                class_edges = [edges[e] for e in objs]
+                bits, used = _split_edge_class(g.node_count, class_edges, q,
+                                               cfg, class_seed, method)
+            methods_used.add(used)
+            for obj, bit in zip(objs, bits):
+                labels[obj] = labels[obj] * 2 + bit
+        measured = _max_class_degree(g, kind, labels, edges)
+        bound = inductive_bound(delta, q, i)
+        if measured > bound:
+            raise ContractViolation(
+                f"iteration {i}: measured class degree {measured} exceeds "
+                f"inductive bound {bound:.3f}"
+            )
+        history.append({
+            "iteration": i,
+            "classes": len(classes),
+            "max_class_degree": measured,
+            "bound": bound,
+            "methods": sorted(methods_used),
+        })
+
+    x = delta / 2 ** k
+    L = _lg_clamped(delta)
+    q_out = q * L / k
+    return DefectiveColoring(
+        kind=kind,
+        colors=tuple(labels),
+        color_count=2 ** k,
+        x=x,
+        q=q_out,
+        defect_bound=x + x / q_out,
+        edges=edges,
+        history=tuple(history),
+    )
+
+
+def _edge_label_loads(n: int, edges, labels):
+    """Each vertex's incident edge count per label, recounted from the
+    labels alone: a flat list indexed ``v * stride + label`` (so in
+    (vertex, label) order), with stride the largest label plus one.
+
+    Linear in the edge count; the list holds n * stride entries."""
+    if labels and min(labels) < 0:
+        raise InputError("edge labels must be non-negative integers")
+    stride = max(labels, default=0) + 1
+    loads = [0] * (n * stride)
+    for (u, v), label in zip(edges, labels):
+        loads[u * stride + label] += 1
+        loads[v * stride + label] += 1
+    return loads, stride
+
+
+def _max_class_degree(g: Graph, kind: str, labels, edges) -> int:
+    if kind == VERTEX:
+        worst = 0
+        for v in range(g.node_count):
+            same = sum(1 for w in g.neighbors(v) if labels[w] == labels[v])
+            worst = max(worst, same)
+        return worst
+    loads, _ = _edge_label_loads(g.node_count, edges, labels)
+    return max(loads, default=0)
+
+
+def color_edges_bucketed(g: Graph, plan, cfg: ThresholdConfig, seed: int):
+    """The bucketed branch of ``color_edges``: per-edge colors in
+    ``g.edges()`` order and the bucket degrees."""
+    edges = tuple(g.edges())
+    colors = [None] * len(edges)
+    bucket_degrees = []
+    defective = iterate_halving(g, EDGE, plan.q, cfg, derive_seed(seed, "buckets"))
+    if defective.color_count != plan.palette.bucket_count:
+        raise ReductionViolation(
+            f"halving produced {defective.color_count} buckets, plan "
+            f"expected {plan.palette.bucket_count}"
+        )
+    buckets = {}
+    for idx, label in enumerate(defective.colors):
+        buckets.setdefault(label, []).append(idx)
+    for label in range(plan.palette.bucket_count):
+        members = buckets.get(label, [])
+        start, end = plan.palette.range(label)
+        bucket_edges = [edges[i] for i in members]
+        degree = [0] * g.node_count
+        for u, v in bucket_edges:
+            degree[u] += 1
+            degree[v] += 1
+        delta_b = max(degree)
+        bucket_degrees.append(delta_b)
+        if delta_b >= plan.delta_prime:
+            raise ReductionViolation(
+                f"bucket {label} degree {delta_b} reached the bound "
+                f"{plan.delta_prime}"
+            )
+        if delta_b + 1 > end - start:
+            raise ReductionViolation(
+                f"bucket {label} needs {delta_b + 1} colors but its range "
+                f"holds {end - start}"
+            )
+        raw = misra_gries_edge_coloring(g.node_count, bucket_edges)
+        for i, c in zip(members, raw):
+            colors[i] = start + c
+    return colors, bucket_degrees

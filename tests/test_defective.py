@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resilient_lll.config import lg, relaxed_config, strict_config
 from resilient_lll.defective import (
@@ -11,7 +11,6 @@ from resilient_lll.defective import (
     REPAIR_PASSES,
     VERTEX,
     DefectiveColoring,
-    _max_class_degree,
     _repair_edge_split,
     balanced_edge_split,
     balanced_vertex_split,
@@ -27,12 +26,13 @@ from resilient_lll.defective import (
     split_threshold,
     vertex_split_p_bound,
 )
-from resilient_lll.errors import InputError
+from resilient_lll.errors import ContractViolation, InputError
 from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
 from resilient_lll.graph import Graph
 
-from _families import cycle_sum_graph, degrees, edge_lists
+from _families import cycle_sum_graph, degrees, edge_lists, halving_graphs
 from _reference_edge_loops import balanced_edge_split as reference_edge_split
+from _reference_edge_loops import iterate_halving as reference_halving
 
 
 def complete_graph(n):
@@ -205,11 +205,21 @@ def dict_loads(edges, labels):
 @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.integers(1, 6))
 def test_edge_load_counts_match_dict_recount(seed, label_count, bound):
     rng = random.Random(seed)
-    g = gnp_graph(rng.randrange(2, 20), rng.random(), seed)
-    edges = tuple(g.edges())
+    g = gnp_graph(rng.randrange(2, 40), rng.random(), seed)
+    edges = g.edges()
+    try:
+        halved = iterate_halving(g, EDGE, rng.choice([1, 1.5, 2]), relaxed_config(),
+                                 seed)
+    except ContractViolation as exc:
+        # A dense odd component can admit no split within the bound: K7's
+        # 21 edges exceed two colors of at most 3 edges per vertex.
+        assert "exceeds inductive bound" in str(exc)
+    else:
+        if halved.history:
+            counts = dict_loads(edges, halved.colors)
+            assert halved.history[-1]["max_class_degree"] == max(counts.values())
     labels = tuple(rng.randrange(label_count) for _ in edges)
     counts = dict_loads(edges, labels)
-    assert _max_class_degree(g, EDGE, labels, edges) == max(counts.values(), default=0)
     coloring = DefectiveColoring(EDGE, labels, label_count, 1.0, 1.0, bound,
                                  edges=edges)
     assert defect_violations(g, coloring) == [
@@ -367,6 +377,41 @@ def test_iterate_halving_strict_mode_enforces_window():
     g = circulant_graph(72, 32)
     with pytest.raises(InputError):
         iterate_halving(g, VERTEX, 2, strict_config(), seed=19)
+
+
+def halving_outcome(halve, g, kind, q, seed):
+    """A halving's colors, history and parameters, or the type and message
+    of the check it fails."""
+    try:
+        coloring = halve(g, kind, q, relaxed_config(), seed)
+    except ContractViolation as exc:
+        return type(exc).__name__, str(exc)
+    return coloring.to_dict(), coloring.history
+
+
+STAR = Graph(9, [(0, leaf) for leaf in range(1, 9)])
+
+
+@settings(max_examples=200, deadline=None)
+@example(STAR, VERTEX, 1, 0)  # the center alone in its class: one half is empty
+@given(halving_graphs(), st.sampled_from([VERTEX, EDGE]), st.sampled_from([1, 1.5, 2]),
+       st.integers(0, 10 ** 6))
+def test_iterate_halving_matches_reference_loop(g, kind, q, seed):
+    assert halving_outcome(iterate_halving, g, kind, q, seed) == halving_outcome(
+        reference_halving, g, kind, q, seed)
+
+
+@pytest.mark.parametrize("kind", [VERTEX, EDGE])
+@pytest.mark.parametrize("make, args", [
+    (circulant_graph, (130, 64)),
+    (gnp_graph, (120, 0.5, 6)),
+    (random_regular_graph, (90, 40, 3)),
+], ids=["circulant-130-64", "gnp-120", "regular-90-40"])
+def test_iterate_halving_matches_reference_loop_on_larger_graphs(make, args, kind):
+    g = make(*args)
+    ours = halving_outcome(iterate_halving, g, kind, 2, 8)
+    assert len(ours[1]) >= 2
+    assert ours == halving_outcome(reference_halving, g, kind, 2, 8)
 
 
 def test_iterate_halving_rejects_bad_inputs():

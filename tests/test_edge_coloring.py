@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from resilient_lll.config import relaxed_config
+from resilient_lll.defective import halving_iterations
 from resilient_lll.edge_coloring import (
     ReductionPlan,
     color_edges,
@@ -14,7 +15,7 @@ from resilient_lll.edge_coloring import (
     split_palette,
     verify_edge_coloring,
 )
-from resilient_lll.errors import InputError, ReductionViolation
+from resilient_lll.errors import ContractViolation, InputError, ReductionViolation
 from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
 from resilient_lll.graph import Graph
 from resilient_lll.misra_gries import (
@@ -22,7 +23,8 @@ from resilient_lll.misra_gries import (
     proper_coloring_violations,
 )
 
-from _families import cycle_sum_graph, degrees, edge_lists
+from _families import cycle_sum_graph, degrees, edge_lists, halving_graphs
+from _reference_edge_loops import color_edges_bucketed as reference_bucketed
 from _reference_edge_loops import misra_gries_edge_coloring as reference_colorer
 
 
@@ -113,7 +115,7 @@ def test_plan_rejects_hopeless_parameters():
 
 
 def test_single_edge_one_color():
-    colors = misra_gries_edge_coloring(2, [(0, 1)])
+    colors = misra_gries_edge_coloring(2, [(0, 1)], [1, 1])
     assert colors == [0]
 
 
@@ -124,7 +126,7 @@ def test_fan_rotation_proper_on_random_graphs(seed):
     n = rng.randrange(2, 28)
     g = gnp_graph(n, rng.random(), seed)
     edges = list(g.edges())
-    colors = misra_gries_edge_coloring(n, edges)
+    colors = misra_gries_edge_coloring(n, edges, degrees(n, edges))
     assert proper_coloring_violations(n, edges, colors) == []
     if edges:
         assert max(colors) <= g.max_degree  # at most delta + 1 colors
@@ -134,9 +136,10 @@ def test_fan_rotation_proper_on_random_graphs(seed):
 @given(edge_lists(), st.integers(1, 3))
 def test_fan_rotation_matches_reference_colorer(case, extra):
     n, edges = case
-    assert misra_gries_edge_coloring(n, edges) == reference_colorer(n, edges)
-    palette = max(degrees(n, edges), default=0) + 1 + extra
-    assert misra_gries_edge_coloring(n, edges, palette) == reference_colorer(
+    degree = degrees(n, edges)
+    assert misra_gries_edge_coloring(n, edges, degree) == reference_colorer(n, edges)
+    palette = max(degree, default=0) + 1 + extra
+    assert misra_gries_edge_coloring(n, edges, degree, palette) == reference_colorer(
         n, edges, palette)
 
 
@@ -149,13 +152,19 @@ def test_fan_rotation_matches_reference_colorer(case, extra):
 def test_fan_rotation_matches_reference_colorer_on_larger_graphs(make, args):
     g = make(*args)
     edges = list(g.edges())
-    assert misra_gries_edge_coloring(g.node_count, edges) == reference_colorer(
+    degree = degrees(g.node_count, edges)
+    assert misra_gries_edge_coloring(g.node_count, edges, degree) == reference_colorer(
         g.node_count, edges)
 
 
 def test_palette_floor_validated():
     with pytest.raises(InputError):
-        misra_gries_edge_coloring(3, [(0, 1), (1, 2)], palette_size=2)
+        misra_gries_edge_coloring(3, [(0, 1), (1, 2)], [1, 2, 1], palette_size=2)
+
+
+def test_self_loop_rejected():
+    with pytest.raises(InputError, match="self-loops"):
+        misra_gries_edge_coloring(2, [(0, 1), (1, 1)], [1, 3])
 
 
 # --- end-to-end -------------------------------------------------------------
@@ -218,6 +227,55 @@ def test_color_edges_bucketed_path_with_injected_plan():
         max((n for (b, _), n in load.items() if b == label), default=0)
         for label in range(2 ** k)
     ]
+
+
+def bucketed_plan(delta, eps, q):
+    """An explicit bucketed plan with one bucket per halving class, sharing
+    a palette of ceil((1 + eps) * delta) colors."""
+    k = halving_iterations(delta, q)
+    x = delta / 2 ** k
+    return ReductionPlan(
+        mode="bucketed", epsilon=eps, q=q, iterations=k, x=x,
+        delta_prime=x * (1 + 1 / q), eps_prime=eps / 2,
+        palette=split_palette(math.ceil((1 + eps) * delta), 2 ** k), implied_c=1.0,
+    )
+
+
+def bucketed_outcome(g, plan, seed):
+    """The library's colors in edge order and bucket degrees, or the type
+    and message of the check it fails."""
+    try:
+        res = color_edges(g, plan.epsilon, relaxed_config(), seed, plan=plan)
+    except (ContractViolation, ReductionViolation) as exc:
+        return type(exc).__name__, str(exc)
+    return [res.colors[e] for e in g.edges()], res.bucket_degrees
+
+
+def reference_outcome(g, plan, seed):
+    try:
+        return reference_bucketed(g, plan, relaxed_config(), seed)
+    except (ContractViolation, ReductionViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(halving_graphs(), st.sampled_from([1, 1.5, 2]), st.integers(0, 10 ** 6))
+def test_bucketed_colors_match_reference_loop(g, q, seed):
+    assume(g.edges())
+    plan = bucketed_plan(g.max_degree, 0.75, q)
+    assert bucketed_outcome(g, plan, seed) == reference_outcome(g, plan, seed)
+
+
+@pytest.mark.parametrize("make, args", [
+    (circulant_graph, (130, 64)),
+    (gnp_graph, (120, 0.5, 6)),
+], ids=["circulant-130-64", "gnp-120"])
+def test_bucketed_colors_match_reference_loop_on_larger_graphs(make, args):
+    g = make(*args)
+    plan = bucketed_plan(g.max_degree, 0.75, 2)
+    ours = bucketed_outcome(g, plan, 4)
+    assert len(ours[1]) >= 4
+    assert ours == reference_outcome(g, plan, 4)
 
 
 def test_injected_plan_with_too_small_ranges_fails_loudly():

@@ -19,7 +19,9 @@ from resilient_lll.generators import (
     gnp_graph,
     random_regular_graph,
     ring_family,
+    window_family,
 )
+from resilient_lll.model import instance_to_dict
 from resilient_lll.probability import event_probability
 
 
@@ -324,6 +326,34 @@ def test_cli_rejects_zero_mc_samples(tmp_path):
     rc = cli_main(["partition", "--graph", str(graph_path),
                    "--mc-samples", "0", "--out", str(tmp_path / "p.json")])
     assert rc == 2
+
+
+def _allocation_key(data):
+    data["allocation"]["x"] = 0
+
+
+def _weight(data):
+    data["variables"][0]["weights"][0] = "a"
+
+
+def _event_vars(data):
+    del data["events"][1]["vars"]
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("allocation", _allocation_key),
+    ("variables", _weight),
+    ("events", _event_vars),
+], ids=["allocation-key", "weight", "event-vars"])
+def test_cli_malformed_instance_is_input_error(tmp_path, capsys, field, corrupt):
+    data = instance_to_dict(window_family(4))
+    corrupt(data)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(data))
+    rc = cli_main(["solve-general", "--instance", str(inst_path), "--r", "1",
+                   "--out-prefix", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"error: instance {field}: " in capsys.readouterr().err
 
 
 def test_cli_bad_graph_file_is_input_error(tmp_path, capsys):

@@ -311,7 +311,11 @@ def test_swap_groups_are_dependencies_grouped_by_owner(family):
         part = Partition(r, tuple(rng.randrange(r) for _ in range(inst.event_count)))
         oracle = VulnerabilityOracle(inst, part, cfg)
         for a in range(inst.event_count):
-            assert oracle.swap_groups(a) == expected_swap_groups(inst, part, a)
+            groups = oracle.swap_groups(a)
+            assert groups == expected_swap_groups(inst, part, a)
+            # The members cover every dependency, as the shaped memo key assumes.
+            assert sorted(v for _, members in groups for _, owned in members
+                          for v in owned) == sorted(inst.events[a].dependent_vars)
 
 
 def hub_instance(n_leaves=15):
