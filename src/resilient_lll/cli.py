@@ -8,7 +8,8 @@ import sys
 
 from .config import lg, resolve_config
 from .edge_coloring import color_edges, minimal_epsilon
-from .errors import InputError
+from .errors import (CapacityError, ComponentFailure, ContractViolation,
+                     InputError, ReductionViolation)
 from .experiment import ExperimentSpec, run_experiment
 from .defective import defect_violations, iterate_halving
 from .general import solve_general
@@ -273,6 +274,10 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (CapacityError, ComponentFailure, ContractViolation,
+            ReductionViolation) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .errors import InputError
 from .graph import Partition
 from .light_partition import compute_light_partition_detailed
 from .model import LllInstance
-from .probability import count_classes, event_probability
+from .probability import event_probability
 from .seeds import derive_seed
 from . import solver
 
@@ -79,13 +79,13 @@ def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
     """Probability estimate of every event, indexed by event id.
 
     Events with the same threshold, reference value and multiset of
-    variable classes (``probability.count_classes``) share one exact
+    variable classes (``LllInstance.event_classes``) share one exact
     estimate. A sampled estimate stays per event: its seed names the event.
     """
     shared = {}
     estimates = []
     for ev in inst.events:
-        classes = count_classes(inst, ev)
+        classes = inst.event_classes(ev.event_id)
         shape = None
         if classes is not None:
             shape = (ev.predicate.threshold, ev.predicate.ref_value,

@@ -7,8 +7,9 @@ on for reproducibility.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 
 from .errors import InputError
 
@@ -16,28 +17,28 @@ from .errors import InputError
 class Graph:
     """Simple undirected graph over dense node ids 0..n-1."""
 
-    __slots__ = ("node_count", "adjacency", "max_degree", "_two_hop", "_edges")
+    __slots__ = ("node_count", "adjacency", "max_degree", "_edges")
 
     def __init__(self, node_count: int, edges):
         if node_count < 0:
             raise InputError("node_count must be nonnegative")
         adj = [[] for _ in range(node_count)]
-        seen = set()
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise InputError(f"edge ({u}, {v}) out of range for {node_count} nodes")
             if u == v:
                 raise InputError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
+        # A repeated pair shows up as two equal neighbours once sorted.
+        for u, nbrs in enumerate(adj):
+            nbrs.sort()
+            if not all(map(lt, nbrs, islice(nbrs, 1, None))):
+                v = next(v for v, w in zip(nbrs, nbrs[1:]) if v == w)
+                raise InputError(f"duplicate edge ({u}, {v})")
         self.node_count = node_count
-        self.adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.max_degree = max((len(a) for a in self.adjacency), default=0)
-        self._two_hop = None
+        self.adjacency = tuple(map(tuple, adj))
+        self.max_degree = max(map(len, adj), default=0)
         self._edges = None
 
     @classmethod
@@ -60,17 +61,6 @@ class Graph:
                                 for v in nbrs if u < v)
         return self._edges
 
-    def two_hop(self, v: int) -> frozenset:
-        """All nodes within distance 2 of v, excluding v. Memoized; the
-        staged phase asks for it once per reverted event, to defer."""
-        if self._two_hop is None:
-            self._two_hop = {}
-        cached = self._two_hop.get(v)
-        if cached is None:
-            cached = frozenset(neighbors_within(self, v, 2))
-            self._two_hop[v] = cached
-        return cached
-
     def __repr__(self):
         return f"Graph(n={self.node_count}, m={self.edge_count()}, max_degree={self.max_degree})"
 
@@ -78,24 +68,21 @@ class Graph:
 def neighbors_within(g: Graph, v: int, k: int) -> set:
     """Nodes at graph distance <= k from v, excluding v itself.
 
-    k = 0 returns the empty set. Computed by truncated BFS.
+    k = 0 returns the empty set. Computed by truncated BFS, one level at a
+    time.
     """
     if not 0 <= v < g.node_count:
         raise InputError(f"node {v} out of range")
     if k < 0:
         raise InputError("hop count must be nonnegative")
-    if k == 0:
-        return set()
     found = {v}
-    frontier = deque([(v, 0)])
-    while frontier:
-        u, dist = frontier.popleft()
-        if dist == k:
-            continue
-        for w in g.adjacency[u]:
-            if w not in found:
-                found.add(w)
-                frontier.append((w, dist + 1))
+    frontier = (v,)
+    for _ in range(k):
+        reached = set()
+        for u in frontier:
+            reached.update(g.adjacency[u])
+        frontier = reached - found
+        found |= frontier
     found.discard(v)
     return found
 

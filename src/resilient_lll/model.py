@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 from .errors import CapacityError, ContractViolation, InputError
@@ -190,6 +191,24 @@ class EventSpec:
         return self.predicate.structurally_false(self.dependent_vars)
 
 
+def count_classes(variables, event):
+    """Per dependent variable of a ``CountThreshold`` event whose variables
+    are all uniform, in dependency order, its class: (domain size,
+    occurrences in each group, whether it is the reference variable).
+    None for any other event."""
+    pred = event.predicate
+    deps = event.dependent_vars
+    if not isinstance(pred, CountThreshold) or not all(
+            variables[v].is_uniform for v in deps):
+        return None
+    occurrences = {v: [0] * len(pred.groups) for v in deps}
+    for j, group in enumerate(pred.groups):
+        for v in group:
+            occurrences[v][j] += 1
+    return tuple((variables[v].domain_size, tuple(occurrences[v]), v == pred.ref_var)
+                 for v in deps)
+
+
 class LllInstance:
     """Variables, events, allocation and the two derived graphs.
 
@@ -217,6 +236,15 @@ class LllInstance:
         self.d = self.dep_graph.max_degree
         self.d_vars = self.alloc_graph.max_degree
         self._validate_degrees()
+        self._classes = None
+
+    def event_classes(self, a: int):
+        """``count_classes`` of event ``a``, computed for every event on the
+        first request and kept."""
+        if self._classes is None:
+            self._classes = tuple(count_classes(self.variables, ev)
+                                  for ev in self.events)
+        return self._classes[a]
 
     @property
     def var_count(self) -> int:
@@ -227,24 +255,25 @@ class LllInstance:
         return len(self.events)
 
     def _build_dep_graph(self) -> Graph:
-        # An event's neighbours are its variables' dependents; each pair is
-        # listed once, from its smaller endpoint.
-        edges = []
-        for ev in self.events:
-            a = ev.event_id
-            nbrs = set()
-            for v in ev.dependent_vars:
-                nbrs.update(self.dependents[v])
-            edges.extend((a, b) for b in nbrs if b > a)
-        return Graph(len(self.events), edges)
+        # Events sharing a variable: the union of its variables' dependents.
+        return self._event_graph(
+            set().union(*(self.dependents[v] for v in ev.dependent_vars))
+            for ev in self.events)
 
     def _build_alloc_graph(self) -> Graph:
-        edges = set()
-        for v in range(len(self.variables)):
-            own = self.owner[v]
-            for b in self.dependents[v]:
-                if b != own:
-                    edges.add((own, b) if own < b else (b, own))
+        # Events linked through an owned variable: the owners of its
+        # variables and the dependents of the variables it owns.
+        owner, dependents = self.owner, self.dependents
+        return self._event_graph(
+            {owner[v] for v in ev.dependent_vars}.union(*(dependents[v] for v in owned))
+            for ev, owned in zip(self.events, self.allocated))
+
+    def _event_graph(self, neighbour_sets) -> Graph:
+        """The graph joining each event a to the events in the a-th of
+        ``neighbour_sets``, each pair listed once, from its smaller endpoint."""
+        edges = []
+        for a, nbrs in enumerate(neighbour_sets):
+            edges.extend(zip(repeat(a), filter(a.__lt__, nbrs)))
         return Graph(len(self.events), edges)
 
     def _validate_owners(self):

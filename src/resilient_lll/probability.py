@@ -13,11 +13,11 @@ flagged as approximate.
 
 Over uniform variables a ``CountThreshold`` probability is an integer
 count of completions over the support, so it depends on the variables
-only through their classes (``count_classes``) and on the fixed values
-only through how they compare with the reference. Events of the same
-shape therefore share one result: exact event estimates in
-``general.event_estimates``, and vulnerability indicators in the
-oracle's memo.
+only through their classes (``LllInstance.event_classes``) and on the
+fixed values only through how they compare with the reference. Events of
+the same shape therefore share one result: exact event estimates in
+``general.event_estimates``, and vulnerability indicators in the oracle's
+memo.
 """
 
 from __future__ import annotations
@@ -154,6 +154,10 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
             m = 1 if uniform else spec.weights[ref]
         return m, total(v) - m
 
+    conditioning = _conditioning(variables, pred, free)
+    if conditioning is None:
+        return None
+    occurrences, shared = conditioning
     ref_var = pred.ref_var
     if ref_var is None:
         refs = [pred.ref_value]
@@ -161,14 +165,6 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
         refs = range(variables[ref_var].domain_size)
     else:
         refs = [fixed[ref_var]]
-    occurrences = {}
-    for group in pred.groups:
-        for v in group:
-            if v in free and v != ref_var:
-                occurrences[v] = occurrences.get(v, 0) + 1
-    shared = [v for v, n in occurrences.items() if n > 1]
-    if len(refs) << len(shared) > EXACT_ENUM_CAP:
-        return None
     slot = {v: i for i, v in enumerate(shared)}
     # Mass of the free variables left unconditioned, and of those in no group.
     rest = irrelevant = 1
@@ -231,23 +227,21 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
     return hits / support
 
 
-def count_classes(inst: LllInstance, event):
-    """Per dependent variable of a ``CountThreshold`` event whose variables
-    are all uniform, in dependency order, its class: (domain size,
-    occurrences in each group, whether it is the reference variable).
-    None for any other event."""
-    pred = event.predicate
-    deps = event.dependent_vars
-    variables = inst.variables
-    if not isinstance(pred, CountThreshold) or not all(
-            variables[v].is_uniform for v in deps):
-        return None
-    occurrences = {v: [0] * len(pred.groups) for v in deps}
-    for j, group in enumerate(pred.groups):
+def _conditioning(variables, pred, free):
+    """The occurrences of each free non-reference group variable, and those
+    occurring more than once, which ``_count_threshold_probability``
+    conditions on. None, and the probability is sampled, when that takes
+    more than EXACT_ENUM_CAP cases."""
+    occurrences = {}
+    for group in pred.groups:
         for v in group:
-            occurrences[v][j] += 1
-    return tuple((variables[v].domain_size, tuple(occurrences[v]), v == pred.ref_var)
-                 for v in deps)
+            if v in free and v != pred.ref_var:
+                occurrences[v] = occurrences.get(v, 0) + 1
+    shared = [v for v, n in occurrences.items() if n > 1]
+    refs = variables[pred.ref_var].domain_size if pred.ref_var in free else 1
+    if refs << len(shared) > EXACT_ENUM_CAP:
+        return None
+    return occurrences, shared
 
 
 def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_000,
@@ -362,22 +356,17 @@ class VulnerabilityOracle:
         if a in self._layouts:
             return self._layouts[a]
         ev = self.inst.events[a]
-        classes = count_classes(self.inst, ev)
+        classes = self.inst.event_classes(a)
         layout = None
-        if classes is not None:
+        # A part's full swap set conditions on the most variables.
+        if classes is not None and all(
+                _conditioning(self.inst.variables, ev.predicate,
+                              {v for _, sv in members for v in sv}) is not None
+                for _, members in self.swap_groups(a)):
             position = {v: i for i, v in enumerate(ev.dependent_vars)}
-            parts = tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)
-                          for _, members in self.swap_groups(a))
-            layout = (ev.predicate, classes, parts)
-            # ``_count_threshold_probability`` samples above EXACT_ENUM_CAP
-            # cases, and a part's full swap set conditions on the most.
-            for members in parts:
-                free = [classes[i] for m in members for i in m]
-                refs = max((size for size, _, is_ref in free if is_ref), default=1)
-                shared = sum(sum(occ) > 1 for _, occ, is_ref in free if not is_ref)
-                if refs << shared > EXACT_ENUM_CAP:
-                    layout = None
-                    break
+            layout = (ev.predicate, classes,
+                      tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)
+                            for _, members in self.swap_groups(a)))
         self._layouts[a] = layout
         return layout
 

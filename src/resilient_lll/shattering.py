@@ -68,12 +68,12 @@ def group_by_free_vars(inst, free) -> list:
 
 
 def extract_components(residual) -> list:
-    """Partition live residual events into free-variable-connected
-    components, ordered by smallest member event id."""
+    """One job per residual component (the live events connected through
+    free variables), ordered by smallest member event id."""
     inst = residual.instance
     free = residual.free_vars
     jobs = []
-    for events in group_by_free_vars(inst, free):
+    for events in residual.components:
         job_free = sorted(
             {v for a in events for v in inst.events[a].dependent_vars if v in free}
         )
@@ -128,8 +128,9 @@ def solve_component(residual, job: ComponentJob, seed: int,
     if method != "resample":
         raise CapacityError(f"unknown component method {method!r}")
     rng = rng_for(seed, "component", job.events[0])
+    job_free = set(job.free_vars)
     free_of = {
-        ev.event_id: [v for v in ev.dependent_vars if v in set(job.free_vars)]
+        ev.event_id: [v for v in ev.dependent_vars if v in job_free]
         for ev in events
     }
     for v in job.free_vars:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .config import ThresholdConfig
 from .errors import ContractViolation, InputError
-from .graph import Partition
+from .graph import Partition, neighbors_within
 from .model import LllInstance, check_assignment
 from .probability import VulnerabilityOracle, vulnerability_probability
 from .seeds import derive_seed, first_row_value
@@ -46,7 +46,8 @@ class RunState:
     deferred: set
     history: list           # (F, R, D) frozensets after each iteration; [0] is initial
     sampled_row1: dict      # var id -> committed first-row value
-    round_counter: int
+    free_vars: frozenset    # the variables owned by reverted and deferred events
+    components: list        # ``shattering.group_by_free_vars`` of free_vars
 
 
 @dataclass
@@ -143,18 +144,19 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
 
         newly_reverted = []
         for a in active:
-            if a in dangerous or any(b in dangerous for b in dep.neighbors(a)):
+            if a in dangerous or not dangerous.isdisjoint(dep.neighbors(a)):
                 newly_reverted.append(a)
                 R.add(a)
                 fate[a] = (REVERTED, i)
             else:
                 F.add(a)
                 fate[a] = (FIXED, i)
-        for a in newly_reverted:
-            for b in dep.two_hop(a):
-                if part.part_of(b) > i and b not in D:
-                    D.add(b)
-                    fate[b] = (DEFERRED, i)
+        if i + 1 < part.part_count:  # the last part has no later one to defer
+            for a in newly_reverted:
+                for b in neighbors_within(dep, a, 2):
+                    if part.part_of(b) > i and b not in D:
+                        D.add(b)
+                        fate[b] = (DEFERRED, i)
         history.append((frozenset(F), frozenset(R), frozenset(D)))
         if debug:
             _assert_local_decisions(inst, part, cfg, i, active, committed,
@@ -165,21 +167,22 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
                 del committed[v]
                 touched.update(inst.dependents[v])
 
+    free_vars = frozenset(v for a in R | D for v in inst.allocated[a])
+    components = shattering.group_by_free_vars(inst, free_vars)
     state = RunState(
         fixed=F,
         reverted=R,
         deferred=D,
         history=history,
         sampled_row1=sampled,
-        round_counter=ROUNDS_PER_ITERATION * part.part_count + ROUNDS_TAIL,
+        free_vars=free_vars,
+        components=components,
     )
     _validate_state(inst, part, state)
 
-    free_vars = _free_vars(inst, state)
-    components = shattering.group_by_free_vars(inst, free_vars)
     residual_events = tuple(sorted(a for c in components for a in c))
     report = StageReport(
-        rounds_used=state.round_counter,
+        rounds_used=ROUNDS_PER_ITERATION * part.part_count + ROUNDS_TAIL,
         dangerous_events=tuple(sorted(ever_dangerous)),
         residual_events=residual_events,
         residual_component_sizes=tuple(sorted(map(len, components), reverse=True)),
@@ -192,13 +195,6 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         indicator_memo=dict(oracle.memo_counts),
     )
     return state, report
-
-
-def _free_vars(inst, state):
-    free = set()
-    for a in state.reverted | state.deferred:
-        free.update(inst.allocated[a])
-    return free
 
 
 def _validate_state(inst, part, state):
@@ -255,33 +251,26 @@ class Residual:
     instance: LllInstance
     fixed_values: dict
     free_vars: frozenset
-    live_events: tuple
+    components: list        # events connected through free variables
     satisfied_fixed: tuple
-    dropped_events: tuple
 
 
 def residual_instance(inst: LllInstance, state: RunState,
                       cfg: ThresholdConfig) -> Residual:
     """Restrict to unfixed variables, conditioning events on committed values.
 
-    Fully-decided events that are unsatisfied are dropped; fully-decided
-    satisfied events break the stage's guarantee — fatal at guarantee-grade
-    constants, recorded otherwise.
+    The live events are the run's components; fully-decided events that are
+    unsatisfied are dropped, and satisfied ones break the stage's guarantee:
+    fatal at guarantee-grade constants, recorded otherwise.
     """
-    free = frozenset(_free_vars(inst, state))
     fixed_values = {
         v: state.sampled_row1[v]
         for a in state.fixed
         for v in inst.allocated[a]
     }
-    live, satisfied_fixed, dropped = [], [], []
-    for ev in inst.events:
-        if any(v in free for v in ev.dependent_vars):
-            live.append(ev.event_id)
-        elif ev.evaluate(fixed_values):
-            satisfied_fixed.append(ev.event_id)
-        else:
-            dropped.append(ev.event_id)
+    live = {a for c in state.components for a in c}
+    satisfied_fixed = [ev.event_id for ev in inst.events
+                       if ev.event_id not in live and ev.evaluate(fixed_values)]
     if satisfied_fixed and cfg.guarantee_grade:
         raise ContractViolation(
             f"events {satisfied_fixed} are fully committed yet satisfied; "
@@ -290,10 +279,9 @@ def residual_instance(inst: LllInstance, state: RunState,
     return Residual(
         instance=inst,
         fixed_values=fixed_values,
-        free_vars=free,
-        live_events=tuple(live),
+        free_vars=state.free_vars,
+        components=state.components,
         satisfied_fixed=tuple(satisfied_fixed),
-        dropped_events=tuple(dropped),
     )
 
 

@@ -293,9 +293,8 @@ def test_criterion_10_resampling_behavior():
             instance=inst,
             fixed_values={},
             free_vars=frozenset(range(inst.var_count)),
-            live_events=tuple(range(inst.event_count)),
+            components=[tuple(range(inst.event_count))],
             satisfied_fixed=(),
-            dropped_events=(),
         )
         job = extract_components(residual)[0]
         assignment, stats = solve_component(

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from resilient_lll.model import (
 )
 from resilient_lll.probability import VulnerabilityOracle, event_probability
 from resilient_lll.seeds import derive_seed
-from resilient_lll import general, generators, solver
+from resilient_lll import general, generators, model, solver
 
 
 def test_criterion_zero_probability_instance():
@@ -227,3 +228,23 @@ def test_event_estimates_share_exact_estimates_by_shape(monkeypatch):
     assert event_estimates(inst) == expected
     # Every window event counts ones over eight bits: one shape.
     assert calls == [0]
+
+
+def test_event_classes_computed_once_per_event_per_instance(monkeypatch):
+    # The criterion's estimates, the vulnerability oracle and the bootstrap
+    # partition all read event classes; each instance computes them once.
+    computed = Counter()
+    alive = []  # keeps each instance's variables, so their ids stay distinct
+    count_classes = model.count_classes
+
+    def counted(variables, event):
+        alive.append(variables)
+        computed[id(variables), event.event_id] += 1
+        return count_classes(variables, event)
+
+    monkeypatch.setattr(model, "count_classes", counted)
+    inst = generators.ring_family(60, 2, 5, 3)
+    for r in (1, 2):
+        solve_general(inst, r, relaxed_config(), 3)
+    assert computed[id(inst.variables), 0] == 1
+    assert max(computed.values()) == 1

@@ -117,10 +117,55 @@ def test_within_sets_nested_and_symmetric(seed, k):
         assert v in neighbors_within(g, u, k)
 
 
-def test_two_hop_memo_consistent():
-    g = random_graph(25, 0.2, seed=5)
-    for v in range(g.node_count):
-        assert g.two_hop(v) == frozenset(neighbors_within(g, v, 2))
+def set_reference_graph(n, edges):
+    """Set-based construction: the adjacency of a valid simple edge list,
+    or None when some pair is out of range, a self-loop or repeated."""
+    seen = set()
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
+            return None
+        seen.add(key)
+    return tuple(tuple(sorted({b for a, b in seen if a == u} |
+                              {a for a, b in seen if b == u}))
+                 for u in range(n))
+
+
+@st.composite
+def edge_lists(draw):
+    """Random edge lists with planted duplicates in both orientations,
+    self-loops and out-of-range ids."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(-2, n + 1) if draw(st.booleans()) else st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    if edges and draw(st.booleans()):
+        u, v = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))),
+                     (v, u) if draw(st.booleans()) else (u, v))
+    if n and draw(st.booleans()):
+        x = draw(st.integers(0, n - 1))
+        edges.insert(draw(st.integers(0, len(edges))), (x, x))
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_lists())
+def test_graph_matches_set_reference(case):
+    n, edges = case
+    expected = set_reference_graph(n, edges)
+    if expected is None:
+        with pytest.raises(InputError):
+            Graph(n, edges)
+        return
+    g = Graph(n, edges)
+    assert g.adjacency == expected
+    assert g.max_degree == max(map(len, expected), default=0)
+    assert g.edges() == tuple(sorted((min(e), max(e)) for e in edges))
+
+
+def test_duplicate_edge_named_from_its_smaller_endpoint():
+    with pytest.raises(InputError, match=re.escape("duplicate edge (1, 3)")):
+        Graph(5, [(0, 4), (3, 1), (2, 4), (1, 3)])
 
 
 def test_partition_helpers():

@@ -251,6 +251,22 @@ def test_cli_graph_pipeline(tmp_path):
     assert ec["verification"]["proper"]
 
 
+def test_cli_reports_a_broken_guarantee_as_an_error(tmp_path, capsys):
+    # K7's 21 edges cannot be split two ways with at most 3 per vertex per
+    # color, so the halving's inductive-bound check raises.
+    graph_path = tmp_path / "k7.edges"
+    graph_path.write_text("n 7\n" + "".join(
+        f"{u} {v}\n" for u in range(7) for v in range(u + 1, 7)))
+    rc = cli_main([
+        "defective", "--kind", "edge", "--q", "1.5",
+        "--graph", str(graph_path), "--out", str(tmp_path / "def.json"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ContractViolation: ")
+    assert "exceeds inductive bound" in err and "Traceback" not in err
+
+
 def test_cli_solve_resilient_and_experiment(tmp_path):
     inst_path = tmp_path / "inst.json"
     cli_main([

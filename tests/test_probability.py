@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from resilient_lll import probability
 from resilient_lll.config import relaxed_config, strict_config
 from resilient_lll.defective import EDGE, VERTEX, build_split_instance
 from resilient_lll.errors import CapacityError, ContractViolation
@@ -528,6 +530,40 @@ def test_shared_oracle_matches_fresh_oracle_per_query(case):
     # Exact event estimates are shared by shape as well.
     assert event_estimates(inst) == [event_probability(inst, ev.event_id)
                                      for ev in inst.events]
+
+
+def class_rule_samples(classes, parts, cap):
+    """Verbatim copy of the sampling rule the oracle's layout once kept
+    apart, over variable classes: whether some part's full swap set
+    conditions on more than ``cap`` cases."""
+    for members in parts:
+        free = [classes[i] for m in members for i in m]
+        refs = max((size for size, _, is_ref in free if is_ref), default=1)
+        shared = sum(sum(occ) > 1 for _, occ, is_ref in free if not is_ref)
+        if refs << shared > cap:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_oracle_cases(), st.integers(0, 16))
+def test_layout_sampling_rule_matches_class_rule(case, cap):
+    # The layout asks the probability engine's own rule whether a swap
+    # probability could be sampled; under a small cap, it must agree with
+    # the class-based copy on every event.
+    inst, part, cfg, _ = case
+    with mock.patch.object(probability, "EXACT_ENUM_CAP", cap):
+        oracle = VulnerabilityOracle(inst, part, cfg)
+        for ev in inst.events:
+            a = ev.event_id
+            classes = inst.event_classes(a)
+            if classes is None:
+                assert oracle._layout(a) is None
+                continue
+            position = {v: i for i, v in enumerate(ev.dependent_vars)}
+            parts = [[[position[v] for v in sv] for _, sv in members]
+                     for _, members in oracle.swap_groups(a)]
+            assert (oracle._layout(a) is None) == class_rule_samples(classes, parts, cap)
 
 
 # --- first-row values -----------------------------------------------------

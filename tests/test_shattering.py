@@ -27,17 +27,12 @@ def make_residual(inst, free_vars=None, fixed_values=None):
     fixed = fixed_values if fixed_values is not None else {
         v: 0 for v in range(inst.var_count) if v not in free
     }
-    live = tuple(
-        ev.event_id for ev in inst.events
-        if any(v in free for v in ev.dependent_vars)
-    )
     return Residual(
         instance=inst,
         fixed_values=fixed,
         free_vars=free,
-        live_events=live,
+        components=group_by_free_vars(inst, free),
         satisfied_fixed=(),
-        dropped_events=(),
     )
 
 
@@ -234,9 +229,8 @@ def test_conditioning_respected():
         instance=inst,
         fixed_values={0: 1, 1: 1},
         free_vars=frozenset({2}),
-        live_events=(0,),
+        components=[(0,)],
         satisfied_fixed=(),
-        dropped_events=(),
     )
     job = extract_components(residual)[0]
     assert job.conditioning == {0: 1, 1: 1}

@@ -12,7 +12,7 @@ from resilient_lll.errors import (
     InputError,
     ReductionViolation,
 )
-from resilient_lll.graph import Partition
+from resilient_lll.graph import Partition, neighbors_within
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -25,6 +25,7 @@ from resilient_lll.model import (
 )
 from resilient_lll.probability import VulnerabilityOracle, vulnerability_probability
 from resilient_lll.seeds import derive_seed, first_row_value
+from resilient_lll import shattering
 from resilient_lll.solver import (
     DEFERRED,
     FIXED,
@@ -114,7 +115,7 @@ def straight_line_reference(inst, part, cfg, seed):
                 F.add(a)
                 fate[a] = (FIXED, i)
         for a in [x for x in active if fate[x][0] == REVERTED]:
-            for b in inst.dep_graph.two_hop(a):
+            for b in neighbors_within(inst.dep_graph, a, 2):
                 if part.part_of(b) > i and b not in D:
                     D.add(b)
                     fate[b] = (DEFERRED, i)
@@ -272,7 +273,7 @@ def test_residual_of_clean_run_is_empty():
     cfg = relaxed_config()
     state, _ = run_first_stage(inst, part, cfg, seed=0)
     residual = residual_instance(inst, state, cfg)
-    assert residual.live_events == ()
+    assert residual.components == []
     assert not residual.free_vars
     assert len(residual.fixed_values) == 4
 
@@ -284,8 +285,9 @@ def test_residual_keeps_reverted_event_with_free_vars():
     state, _ = run_first_stage(inst, part, cfg, seed=77)
     residual = residual_instance(inst, state, cfg)
     assert state.reverted, "seed must produce at least one reverted event"
+    live = {a for c in residual.components for a in c}
     for a in state.reverted:
-        assert a in residual.live_events
+        assert a in live
         for v in inst.allocated[a]:
             assert v in residual.free_vars
 
@@ -334,6 +336,17 @@ def test_sampled_swap_probability_under_revealed_values_has_defined_slack():
     assert est.upper(2.0) >= est.value + 2.0 / cfg.mc_samples
 
 
+def test_residual_components_grouped_once_per_solve(monkeypatch):
+    calls = []
+    group_by_free_vars = shattering.group_by_free_vars
+    monkeypatch.setattr(shattering, "group_by_free_vars",
+                        lambda inst, free: calls.append(free) or group_by_free_vars(inst, free))
+    inst = path_instance(30)
+    result = solve(inst, Partition.round_robin(30, 3), relaxed_config(), seed=77)
+    assert result.components, "seed must leave a residual to solve"
+    assert len(calls) == 1
+
+
 def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
     vs = fair_bits(1)
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
@@ -345,7 +358,8 @@ def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
         history=[(frozenset(), frozenset(), frozenset()),
                  (frozenset({0}), frozenset(), frozenset())],
         sampled_row1={0: 1},
-        round_counter=7,
+        free_vars=frozenset(),
+        components=[],
     )
     with pytest.raises(ContractViolation):
         residual_instance(inst, state, strict_config())
