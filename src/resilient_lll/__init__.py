@@ -38,7 +38,6 @@ from .model import (
 )
 from .probability import (
     ProbabilityEstimate,
-    conditional_event_probability,
     event_probability,
     vulnerability_probability,
 )

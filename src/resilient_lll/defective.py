@@ -8,15 +8,15 @@ lands at class degree Theta(q^2 * lg(q)^4) while the per-iteration
 inductive bound delta/2^i + delta*i/(2^i*q*lg(delta)) is checked after
 every iteration.
 
-Each split is produced either by the constraint-avoidance route (build the
-two-coloring instance whose bad events are overloaded vertices and run the
-general driver) or by deterministic balanced splitting: local-max-cut for
+Each split is produced by one of two methods, with the same split contract.
+"balanced", the default, splits deterministically: local-max-cut for
 vertices (same-color degree at most floor(deg/2)) and alternating walk
 coloring for edges (per-color incident count at most ceil(deg/2), with a
-local repair pass for the odd-walk seam). The constraint route's own
-preconditions only hold at degrees far beyond desk scale, so the balanced
-route is the default whenever they fail or the instance would exceed the
-enumeration caps; the split contract is identical either way.
+local repair pass for the odd-walk seam). "lll" is the constraint-avoidance
+route: build the two-coloring instance whose bad events are overloaded
+vertices and run the general driver on it, with the part count chosen from
+the instance's exact event probabilities. Its asymptotic preconditions hold
+only at degrees far beyond desk scale, so it is never chosen by default.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ def split_threshold(delta: float, q: float) -> float:
     return delta / 2 + delta / (4 * q * _lg_clamped(delta))
 
 
-def split_precondition_ok(delta: float, q: float, log_exponent: int = 3) -> bool:
-    """Hardened admissibility: q <= sqrt(delta / lg(delta)^exponent)."""
+def split_precondition_ok(delta: float, q: float) -> bool:
+    """Hardened admissibility: q <= sqrt(delta / lg(delta)^4)."""
     if delta < 2:
         return False
-    return q <= math.sqrt(delta / lg(delta) ** log_exponent)
+    return q <= math.sqrt(delta / lg(delta) ** 4)
 
 
 def iteration_floor(q: float) -> float:
@@ -340,50 +340,43 @@ def build_split_instance(g: Graph, kind: str, q: float):
 
 # --- splitting dispatch -----------------------------------------------------
 
-def _lll_route_viable(delta: int, q: float, cfg: ThresholdConfig, kind: str) -> bool:
-    if delta < 5:
-        return False
-    swap_hood = delta + 1 if kind == VERTEX else 2 * delta
-    return swap_hood <= cfg.subset_cap and split_precondition_ok(delta, q)
+def _check_method(method: str):
+    if method not in ("balanced", "lll"):
+        raise InputError(f"method must be balanced or lll, got {method!r}")
+
+
+def _lll_split(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int):
+    """The general driver's assignment on the split instance of ``g``, by
+    variable id; the part count comes from the instance's exact p."""
+    inst = build_split_instance(g, kind, q)
+    return general.solve_general(inst, None, cfg, seed, mode="relaxed").assignment
 
 
 def _split_vertex_class(adjacency, q, cfg, seed, method):
-    delta = max((len(a) for a in adjacency), default=0)
-    if method == "auto":
-        method = "lll" if _lll_route_viable(delta, q, cfg, VERTEX) else "balanced"
-    if method == "balanced" or delta <= 1:
+    if method == "balanced" or max(map(len, adjacency), default=0) <= 1:
         return balanced_vertex_split(adjacency, seed), "balanced"
     edges = [
         (v, w) for v in range(len(adjacency)) for w in adjacency[v] if v < w
     ]
-    sub = Graph(len(adjacency), edges)
-    inst = build_split_instance(sub, VERTEX, q)
-    p_bound = min(vertex_split_p_bound(delta, q), 1.0)
-    r = general.choose_parts(inst.d_vars, p_bound, cfg.criterion_c)
-    res = general.solve_general(inst, r, cfg, seed, p_bound=p_bound, mode="relaxed")
-    return [res.assignment[v] for v in range(len(adjacency))], "lll"
+    bits = _lll_split(Graph(len(adjacency), edges), VERTEX, q, cfg, seed)
+    return [bits[v] for v in range(len(adjacency))], "lll"
 
 
 def _split_edge_class(n, edges, degree, q, cfg, seed, method):
-    delta = max(degree, default=0)
-    if method == "auto":
-        method = "lll" if _lll_route_viable(delta, q, cfg, EDGE) else "balanced"
-    if method == "balanced" or delta <= 1:
+    if method == "balanced" or max(degree, default=0) <= 1:
         return balanced_edge_split(n, edges, degree), "balanced"
     sub = Graph(n, edges)
-    inst = build_split_instance(sub, EDGE, q)
     order = {e: i for i, e in enumerate(sub.edges())}
-    p_bound = min(edge_split_p_bound(delta, q), 1.0)
-    r = general.choose_parts(inst.d_vars, p_bound, cfg.criterion_c)
-    res = general.solve_general(inst, r, cfg, seed, p_bound=p_bound, mode="relaxed")
-    return [res.assignment[order[e]] for e in edges], "lll"
+    bits = _lll_split(sub, EDGE, q, cfg, seed)
+    return [bits[order[e]] for e in edges], "lll"
 
 
 def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
-               method: str = "auto") -> DefectiveColoring:
+               method: str = "balanced") -> DefectiveColoring:
     """One two-way split of the whole graph; every object's same-color load
     stays below delta/2 + delta/(4*q*lg(delta)) whenever that bound is
-    achievable at this degree."""
+    achievable at this degree. ``method`` is "balanced" or "lll"."""
+    _check_method(method)
     delta = g.max_degree
     if delta < 1:
         kind_len = g.node_count if kind == VERTEX else 0
@@ -419,15 +412,17 @@ def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
 
 
 def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
-                    seed: int, method: str = "auto") -> DefectiveColoring:
+                    seed: int, method: str = "balanced") -> DefectiveColoring:
     """Repeatedly split every color class in two, asserting the inductive
     class-degree bound after each iteration; classes within an iteration are
     disjoint and solved independently under class-keyed seeds. A class is
     (label, ascending objects, local), with ``local`` each vertex's class
     degree (edge kind) or each member's class neighbors by member index
-    (vertex kind); its nonempty halves become labels 2L and 2L + 1."""
+    (vertex kind); its nonempty halves become labels 2L and 2L + 1.
+    ``method`` is "balanced" or "lll", as in ``split_once``."""
     if kind not in (VERTEX, EDGE):
         raise InputError(f"kind must be vertex or edge, got {kind!r}")
+    _check_method(method)
     if q < 1:
         raise InputError("q must be at least 1")
     delta = g.max_degree
@@ -437,7 +432,7 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
     local = list(g.adjacency) if kind == VERTEX else [len(a) for a in g.adjacency]
     classes = [(0, list(range(n_objects)), local)]
     k = halving_iterations(delta, q)
-    if cfg.guarantee_grade and not split_precondition_ok(delta, q, log_exponent=4):
+    if cfg.guarantee_grade and not split_precondition_ok(delta, q):
         raise InputError(
             f"q = {q} outside the admissible window for degree {delta} on the "
             "strict path"

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import ThresholdConfig, lg
-from .defective import EDGE, halving_iterations, iterate_halving, iteration_floor
+from .defective import (
+    EDGE,
+    halving_iterations,
+    iterate_halving,
+    iteration_floor,
+    split_precondition_ok,
+)
 from .errors import InputError, ReductionViolation
 from .graph import Graph
 from .misra_gries import misra_gries_edge_coloring, proper_coloring_violations
@@ -118,14 +124,13 @@ def plan_reduction(delta: int, eps: float) -> ReductionPlan:
     total = math.ceil((1 + f_eps) * delta)
     checks = {}
 
+    q = eps_f ** -2
     bucket_gate = (
         delta >= 4
         and eps_f <= 1.0
         and eps_f >= hardened_omega_bound(delta)
+        and split_precondition_ok(delta, q)
     )
-    q = eps_f ** -2
-    if bucket_gate:
-        bucket_gate = q <= math.sqrt(delta / lg(delta) ** 4)
     k = halving_iterations(delta, q) if bucket_gate else 0
     if bucket_gate and k >= 1:
         f_q = 1 / (f_eps * f_eps)

@@ -100,33 +100,27 @@ def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
     return estimates
 
 
-def criterion_check(inst: LllInstance, r: int, c: float, *, p_bound=None,
+def criterion_check(inst: LllInstance, r: int, c: float, *,
                     estimates=None) -> CriterionReport:
     """Whether max event probability p satisfies p <= 2^(-c*d_vars/r).
 
-    The bound is inclusive. ``p_bound`` substitutes an analytic upper bound
-    on p, skipping per-event estimation (useful when events are too wide to
-    enumerate). ``estimates`` supplies precomputed per-event estimates (see
-    ``event_estimates``) in place of computing them here."""
+    The bound is inclusive. ``estimates`` supplies precomputed per-event
+    estimates (see ``event_estimates``) in place of computing them here."""
     if not 1 <= r <= max_parts(inst.d_vars):
         raise InputError(
             f"r = {r} outside [1, {max_parts(inst.d_vars)}] for "
             f"d_vars = {inst.d_vars}"
         )
-    if p_bound is not None:
-        p, exact, worst = float(p_bound), True, None
-    else:
-        if estimates is None:
-            estimates = event_estimates(inst)
-        worst = max(range(len(estimates)), key=lambda a: estimates[a].value,
-                    default=None)
-        p = 0.0 if worst is None else estimates[worst].value
-        exact = all(est.exact for est in estimates)
+    if estimates is None:
+        estimates = event_estimates(inst)
+    worst = max(range(len(estimates)), key=lambda a: estimates[a].value,
+                default=None)
+    p = 0.0 if worst is None else estimates[worst].value
     bound = 2.0 ** (-c * inst.d_vars / r)
     margin = math.inf if p == 0 else bound / p
     return CriterionReport(
-        ok=p <= bound, p=p, bound=bound, margin=margin, exact=exact, c=c, r=r,
-        worst_event=worst,
+        ok=p <= bound, p=p, bound=bound, margin=margin,
+        exact=all(est.exact for est in estimates), c=c, r=r, worst_event=worst,
     )
 
 
@@ -148,7 +142,7 @@ class CertificateReport:
 
 
 def resilience_certificate(inst: LllInstance, part: Partition,
-                           cfg: ThresholdConfig, *, p_bound=None,
+                           cfg: ThresholdConfig, *,
                            estimates=None) -> CertificateReport:
     """Union bound on the vulnerability probability of any event.
 
@@ -160,40 +154,41 @@ def resilience_certificate(inst: LllInstance, part: Partition,
 
     Passing means the maximum over events is at most d^-c2. De-duplicating
     the empty set keeps the bound monotone under partition refinement.
-    ``p_bound`` and ``estimates`` act as in ``criterion_check``."""
+    ``estimates`` acts as in ``criterion_check``.
+
+    ``uniform_bound`` is the envelope r * 2^(gamma*d_vars/r) * p * d^c3
+    with p the largest estimate. It is infinite once 2^(gamma*d_vars/r) is
+    past the float range, unless p is zero."""
     if part.size != inst.event_count:
         raise InputError("partition must cover all events")
-    if p_bound is None and estimates is None:
+    if estimates is None:
         estimates = event_estimates(inst)
     d_eff = max(inst.d, 1)
     amp = d_eff ** cfg.c3
     threshold = cfg.resilience_threshold(inst.d)
     value = 0.0
-    p_max = 0.0
-    exact = True
     for ev in inst.events:
-        if p_bound is not None:
-            p_a = float(p_bound)
-        else:
-            est = estimates[ev.event_id]
-            p_a = est.value
-            exact = exact and est.exact
-        p_max = max(p_max, p_a)
+        p_a = estimates[ev.event_id].value
         loads = [0] * part.part_count
         loads[part.part_of(ev.event_id)] += 1
         for b in inst.alloc_graph.neighbors(ev.event_id):
             loads[part.part_of(b)] += 1
         subset_count = sum(2.0 ** load - 1.0 for load in loads) + 1.0
         value = max(value, subset_count * p_a * amp)
+    p_max = max((est.value for est in estimates), default=0.0)
     r = part.part_count
-    uniform = r * 2.0 ** (cfg.gamma * inst.d_vars / r) * p_max * amp
+    exponent = cfg.gamma * inst.d_vars / r
+    if exponent < 1024:  # 2.0 ** 1024 raises OverflowError
+        uniform = r * 2.0 ** exponent * p_max * amp
+    else:
+        uniform = math.inf if p_max else 0.0
     return CertificateReport(
         value=value,
         threshold=threshold,
         passes=value <= threshold,
         uniform_bound=uniform,
         p_used=p_max,
-        exact=exact,
+        exact=all(est.exact for est in estimates),
     )
 
 
@@ -224,10 +219,15 @@ class GeneralResult:
         }
 
 
-def solve_general(inst: LllInstance, r: int, cfg: ThresholdConfig, seed: int,
-                  *, c: float | None = None, p_bound=None,
+def solve_general(inst: LllInstance, r: int | None, cfg: ThresholdConfig,
+                  seed: int, *, c: float | None = None,
                   mode: str | None = None) -> GeneralResult:
     """Light partition of the allocation graph, certificate, staged solve.
+
+    One exact-or-sampled estimate per event (``event_estimates``) serves
+    the criterion and the certificate. With ``r=None`` the part count is
+    ``choose_parts`` of the largest of those estimates: the smallest
+    admissible r whose criterion it meets, or the largest admissible r.
 
     In strict mode a failed criterion or certificate is a precondition
     error; in relaxed mode both downgrade to recorded warnings (the
@@ -239,12 +239,12 @@ def solve_general(inst: LllInstance, r: int, cfg: ThresholdConfig, seed: int,
     c = cfg.criterion_c if c is None else c
     warnings = []
 
-    # One estimate per event serves both the criterion and the certificate.
-    estimates = None
-    if p_bound is None:
-        estimates = event_estimates(inst, mc_samples=cfg.mc_samples,
-                                    seed=derive_seed(seed, "crit"))
-    crit = criterion_check(inst, r, c, p_bound=p_bound, estimates=estimates)
+    estimates = event_estimates(inst, mc_samples=cfg.mc_samples,
+                                seed=derive_seed(seed, "crit"))
+    if r is None:
+        r = choose_parts(inst.d_vars,
+                         max((est.value for est in estimates), default=0.0), c)
+    crit = criterion_check(inst, r, c, estimates=estimates)
     if not crit.ok:
         msg = (f"criterion failed: p = {crit.p:.3g} > 2^(-c*d_vars/r) = "
                f"{crit.bound:.3g}")
@@ -261,8 +261,7 @@ def solve_general(inst: LllInstance, r: int, cfg: ThresholdConfig, seed: int,
     )
     part = lp.partition
 
-    cert = resilience_certificate(inst, part, cfg, p_bound=p_bound,
-                                  estimates=estimates)
+    cert = resilience_certificate(inst, part, cfg, estimates=estimates)
     if not cert.passes:
         msg = (f"resilience certificate failed: value {cert.value:.3g} > "
                f"threshold {cert.threshold:.3g}")

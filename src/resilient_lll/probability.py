@@ -252,39 +252,6 @@ def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_
                              lambda: rng_for(seed, "event_p", event_id))
 
 
-def conditional_event_probability(
-    inst: LllInstance,
-    event_id: int,
-    swap_events=(),
-    row1_fixed=None,
-    *,
-    mc_samples: int = 10_000,
-    seed: int = 0,
-) -> ProbabilityEstimate:
-    """Probability of the swap event: the event is re-evaluated with the
-    owned variables of ``swap_events`` drawn fresh and all other
-    dependencies taking first-row values.
-
-    ``row1_fixed`` pins already-revealed first-row values; swap variables
-    ignore it. Unpinned values are drawn fresh from their distributions.
-    """
-    ev = inst.events[event_id]
-    row1_fixed = row1_fixed or {}
-    _validate_fixed(inst, row1_fixed)
-    swap_vars = set()
-    for b in swap_events:
-        swap_vars.update(inst.allocated[b])
-    fixed = {}
-    free = []
-    for v in ev.dependent_vars:
-        if v in row1_fixed and v not in swap_vars:
-            fixed[v] = row1_fixed[v]
-        else:
-            free.append(v)
-    return _probability_over(inst, ev, fixed, free, mc_samples,
-                             lambda: rng_for(seed, "cond_p", event_id, len(fixed)))
-
-
 class VulnerabilityOracle:
     """Evaluates, per event, whether some same-part subset of its swap
     neighbors re-drawing their owned values would push the event's
@@ -296,7 +263,9 @@ class VulnerabilityOracle:
     variables is keyed by its shape (see ``_memo_key``), so events of the
     same shape share one result; any other event is keyed by (event,
     revealed values). ``memo_counts`` counts the calls the memo answered
-    (hits) and all others (misses).
+    (hits), those it computed and stored (misses), and those decided
+    without it (shortcuts: a structurally false event, or one the empty
+    swap already satisfies); the three sum to the calls.
     """
 
     def __init__(self, inst: LllInstance, part: Partition, cfg: ThresholdConfig,
@@ -312,7 +281,7 @@ class VulnerabilityOracle:
         self._layouts = {}
         self._indicator_memo = {}
         self._inner_mc_events = set()
-        self.memo_counts = {"hits": 0, "misses": 0}
+        self.memo_counts = {"hits": 0, "misses": 0, "shortcuts": 0}
 
     def swap_groups(self, a: int):
         """Per part, the swap neighbors of event ``a`` with the owned
@@ -411,18 +380,19 @@ class VulnerabilityOracle:
         ev = self.inst.events[a]
         values = dict(zip(ev.dependent_vars, key))
         if ev.structurally_false():
-            result = False
-        elif ev.evaluate(values) and 1.0 >= self.inner_thr:
+            self.memo_counts["shortcuts"] += 1
+            return False
+        if ev.evaluate(values) and 1.0 >= self.inner_thr:
             # The empty swap set degenerates to the event itself.
-            result = True
-        else:
-            memo_key = self._memo_key(a, key)
-            result = self._indicator_memo.get(memo_key)
-            if result is not None:
-                self.memo_counts["hits"] += 1
-                return result
-            result = self._any_subset_over(ev, values)
-            self._indicator_memo[memo_key] = result
+            self.memo_counts["shortcuts"] += 1
+            return True
+        memo_key = self._memo_key(a, key)
+        result = self._indicator_memo.get(memo_key)
+        if result is not None:
+            self.memo_counts["hits"] += 1
+            return result
+        result = self._any_subset_over(ev, values)
+        self._indicator_memo[memo_key] = result
         self.memo_counts["misses"] += 1
         return result
 

@@ -62,7 +62,7 @@ class StageReport:
     deferred_count: int
     residual_variable_count: int
     danger_estimate_modes: dict = field(default_factory=dict)
-    indicator_memo: dict = field(default_factory=dict)  # {"hits", "misses"}
+    indicator_memo: dict = field(default_factory=dict)  # {"hits", "misses", "shortcuts"}
 
     def to_dict(self) -> dict:
         return {

@@ -23,12 +23,10 @@ from resilient_lll.defective import (
     VERTEX,
     DefectiveColoring,
     _lg_clamped,
-    _lll_route_viable,
     _repair_edge_split,
     _split_vertex_class,
     balanced_edge_split as library_edge_split,
     build_split_instance,
-    edge_split_p_bound,
     halving_iterations,
     inductive_bound,
     inductive_degree,
@@ -234,21 +232,17 @@ def _split_edge_class(n, edges, q, cfg, seed, method):
         degree[u] += 1
         degree[v] += 1
     delta = max(degree, default=0)
-    if method == "auto":
-        method = "lll" if _lll_route_viable(delta, q, cfg, EDGE) else "balanced"
     if method == "balanced" or delta <= 1:
         return library_edge_split(n, edges, degree), "balanced"
     sub = Graph(n, edges)
     inst = build_split_instance(sub, EDGE, q)
     order = {e: i for i, e in enumerate(sub.edges())}
-    p_bound = min(edge_split_p_bound(delta, q), 1.0)
-    r = general.choose_parts(inst.d_vars, p_bound, cfg.criterion_c)
-    res = general.solve_general(inst, r, cfg, seed, p_bound=p_bound, mode="relaxed")
+    res = general.solve_general(inst, None, cfg, seed, mode="relaxed")
     return [res.assignment[order[e]] for e in edges], "lll"
 
 
 def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
-                    seed: int, method: str = "auto") -> DefectiveColoring:
+                    seed: int, method: str = "balanced") -> DefectiveColoring:
     """Repeatedly split every color class in two, asserting the inductive
     class-degree bound after each iteration; classes within an iteration are
     disjoint and solved independently under class-keyed seeds."""
@@ -260,7 +254,7 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
     edges = tuple(g.edges()) if kind == EDGE else ()
     n_objects = g.node_count if kind == VERTEX else len(edges)
     k = halving_iterations(delta, q)
-    if cfg.guarantee_grade and not split_precondition_ok(delta, q, log_exponent=4):
+    if cfg.guarantee_grade and not split_precondition_ok(delta, q):
         raise InputError(
             f"q = {q} outside the admissible window for degree {delta} on the "
             "strict path"

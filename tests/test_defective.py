@@ -323,6 +323,14 @@ def test_split_once_lll_route_edge_kind():
     assert max(counts.values()) == 1
 
 
+def test_split_and_halving_reject_unknown_method():
+    g = circulant_graph(12, 4)
+    with pytest.raises(InputError, match="'bogus'"):
+        split_once(g, VERTEX, 1, relaxed_config(), 0, method="bogus")
+    with pytest.raises(InputError, match="'auto'"):
+        iterate_halving(g, EDGE, 1, relaxed_config(), 0, method="auto")
+
+
 # --- iterated halving -------------------------------------------------------
 
 
@@ -347,6 +355,16 @@ def test_iterate_halving_edge_moderate_scale():
     assert defect_violations(g, coloring) == []
     # classes partition the edge set
     assert len(coloring.colors) == g.edge_count()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_iterate_halving_lll_route(seed):
+    g = circulant_graph(20, 8)
+    coloring = iterate_halving(g, VERTEX, 1, relaxed_config(), seed, method="lll")
+    # Classes of degree at most 1 are split by the balanced route.
+    assert [h["methods"] for h in coloring.history] == [
+        ["lll"], ["lll"], ["balanced", "lll"]]
+    assert defect_violations(g, coloring) == []
 
 
 def test_iterate_halving_single_iteration_reduces_to_one_split():

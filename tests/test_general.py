@@ -6,6 +6,7 @@ import pytest
 
 from _families import fair_bits, never_event, ring_instance
 from resilient_lll.config import relaxed_config
+from resilient_lll.defective import build_split_instance
 from resilient_lll.errors import InputError
 from resilient_lll.graph import Partition
 from resilient_lll.general import (
@@ -121,6 +122,14 @@ def test_certificate_below_uniform_envelope():
         assert cert.value <= cert.uniform_bound + 1e-12
 
 
+def test_certificate_uniform_envelope_past_float_range_is_infinite():
+    # gamma * d_vars / r = 99 * 16 at one part: 2^1584 is no float.
+    inst = generators.ring_family(200, 16, 20)
+    cert = resilience_certificate(inst, Partition.singleton(200), relaxed_config())
+    assert cert.uniform_bound == math.inf
+    assert math.isfinite(cert.value) and cert.p_used > 0
+
+
 def refine_partition(part, rng):
     """Split one nonempty part in two at random."""
     parts = part.parts()
@@ -162,6 +171,18 @@ def test_solve_general_r1_equals_trivial_partition_solve():
     )
     assert res.assignment == direct.assignment
     assert res.partition.part_count == 1
+
+
+def test_solve_general_without_r_takes_parts_from_largest_estimate():
+    cfg = relaxed_config()
+    for inst in (ring_instance(20, privates=4),
+                 build_split_instance(generators.circulant_graph(20, 8), "vertex", 1),
+                 build_split_instance(generators.circulant_graph(8, 2), "edge", 1)):
+        p = max(est.value for est in event_estimates(inst))
+        r = choose_parts(inst.d_vars, p, cfg.criterion_c)
+        res = solve_general(inst, None, cfg, seed=5)
+        assert (res.criterion.r, res.criterion.p, res.certificate.p_used) == (r, p, p)
+        assert res.to_dict() == solve_general(inst, r, cfg, seed=5).to_dict()
 
 
 def test_solve_general_small_instance_brute_checked():
@@ -214,7 +235,7 @@ def test_ring_solve_counts_indicator_memo_hits(monkeypatch):
     monkeypatch.setattr(VulnerabilityOracle, "indicator", counted)
     inst = generators.ring_family(200, 2, 5, 4)
     memo = solve_general(inst, 1, relaxed_config(), 4).to_dict()["stage"]["indicator_memo"]
-    assert memo["hits"] + memo["misses"] == len(calls) == 200
+    assert memo["hits"] + memo["misses"] + memo["shortcuts"] == len(calls) == 200
     # Ring events come in a few shapes, so most indicators are shared.
     assert memo["misses"] < memo["hits"]
 

@@ -46,6 +46,7 @@ from _families import (
     ring_instance,
     small_instances,
 )
+from _reference_probability import conditional_event_probability
 
 
 def test_no_danger_means_everything_fixed():
@@ -296,8 +297,6 @@ def test_residual_conditional_probabilities_bounded():
     # After the staged phase, every event's conditional probability with
     # reverted owners re-drawn and committed values pinned stays below
     # 2 * d^-c3; exact conditional enumeration confirms it per event.
-    from resilient_lll.probability import conditional_event_probability
-
     inst = ring_instance(24)
     cfg = relaxed_config()
     part = Partition.round_robin(24, 3)
