@@ -11,18 +11,21 @@ every iteration.
 Each split is produced by one of two methods, with the same split contract.
 "balanced", the default, splits deterministically: local-max-cut for
 vertices (same-color degree at most floor(deg/2)) and alternating walk
-coloring for edges (per-color incident count at most ceil(deg/2), with a
-local repair pass for the odd-walk seam). "lll" is the constraint-avoidance
-route: build the two-coloring instance whose bad events are overloaded
-vertices and run the general driver on it, with the part count chosen from
-the instance's exact event probabilities. Its asymptotic preconditions hold
+coloring for edges (per-color incident count at most ceil(deg/2)). Each
+pass of an Euler circuit colored 0, 1, 0, ... through a vertex uses one
+edge of each color, so the halves' degrees follow from the degrees and the
+hub edges' colors, save at the seam of an odd circuit with no hub edge,
+which the repair pass counts. "lll" is the constraint-avoidance route:
+build the two-coloring instance whose bad events are overloaded vertices
+and run the general driver on it, with the part count chosen from the
+instance's exact event probabilities. Its asymptotic preconditions hold
 only at degrees far beyond desk scale, so it is never chosen by default.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .config import ThresholdConfig, lg
@@ -197,9 +200,10 @@ def balanced_edge_split(n: int, edges, degree):
     seam there, then at the vertices with an edge by (degree, id), so an
     even component's seam lands on a minimum-degree vertex. Each circuit,
     in the order Hierholzer emits its edges, alternates colors 0, 1, 0, ...,
-    so each pass through a vertex uses one edge of each color. An odd
-    circuit with no hub edge leaves one stray unit at its seam, which the
-    repair pass shifts to a neighbor with slack."""
+    so each pass through a vertex uses one edge of each color, and the
+    returned ``(colors, ones)`` has ``ones[v] = degree[v] >> 1``, plus one
+    if v's hub edge got color 0. Only the seam of an odd circuit with no hub
+    edge (two color-0 edges at its start) sends the counting to the repair."""
     m = len(edges)
     odd = [v for v in range(n) if degree[v] & 1]
     hub = n
@@ -220,8 +224,9 @@ def balanced_edge_split(n: int, edges, degree):
     if odd:
         order.insert(0, hub)
     entered = []  # the open path of the current walk, as edge ids
+    odd_seam = False  # some circuit with no hub edge has odd length
     for start in order:
-        trail = []  # the circuit's edges in the order Hierholzer emits them
+        parity = 0  # the color of the next edge Hierholzer emits
         v = start
         while True:
             for eid in unused[v]:
@@ -234,14 +239,18 @@ def balanced_edge_split(n: int, edges, degree):
                 if not entered:
                     break
                 eid = entered.pop()
-                trail.append(eid)
+                bits[eid] = parity
+                parity ^= 1
                 v ^= xor[eid]
-        for eid in trail[1::2]:
-            bits[eid] = 1
+        odd_seam = odd_seam or (parity and start != hub)
 
     colors = bits[:m]
-    _repair_edge_split(n, edges, degree, colors)
-    return colors
+    if odd_seam:
+        return colors, _repair_edge_split(n, edges, degree, colors)
+    ones = [d >> 1 for d in degree]
+    for eid, v in enumerate(odd, m):
+        ones[v] += bits[eid] ^ 1
+    return colors, ones
 
 
 def _repair_edge_split(n, edges, degree, colors):
@@ -251,8 +260,6 @@ def _repair_edge_split(n, edges, degree, colors):
         of_color[u] += 1
         of_color[v] += 1
     cap = [(d + 1) // 2 for d in degree]
-    if all(max(zero, one) <= k for zero, one, k in zip(*counts, cap)):
-        return  # no vertex over its cap: no pass would move an edge
     incident = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(edges):
         incident[u].append(idx)
@@ -283,6 +290,7 @@ def _repair_edge_split(n, edges, degree, colors):
                         break
         if not dirty:
             break
+    return counts[1]  # each vertex's color-1 count
 
 
 # --- the two-coloring instance ---------------------------------------------
@@ -368,7 +376,9 @@ def _split_edge_class(n, edges, degree, q, cfg, seed, method):
     sub = Graph(n, edges)
     order = {e: i for i, e in enumerate(sub.edges())}
     bits = _lll_split(sub, EDGE, q, cfg, seed)
-    return [bits[order[e]] for e in edges], "lll"
+    bits = [bits[order[e]] for e in edges]
+    ones = Counter(v for e, bit in zip(edges, bits) if bit for v in e)
+    return (bits, [ones[v] for v in range(n)]), "lll"
 
 
 def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
@@ -389,7 +399,7 @@ def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
         edges = ()
     else:
         edges = g.edges()
-        bits, used = _split_edge_class(
+        (bits, _), used = _split_edge_class(
             g.node_count, edges, [len(a) for a in g.adjacency], q, cfg,
             derive_seed(seed, "edge_split"), method)
     coloring = DefectiveColoring(
@@ -458,10 +468,9 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                 bits, used = _split_vertex_class(local, q, cfg, class_seed, method)
                 split = _vertex_halves(objs, local, bits)
             else:
-                class_edges = [edges[e] for e in objs]
-                bits, used = _split_edge_class(n, class_edges, local, q, cfg,
-                                               class_seed, method)
-                split = _edge_halves(n, objs, class_edges, local, bits)
+                (bits, ones), used = _split_edge_class(
+                    n, [edges[e] for e in objs], local, q, cfg, class_seed, method)
+                split = _edge_halves(objs, local, bits, ones)
             methods_used.add(used)
             halves += [(2 * label + bit, members, half_local)
                        for bit, (members, half_local) in enumerate(split) if members]
@@ -517,13 +526,10 @@ def _vertex_halves(objs, adjacency, bits):
     return halves
 
 
-def _edge_halves(n, objs, class_edges, degree, bits):
-    """The (members, degree) halves of an edge class: degrees in half 1 are
-    counted from its edges, and in half 0 they are the rest."""
-    members, ones = ([], []), [0] * n
-    for obj, (u, v), bit in zip(objs, class_edges, bits):
+def _edge_halves(objs, degree, bits, ones):
+    """The (members, degree) halves of an edge class: half 1's degrees are
+    the split's ``ones``, and half 0's are the rest."""
+    members = ([], [])
+    for obj, bit in zip(objs, bits):
         members[bit].append(obj)
-        if bit:
-            ones[u] += 1
-            ones[v] += 1
     return (members[0], [d - one for d, one in zip(degree, ones)]), (members[1], ones)

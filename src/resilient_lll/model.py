@@ -38,7 +38,7 @@ class VariableSpec:
             raise InputError(f"variable {self.var_id}: weight count != domain size")
         if any(w < 0 for w in self.weights):
             raise InputError(f"variable {self.var_id}: negative weight")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
+        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # NaN fails too
             raise InputError(f"variable {self.var_id}: weights sum to {sum(self.weights)}")
         w0 = self.weights[0]
         object.__setattr__(
@@ -354,10 +354,12 @@ class ViolationReport:
 
 
 def check_assignment(inst: LllInstance, assignment) -> ViolationReport:
-    """Evaluate every event; an empty violation list means a valid solution."""
-    missing = [v for v in range(inst.var_count) if v not in assignment]
-    if missing:
-        raise InputError(f"assignment missing variables {missing[:10]}")
+    """Evaluate every event; an empty violation list means a valid solution.
+    A value missing or not an int in its variable's domain is an InputError."""
+    bad = [v for v, spec in enumerate(inst.variables)
+           if type(x := assignment.get(v)) is not int or not 0 <= x < spec.domain_size]
+    if bad:
+        raise InputError(f"variables {bad[:10]} have no value in their domain")
     violated = [ev.event_id for ev in inst.events if ev.evaluate(assignment)]
     return ViolationReport(violated)
 
@@ -493,4 +495,7 @@ def save_assignment(assignment: dict, path) -> None:
 
 def load_assignment(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return {int(k): v for k, v in json.load(fh).items()}
+        try:
+            return {int(k): v for k, v in json.load(fh).items()}
+        except (AttributeError, ValueError) as exc:  # JSON, a key or the shape
+            raise InputError(f"assignment {path}: {exc}") from None

@@ -233,7 +233,7 @@ def _split_edge_class(n, edges, q, cfg, seed, method):
         degree[v] += 1
     delta = max(degree, default=0)
     if method == "balanced" or delta <= 1:
-        return library_edge_split(n, edges, degree), "balanced"
+        return library_edge_split(n, edges, degree)[0], "balanced"
     sub = Graph(n, edges)
     inst = build_split_instance(sub, EDGE, q)
     order = {e: i for i, e in enumerate(sub.edges())}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from resilient_lll import defective
 from resilient_lll.config import lg, relaxed_config, strict_config
 from resilient_lll.defective import (
     EDGE,
@@ -159,7 +160,7 @@ def test_balanced_edge_split_guarantee(seed):
     g = gnp_graph(24, 0.25, seed % 991)
     edges = list(g.edges())
     degree = [g.degree(v) for v in range(g.node_count)]
-    bits = balanced_edge_split(g.node_count, edges, degree)
+    bits = balanced_edge_split(g.node_count, edges, degree)[0]
     counts = {}
     for (u, v), c in zip(edges, bits):
         counts[(u, c)] = counts.get((u, c), 0) + 1
@@ -174,7 +175,7 @@ def test_balanced_edge_split_guarantee(seed):
 @given(edge_lists())
 def test_balanced_edge_split_matches_reference_walk(case):
     n, edges = case
-    assert balanced_edge_split(n, edges, degrees(n, edges)) == reference_edge_split(
+    assert balanced_edge_split(n, edges, degrees(n, edges))[0] == reference_edge_split(
         n, edges, 0)
 
 
@@ -188,8 +189,75 @@ def test_balanced_edge_split_matches_reference_walk_on_larger_graphs(make, args)
     g = make(*args)
     edges = list(g.edges())
     degree = [g.degree(v) for v in range(g.node_count)]
-    assert balanced_edge_split(g.node_count, edges, degree) == reference_edge_split(
+    assert balanced_edge_split(g.node_count, edges, degree)[0] == reference_edge_split(
         g.node_count, edges, 0)
+
+
+def recount_ones(n, edges, colors):
+    ones = [0] * n
+    for (u, v), c in zip(edges, colors):
+        ones[u] += c
+        ones[v] += c
+    return ones
+
+
+def over_cap(n, edges, degree, colors):
+    """Vertices with more than ceil(deg/2) incident edges of one color."""
+    ones = recount_ones(n, edges, colors)
+    cap = [(d + 1) // 2 for d in degree]
+    return [v for v in range(n) if max(ones[v], degree[v] - ones[v]) > cap[v]]
+
+
+def split_with_repair_counter(n, edges, degree):
+    """``balanced_edge_split`` with ``_repair_edge_split`` wrapped: returns
+    its result and, per repair call, the vertices over their cap on entry."""
+    entries = []
+
+    def counted(n, edges, degree, colors):
+        entries.append(over_cap(n, edges, degree, colors))
+        return _repair_edge_split(n, edges, degree, colors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(defective, "_repair_edge_split", counted)
+        colors, ones = balanced_edge_split(n, edges, degree)
+    return colors, ones, entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_edge_split_ones_match_a_recount_and_repair_runs_only_over_cap(case):
+    # The repair is entered exactly when the walk leaves some vertex over
+    # its cap: about one case in six here (71 of 400 when last counted).
+    n, edges = case
+    degree = degrees(n, edges)
+    colors, ones, entries = split_with_repair_counter(n, edges, degree)
+    assert ones == recount_ones(n, edges, colors)
+    assert len(entries) <= 1
+    if entries:
+        assert entries[0]
+    else:
+        # Without the repair the walk's colors are final, so none is over.
+        assert over_cap(n, edges, degree, colors) == []
+
+
+@pytest.mark.parametrize("n, edges, seams", [
+    (3, [(0, 1), (1, 2), (0, 2)], 1),
+    (10, [(i, (i + 1) % 5) for i in range(5)]
+     + [(5 + i, 5 + (i + 1) % 5) for i in range(5)], 2),
+    # A star and a path (odd-degree vertices, walked from the hub) beside
+    # a triangle, whose odd circuit has no hub edge.
+    (10, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (7, 8), (8, 9), (7, 9)], 1),
+], ids=["triangle", "two-5-cycles", "odd-degrees-and-a-triangle"])
+def test_edge_split_odd_seam_counts_come_from_the_repair(n, edges, seams):
+    # An odd cycle has no balanced two-coloring: each odd circuit without a
+    # hub edge leaves its start one edge over its cap, and that alone sends
+    # the split to the repair, whose counts match the colors.
+    degree = degrees(n, edges)
+    colors, ones, entries = split_with_repair_counter(n, edges, degree)
+    assert len(entries) == 1 and len(entries[0]) == seams
+    assert over_cap(n, edges, degree, colors) == entries[0]
+    assert ones == recount_ones(n, edges, colors)
+    assert colors == reference_edge_split(n, edges, 0)
 
 
 def dict_loads(edges, labels):
@@ -365,6 +433,20 @@ def test_iterate_halving_lll_route(seed):
     assert [h["methods"] for h in coloring.history] == [
         ["lll"], ["lll"], ["balanced", "lll"]]
     assert defect_violations(g, coloring) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_iterate_halving_lll_route_edge_kind_counts_class_degrees(seed):
+    # The edge LLL route succeeds at desk scale only at degree 2; its halves'
+    # degrees come from its own bits, and must equal a recount of each class.
+    g = circulant_graph(8, 2)
+    coloring = iterate_halving(g, EDGE, 1, relaxed_config(), seed, method="lll")
+    assert [h["methods"] for h in coloring.history] == [["lll"]]
+    reference = reference_halving(g, EDGE, 1, relaxed_config(), seed, method="lll")
+    assert (coloring.colors, coloring.history) == (reference.colors, reference.history)
+    edges = g.edges()
+    for _, objs, local in coloring.classes:
+        assert local == degrees(g.node_count, [edges[e] for e in objs])
 
 
 def test_iterate_halving_single_iteration_reduces_to_one_split():

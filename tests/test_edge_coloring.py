@@ -307,6 +307,13 @@ def test_verify_rejects_uncolored_edges():
         verify_edge_coloring(g, {(0, 1): 0}, palette_bound=2)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "a", 1.0])
+def test_verify_rejects_a_color_that_is_not_an_int(bad):
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match=rf"edge \(1, 2\) has color {bad!r}, not an int"):
+        verify_edge_coloring(g, {(0, 1): 0, (1, 2): bad}, palette_bound=2)
+
+
 def quadratic_violations(n, edges, colors):
     """Reference: every pair of incident edges, by vertex."""
     by_vertex = [[] for _ in range(n)]

@@ -352,6 +352,10 @@ def _weight(data):
     data["variables"][0]["weights"][0] = "a"
 
 
+def _nan_weight(data):
+    data["variables"][0]["weights"][0] = "nan"
+
+
 def _event_vars(data):
     del data["events"][1]["vars"]
 
@@ -359,8 +363,9 @@ def _event_vars(data):
 @pytest.mark.parametrize("field, corrupt", [
     ("allocation", _allocation_key),
     ("variables", _weight),
+    ("variables", _nan_weight),
     ("events", _event_vars),
-], ids=["allocation-key", "weight", "event-vars"])
+], ids=["allocation-key", "weight", "nan-weight", "event-vars"])
 def test_cli_malformed_instance_is_input_error(tmp_path, capsys, field, corrupt):
     data = instance_to_dict(window_family(4))
     corrupt(data)
@@ -370,6 +375,25 @@ def test_cli_malformed_instance_is_input_error(tmp_path, capsys, field, corrupt)
                    "--out-prefix", str(tmp_path / "run")])
     assert rc == 2
     assert f"error: instance {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ('{"zz": 0}', "assignment.json: invalid literal for int() with base 10: 'zz'"),
+    ("[0, 1]", "assignment.json: 'list' object has no attribute 'items'"),
+    ('{"0": 1', "assignment.json: Expecting "),
+    ('{"0": 2}', "variables [0, 1, 2, "),
+], ids=["bad-key", "not-a-mapping", "bad-json", "out-of-domain"])
+def test_cli_check_bad_assignment_is_input_error(tmp_path, capsys, assignment,
+                                                  message):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(instance_to_dict(window_family(3))))
+    assignment_path = tmp_path / "assignment.json"
+    assignment_path.write_text(assignment)
+    rc = cli_main(["check", "--instance", str(inst_path),
+                   "--assignment", str(assignment_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_bad_graph_file_is_input_error(tmp_path, capsys):

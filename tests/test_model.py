@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from _families import small_instances
 from resilient_lll.errors import CapacityError, InputError
+from resilient_lll.generators import window_family
 from resilient_lll.graph import Graph
 from resilient_lll.model import (
     CountThreshold,
@@ -247,6 +248,32 @@ def test_weight_validation():
     with pytest.raises(InputError):
         VariableSpec(0, 2, (1.2, -0.2))
     VariableSpec(0, 3, (0.2, 0.3, 0.5))  # ok
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.nan),
+                                     (math.nan, math.nan)])
+def test_nan_weights_are_rejected_naming_the_variable(weights):
+    with pytest.raises(InputError, match="variable 3: weights sum to nan"):
+        VariableSpec(3, 2, weights)
+
+
+def test_instance_from_dict_rejects_a_nan_weight():
+    data = instance_to_dict(window_family(3))
+    data["variables"][2]["weights"][0] = "nan"
+    with pytest.raises(InputError, match="instance variables: .*variable 2: "):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, -1, 0.5, "x", None, True])
+def test_check_assignment_rejects_a_value_outside_the_domain(value):
+    inst = window_family(3)
+    assignment = {v: 0 for v in range(inst.var_count)}
+    assignment[4] = value
+    with pytest.raises(InputError, match=r"variables \[4\] have no value"):
+        check_assignment(inst, assignment)
+    del assignment[4]
+    with pytest.raises(InputError, match=r"variables \[4\] have no value"):
+        check_assignment(inst, assignment)
 
 
 def test_serialization_roundtrip():
