@@ -11,11 +11,13 @@ every iteration.
 Each split is produced by one of two methods, with the same split contract.
 "balanced", the default, splits deterministically: local-max-cut for
 vertices (same-color degree at most floor(deg/2)) and alternating walk
-coloring for edges (per-color incident count at most ceil(deg/2)). Each
-pass of an Euler circuit colored 0, 1, 0, ... through a vertex uses one
-edge of each color, so the halves' degrees follow from the degrees and the
-hub edges' colors, save at the seam of an odd circuit with no hub edge,
-which the repair pass counts. "lll" is the constraint-avoidance route:
+coloring for edges (per-color incident count at most ceil(deg/2), except
+in a component with all degrees even and an odd edge count, which has no
+such split: there the walk's start, a minimum-degree vertex, has deg/2 + 1
+edges of color 0). Each pass of an Euler circuit colored 0, 1, 0, ...
+through a vertex uses one edge of each color, so the halves' degrees follow
+from the degrees, the hub edges' colors and those starts. "lll" is the
+constraint-avoidance route:
 build the two-coloring instance whose bad events are overloaded vertices
 and run the general driver on it, with the part count chosen from the
 instance's exact event probabilities. Its asymptotic preconditions hold
@@ -33,11 +35,11 @@ from .errors import ContractViolation, InputError
 from .graph import Graph
 from .model import CountThreshold, EventSpec, VariableSpec, build_instance
 from .seeds import derive_seed, rng_for
+from .shattering import _UnionFind
 from . import general
 
 VERTEX = "vertex"
 EDGE = "edge"
-REPAIR_PASSES = 4  # sweeps of the edge-split repair before giving up
 
 
 # --- parameter arithmetic ---------------------------------------------------
@@ -190,7 +192,10 @@ def balanced_vertex_split(adjacency, seed: int):
 
 def balanced_edge_split(n: int, edges, degree):
     """Two-color edges so every vertex has at most ceil(deg/2) incident
-    edges per color; ``degree`` holds each vertex's degree in ``edges``.
+    edges per color, except in a component whose degrees are all even and
+    whose edge count is odd. No such component has a split within the cap;
+    there the walk's start, a minimum-degree vertex, has deg/2 + 1 edges of
+    color 0. ``degree`` holds each vertex's degree in ``edges``.
 
     Odd-degree vertices are tied to a virtual hub n, so every component
     has an Euler circuit. One iterative Hierholzer loop walks them over
@@ -202,8 +207,8 @@ def balanced_edge_split(n: int, edges, degree):
     in the order Hierholzer emits its edges, alternates colors 0, 1, 0, ...,
     so each pass through a vertex uses one edge of each color, and the
     returned ``(colors, ones)`` has ``ones[v] = degree[v] >> 1``, plus one
-    if v's hub edge got color 0. Only the seam of an odd circuit with no hub
-    edge (two color-0 edges at its start) sends the counting to the repair."""
+    if v's hub edge got color 0, minus one if v starts an odd circuit with
+    no hub edge (its first and last edges both get color 0)."""
     m = len(edges)
     odd = [v for v in range(n) if degree[v] & 1]
     hub = n
@@ -224,7 +229,7 @@ def balanced_edge_split(n: int, edges, degree):
     if odd:
         order.insert(0, hub)
     entered = []  # the open path of the current walk, as edge ids
-    odd_seam = False  # some circuit with no hub edge has odd length
+    seams = []  # starts of odd circuits with no hub edge
     for start in order:
         parity = 0  # the color of the next edge Hierholzer emits
         v = start
@@ -242,55 +247,15 @@ def balanced_edge_split(n: int, edges, degree):
                 bits[eid] = parity
                 parity ^= 1
                 v ^= xor[eid]
-        odd_seam = odd_seam or (parity and start != hub)
+        if parity and start != hub:
+            seams.append(start)
 
-    colors = bits[:m]
-    if odd_seam:
-        return colors, _repair_edge_split(n, edges, degree, colors)
     ones = [d >> 1 for d in degree]
+    for v in seams:
+        ones[v] -= 1
     for eid, v in enumerate(odd, m):
         ones[v] += bits[eid] ^ 1
-    return colors, ones
-
-
-def _repair_edge_split(n, edges, degree, colors):
-    counts = ([0] * n, [0] * n)  # counts[c][v]: v's incident edges of color c
-    for (u, v), c in zip(edges, colors):
-        of_color = counts[c]
-        of_color[u] += 1
-        of_color[v] += 1
-    cap = [(d + 1) // 2 for d in degree]
-    incident = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-
-    for _ in range(REPAIR_PASSES):
-        dirty = False
-        for v in range(n):
-            for c in (0, 1):
-                here, there = counts[c], counts[1 - c]
-                while here[v] > cap[v]:
-                    moved = False
-                    for idx in incident[v]:
-                        if colors[idx] != c:
-                            continue
-                        u, w = edges[idx]
-                        other = w if u == v else u
-                        if there[other] + 1 <= cap[other]:
-                            colors[idx] = 1 - c
-                            here[v] -= 1
-                            there[v] += 1
-                            here[other] -= 1
-                            there[other] += 1
-                            moved = True
-                            dirty = True
-                            break
-                    if not moved:
-                        break
-        if not dirty:
-            break
-    return counts[1]  # each vertex's color-1 count
+    return bits[:m], ones
 
 
 # --- the two-coloring instance ---------------------------------------------
@@ -354,29 +319,24 @@ def _check_method(method: str):
 
 
 def _lll_split(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int):
-    """The general driver's assignment on the split instance of ``g``, by
+    """The general driver's bits on the split instance of ``g``, listed by
     variable id; the part count comes from the instance's exact p."""
     inst = build_split_instance(g, kind, q)
-    return general.solve_general(inst, None, cfg, seed, mode="relaxed").assignment
+    bits = general.solve_general(inst, None, cfg, seed, mode="relaxed").assignment
+    return [bits[i] for i in range(len(bits))]
 
 
 def _split_vertex_class(adjacency, q, cfg, seed, method):
     if method == "balanced" or max(map(len, adjacency), default=0) <= 1:
         return balanced_vertex_split(adjacency, seed), "balanced"
-    edges = [
-        (v, w) for v in range(len(adjacency)) for w in adjacency[v] if v < w
-    ]
-    bits = _lll_split(Graph(len(adjacency), edges), VERTEX, q, cfg, seed)
-    return [bits[v] for v in range(len(adjacency))], "lll"
+    edges = [(v, w) for v, nbrs in enumerate(adjacency) for w in nbrs if v < w]
+    return _lll_split(Graph(len(adjacency), edges), VERTEX, q, cfg, seed), "lll"
 
 
 def _split_edge_class(n, edges, degree, q, cfg, seed, method):
     if method == "balanced" or max(degree, default=0) <= 1:
         return balanced_edge_split(n, edges, degree), "balanced"
-    sub = Graph(n, edges)
-    order = {e: i for i, e in enumerate(sub.edges())}
-    bits = _lll_split(sub, EDGE, q, cfg, seed)
-    bits = [bits[order[e]] for e in edges]
+    bits = _lll_split(Graph(n, edges), EDGE, q, cfg, seed)
     ones = Counter(v for e, bit in zip(edges, bits) if bit for v in e)
     return (bits, [ones[v] for v in range(n)]), "lll"
 
@@ -384,8 +344,8 @@ def _split_edge_class(n, edges, degree, q, cfg, seed, method):
 def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
                method: str = "balanced") -> DefectiveColoring:
     """One two-way split of the whole graph; every object's same-color load
-    stays below delta/2 + delta/(4*q*lg(delta)) whenever that bound is
-    achievable at this degree. ``method`` is "balanced" or "lll"."""
+    stays below delta/2 + delta/(4*q*lg(delta)) whenever some split of
+    ``g`` achieves that bound. ``method`` is "balanced" or "lll"."""
     _check_method(method)
     delta = g.max_degree
     if delta < 1:
@@ -413,12 +373,27 @@ def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
         history=(({"method": used, "delta": delta}),),
     )
     achievable = threshold > (delta // 2 if kind == VERTEX else (delta + 1) // 2)
+    if kind == EDGE and delta % 2 == 0 and threshold <= delta // 2 + 1:
+        achievable = not _odd_regular_component(g)
     violations = defect_violations(g, coloring)
     if violations and achievable:
         raise ContractViolation(
             f"two-way split exceeded its load bound: {violations[:3]}"
         )
     return coloring
+
+
+def _odd_regular_component(g: Graph) -> bool:
+    """Whether some component of ``g`` has all degrees equal to
+    ``g.max_degree`` and an odd edge count; if that degree is even, every
+    edge split gives one of its vertices max_degree/2 + 1 of one color."""
+    delta, uf = g.max_degree, _UnionFind(range(g.node_count))
+    for u, v in g.edges():
+        uf.union(u, v)
+    sizes = Counter(map(uf.find, range(g.node_count)))
+    irregular = {uf.find(v) for v in range(g.node_count) if g.degree(v) < delta}
+    return any(delta * size // 2 % 2 for root, size in sizes.items()
+               if root not in irregular)
 
 
 def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,

@@ -271,17 +271,17 @@ def color_edges(g: Graph, eps: float, cfg: ThresholdConfig, seed: int,
 def verify_edge_coloring(g: Graph, coloring: dict, palette_bound: int) -> dict:
     """Properness violations (a linear per-vertex color check, listing the
     clashing pairs) plus palette usage. An edge that is absent or colored
-    None is uncolored and raises InputError, as does a distinct color that
-    is not an int (True after a 1 counts as the 1)."""
+    None is uncolored and raises InputError, as does a color that is not
+    an int (True, 1.0)."""
     edges = g.edges()
     colors = [coloring.get(e) for e in edges]
-    missing = [e for e, c in zip(edges, colors) if c is None]
-    if missing:
-        raise InputError(f"coloring missing edges, e.g. {missing[:5]}")
+    if not set(map(type, colors)) <= {int}:
+        missing = [e for e, c in zip(edges, colors) if c is None]
+        if missing:
+            raise InputError(f"coloring missing edges, e.g. {missing[:5]}")
+        e, c = next((e, c) for e, c in zip(edges, colors) if type(c) is not int)
+        raise InputError(f"edge {e} has color {c!r}, not an int")
     used = set(colors)
-    for c in used:
-        if type(c) is not int:
-            raise InputError(f"edge {edges[colors.index(c)]} has color {c!r}, not an int")
     violations = proper_coloring_violations(g.node_count, edges, colors)
     return {
         "proper": not violations,

@@ -382,8 +382,8 @@ class VulnerabilityOracle:
         if ev.structurally_false():
             self.memo_counts["shortcuts"] += 1
             return False
-        if ev.evaluate(values) and 1.0 >= self.inner_thr:
-            # The empty swap set degenerates to the event itself.
+        if ev.evaluate(values):
+            # The empty swap set has probability 1, at least d^-c3.
             self.memo_counts["shortcuts"] += 1
             return True
         memo_key = self._memo_key(a, key)

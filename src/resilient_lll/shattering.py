@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapacityError, ComponentFailure
+from .errors import CapacityError, ComponentFailure, InputError
 from .seeds import derive_seed, rng_for
 
 EXHAUSTIVE_CAP = 1 << 16
@@ -126,7 +126,7 @@ def solve_component(residual, job: ComponentJob, seed: int,
         )
 
     if method != "resample":
-        raise CapacityError(f"unknown component method {method!r}")
+        raise InputError(f"unknown component method {method!r}")
     rng = rng_for(seed, "component", job.events[0])
     job_free = set(job.free_vars)
     free_of = {

@@ -1,9 +1,10 @@
-"""Reference copies of the edge-split walk, the fan-rotation colorer and
-the halving loop.
+"""Reference copies of the edge-split walk and its repair pass, the
+fan-rotation colorer and the halving loop.
 
 These are the earlier implementations of ``defective.balanced_edge_split``
 (closure walk over ``(edge id, endpoint)`` adjacency, a walk from every
-vertex, with its unread ``seed`` parameter),
+vertex, with its unread ``seed`` parameter, followed by the repair pass
+that the library's split no longer has),
 ``misra_gries.misra_gries_edge_coloring`` (dict of colors per vertex, one
 helper call per step), ``defective.iterate_halving`` (labels regrouped into
 a class dict and every load recounted each iteration, each class's degrees
@@ -23,7 +24,6 @@ from resilient_lll.defective import (
     VERTEX,
     DefectiveColoring,
     _lg_clamped,
-    _repair_edge_split,
     _split_vertex_class,
     balanced_edge_split as library_edge_split,
     build_split_instance,
@@ -36,6 +36,8 @@ from resilient_lll.defective import (
 from resilient_lll.errors import ContractViolation, InputError, ReductionViolation
 from resilient_lll.graph import Graph
 from resilient_lll.seeds import derive_seed
+
+REPAIR_PASSES = 4  # sweeps of the edge-split repair before giving up
 
 
 def balanced_edge_split(n: int, edges, seed: int):
@@ -100,6 +102,46 @@ def balanced_edge_split(n: int, edges, seed: int):
     colors = bits[:m]
     _repair_edge_split(n, edges, degree, colors)
     return colors
+
+
+def _repair_edge_split(n, edges, degree, colors):
+    counts = ([0] * n, [0] * n)  # counts[c][v]: v's incident edges of color c
+    for (u, v), c in zip(edges, colors):
+        of_color = counts[c]
+        of_color[u] += 1
+        of_color[v] += 1
+    cap = [(d + 1) // 2 for d in degree]
+    incident = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(edges):
+        incident[u].append(idx)
+        incident[v].append(idx)
+
+    for _ in range(REPAIR_PASSES):
+        dirty = False
+        for v in range(n):
+            for c in (0, 1):
+                here, there = counts[c], counts[1 - c]
+                while here[v] > cap[v]:
+                    moved = False
+                    for idx in incident[v]:
+                        if colors[idx] != c:
+                            continue
+                        u, w = edges[idx]
+                        other = w if u == v else u
+                        if there[other] + 1 <= cap[other]:
+                            colors[idx] = 1 - c
+                            here[v] -= 1
+                            there[v] += 1
+                            here[other] -= 1
+                            there[other] += 1
+                            moved = True
+                            dirty = True
+                            break
+                    if not moved:
+                        break
+        if not dirty:
+            break
+    return counts[1]  # each vertex's color-1 count
 
 
 def misra_gries_edge_coloring(n: int, edges, palette_size=None):

@@ -9,10 +9,8 @@ from resilient_lll import defective
 from resilient_lll.config import lg, relaxed_config, strict_config
 from resilient_lll.defective import (
     EDGE,
-    REPAIR_PASSES,
     VERTEX,
     DefectiveColoring,
-    _repair_edge_split,
     balanced_edge_split,
     balanced_vertex_split,
     build_split_instance,
@@ -208,36 +206,52 @@ def over_cap(n, edges, degree, colors):
     return [v for v in range(n) if max(ones[v], degree[v] - ones[v]) > cap[v]]
 
 
-def split_with_repair_counter(n, edges, degree):
-    """``balanced_edge_split`` with ``_repair_edge_split`` wrapped: returns
-    its result and, per repair call, the vertices over their cap on entry."""
-    entries = []
+def odd_seams(n, edges, degree):
+    """Per component whose degrees are all even and whose edge count is odd,
+    its minimum-(degree, id) vertex, where the split's walk starts."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = [False] * n
+    seams = []
+    for root in range(n):
+        if seen[root] or not degree[root]:
+            continue
+        seen[root] = True
+        component, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            for w in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if (sum(degree[v] for v in component) // 2) % 2 and not any(
+                degree[v] % 2 for v in component):
+            seams.append(min(component, key=lambda v: (degree[v], v)))
+    return sorted(seams)
 
-    def counted(n, edges, degree, colors):
-        entries.append(over_cap(n, edges, degree, colors))
-        return _repair_edge_split(n, edges, degree, colors)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(defective, "_repair_edge_split", counted)
-        colors, ones = balanced_edge_split(n, edges, degree)
-    return colors, ones, entries
+def assert_only_odd_seams_over_cap(n, edges, degree, colors):
+    """The split's one exception: the vertices over ceil(deg/2) are exactly
+    the odd seams, each with deg/2 + 1 edges of color 0."""
+    seams = odd_seams(n, edges, degree)
+    assert over_cap(n, edges, degree, colors) == seams
+    ones = recount_ones(n, edges, colors)
+    assert [degree[v] - ones[v] for v in seams] == [degree[v] // 2 + 1 for v in seams]
 
 
 @settings(max_examples=400, deadline=None)
 @given(edge_lists())
-def test_edge_split_ones_match_a_recount_and_repair_runs_only_over_cap(case):
-    # The repair is entered exactly when the walk leaves some vertex over
-    # its cap: about one case in six here (71 of 400 when last counted).
+def test_edge_split_ones_match_a_recount_and_only_odd_seams_are_over_cap(case):
+    # About one case in five here has a component with all degrees even
+    # and an odd edge count (86 of 400 when last counted).
     n, edges = case
     degree = degrees(n, edges)
-    colors, ones, entries = split_with_repair_counter(n, edges, degree)
+    colors, ones = balanced_edge_split(n, edges, degree)
     assert ones == recount_ones(n, edges, colors)
-    assert len(entries) <= 1
-    if entries:
-        assert entries[0]
-    else:
-        # Without the repair the walk's colors are final, so none is over.
-        assert over_cap(n, edges, degree, colors) == []
+    assert_only_odd_seams_over_cap(n, edges, degree, colors)
 
 
 @pytest.mark.parametrize("n, edges, seams", [
@@ -248,16 +262,41 @@ def test_edge_split_ones_match_a_recount_and_repair_runs_only_over_cap(case):
     # a triangle, whose odd circuit has no hub edge.
     (10, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (7, 8), (8, 9), (7, 9)], 1),
 ], ids=["triangle", "two-5-cycles", "odd-degrees-and-a-triangle"])
-def test_edge_split_odd_seam_counts_come_from_the_repair(n, edges, seams):
+def test_edge_split_odd_seams_alone_are_over_cap(n, edges, seams):
     # An odd cycle has no balanced two-coloring: each odd circuit without a
-    # hub edge leaves its start one edge over its cap, and that alone sends
-    # the split to the repair, whose counts match the colors.
+    # hub edge leaves its start one edge over its cap, and the split counts
+    # that start's color-1 edges one short of deg/2.
     degree = degrees(n, edges)
-    colors, ones, entries = split_with_repair_counter(n, edges, degree)
-    assert len(entries) == 1 and len(entries[0]) == seams
-    assert over_cap(n, edges, degree, colors) == entries[0]
+    colors, ones = balanced_edge_split(n, edges, degree)
+    assert len(odd_seams(n, edges, degree)) == seams
+    assert_only_odd_seams_over_cap(n, edges, degree, colors)
     assert ones == recount_ones(n, edges, colors)
     assert colors == reference_edge_split(n, edges, 0)
+
+
+@st.composite
+def edge_lists_with_odd_cycles(draw):
+    """``edge_lists()`` with up to two disjoint 3-, 5- or 7-cycles appended
+    on new vertices: components with all degrees even and an odd edge
+    count."""
+    n, edges = draw(edge_lists())
+    edges = list(edges)
+    for length in draw(st.lists(st.sampled_from([3, 5, 7]), max_size=2)):
+        edges += [(n + i, n + i + 1) for i in range(length - 1)] + [(n, n + length - 1)]
+        n += length
+    return n, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists_with_odd_cycles())
+def test_balanced_edge_split_matches_reference_split_and_recount(case):
+    # The reference is the old walk followed by the old repair pass, with
+    # every count recounted from its colors; about three cases in eight
+    # here have an odd seam (149 of 400 when last counted).
+    n, edges = case
+    colors = reference_edge_split(n, edges, 0)
+    assert balanced_edge_split(n, edges, degrees(n, edges)) == (
+        colors, recount_ones(n, edges, colors))
 
 
 def dict_loads(edges, labels):
@@ -296,57 +335,6 @@ def test_edge_load_counts_match_dict_recount(seed, label_count, bound):
     ]
 
 
-def dict_repair(n, edges, degree, colors):
-    """Reference repair over a (vertex, color)-keyed dict: the same scan
-    order and move rule as the edge-split repair."""
-    counts = dict_loads(edges, colors)
-    incident = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(edges):
-        incident[u].append(idx)
-        incident[v].append(idx)
-
-    def cap(v):
-        return (degree[v] + 1) // 2
-
-    for _ in range(REPAIR_PASSES):
-        dirty = False
-        for v in range(n):
-            for c in (0, 1):
-                while counts.get((v, c), 0) > cap(v):
-                    moved = False
-                    for idx in incident[v]:
-                        if colors[idx] != c:
-                            continue
-                        other = sum(edges[idx]) - v
-                        if counts.get((other, 1 - c), 0) + 1 <= cap(other):
-                            colors[idx] = 1 - c
-                            for end in (v, other):
-                                counts[(end, c)] -= 1
-                                counts[(end, 1 - c)] = counts.get((end, 1 - c), 0) + 1
-                            moved = dirty = True
-                            break
-                    if not moved:
-                        break
-        if not dirty:
-            break
-    return colors
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_edge_split_repair_matches_dict_reference(seed):
-    # Random starting bits are far from balanced, so the repair moves many
-    # edges and often gives up; both must end on the same bits.
-    rng = random.Random(seed)
-    g = gnp_graph(rng.randrange(2, 20), rng.random(), seed)
-    edges = list(g.edges())
-    degree = [g.degree(v) for v in range(g.node_count)]
-    start = [rng.randrange(2) for _ in edges]
-    colors = list(start)
-    _repair_edge_split(g.node_count, edges, degree, colors)
-    assert colors == dict_repair(g.node_count, edges, degree, list(start))
-
-
 def test_split_once_vertex_contract_32_regular():
     g = random_regular_graph(80, 32, seed=4)
     coloring = split_once(g, VERTEX, q=1, cfg=relaxed_config(), seed=11)
@@ -360,6 +348,30 @@ def test_split_once_edge_contract():
     coloring = split_once(g, EDGE, q=1, cfg=relaxed_config(), seed=12)
     assert defect_violations(g, coloring) == []
     assert len(coloring.colors) == g.edge_count()
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 2), (7, 2), (7, 6), (11, 10)])
+def test_split_once_edge_kind_returns_with_the_seam_of_an_odd_regular_graph(n, k):
+    # A connected k-regular graph with k even and an odd edge count has no
+    # split below the bound; the only vertex over it is the seam, vertex 0.
+    g = circulant_graph(n, k)
+    coloring = split_once(g, EDGE, 1, relaxed_config(), 0)
+    assert defect_violations(g, coloring) == [
+        {"vertex": 0, "color": 0, "count": k // 2 + 1}]
+    assert_only_odd_seams_over_cap(n, coloring.edges, [k] * n, coloring.colors)
+
+
+@pytest.mark.parametrize("n, k", [(9, 8), (13, 12)])
+def test_split_once_edge_kind_rejects_an_overloaded_split(n, k, monkeypatch):
+    # K9 and K13 have even edge counts, so the bound is within reach, and a
+    # split with one edge flipped (one more of its color at both ends) fails.
+    def overloaded(n, edges, degree):
+        colors, ones = balanced_edge_split(n, edges, degree)
+        return [1 - colors[0]] + colors[1:], ones
+
+    monkeypatch.setattr(defective, "balanced_edge_split", overloaded)
+    with pytest.raises(ContractViolation, match="exceeded its load bound"):
+        split_once(circulant_graph(n, k), EDGE, 1, relaxed_config(), 0)
 
 
 def test_split_once_empty_graph_trivial():

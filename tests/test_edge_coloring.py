@@ -314,6 +314,14 @@ def test_verify_rejects_a_color_that_is_not_an_int(bad):
         verify_edge_coloring(g, {(0, 1): 0, (1, 2): bad}, palette_bound=2)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_verify_rejects_a_non_int_color_equal_to_an_earlier_int(bad):
+    # True == 1 == 1.0, so the set of distinct colors holds only the int.
+    g = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(InputError, match=rf"edge \(2, 3\) has color {bad!r}, not an int"):
+        verify_edge_coloring(g, {(0, 1): 1, (2, 3): bad}, palette_bound=3)
+
+
 def quadratic_violations(n, edges, colors):
     """Reference: every pair of incident edges, by vertex."""
     by_vertex = [[] for _ in range(n)]

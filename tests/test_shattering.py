@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _families import fair_bits, ring_instance, small_instances
-from resilient_lll.errors import ComponentFailure
+from resilient_lll.errors import ComponentFailure, InputError
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -208,6 +208,13 @@ def test_resample_cap_enforced():
     job = extract_components(residual)[0]
     with pytest.raises(ComponentFailure, match="cap"):
         solve_component(residual, job, seed=0, method="resample")
+
+
+def test_unknown_component_method_is_input_error():
+    residual = make_residual(chain_component(3))
+    job = extract_components(residual)[0]
+    with pytest.raises(InputError, match="'bogus'"):
+        solve_component(residual, job, seed=0, method="bogus")
 
 
 def test_solve_residual_merges_disjoint_components():
