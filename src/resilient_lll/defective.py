@@ -269,8 +269,7 @@ def build_split_instance(g: Graph, kind: str, q: float):
     checked by split_precondition_ok and enforced only on strict paths,
     since it excludes every degree reachable in tests.
     """
-    if kind not in (VERTEX, EDGE):
-        raise InputError(f"kind must be vertex or edge, got {kind!r}")
+    _check_kind(kind)
     if q < 1:
         raise InputError("q must be at least 1")
     delta = g.max_degree
@@ -313,6 +312,11 @@ def build_split_instance(g: Graph, kind: str, q: float):
 
 # --- splitting dispatch -----------------------------------------------------
 
+def _check_kind(kind: str):
+    if kind not in (VERTEX, EDGE):
+        raise InputError(f"kind must be vertex or edge, got {kind!r}")
+
+
 def _check_method(method: str):
     if method not in ("balanced", "lll"):
         raise InputError(f"method must be balanced or lll, got {method!r}")
@@ -346,6 +350,7 @@ def split_once(g: Graph, kind: str, q: float, cfg: ThresholdConfig, seed: int,
     """One two-way split of the whole graph; every object's same-color load
     stays below delta/2 + delta/(4*q*lg(delta)) whenever some split of
     ``g`` achieves that bound. ``method`` is "balanced" or "lll"."""
+    _check_kind(kind)
     _check_method(method)
     delta = g.max_degree
     if delta < 1:
@@ -405,8 +410,7 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
     degree (edge kind) or each member's class neighbors by member index
     (vertex kind); its nonempty halves become labels 2L and 2L + 1.
     ``method`` is "balanced" or "lll", as in ``split_once``."""
-    if kind not in (VERTEX, EDGE):
-        raise InputError(f"kind must be vertex or edge, got {kind!r}")
+    _check_kind(kind)
     _check_method(method)
     if q < 1:
         raise InputError("q must be at least 1")

@@ -88,6 +88,7 @@ class ReductionPlan:
             "eps_prime": self.eps_prime,
             "total_colors": self.palette.total_colors,
             "bucket_count": self.palette.bucket_count,
+            "implied_c": self.implied_c,
             "checks": self.checks,
         }
 

@@ -1,15 +1,26 @@
 """Proper edge coloring with max_degree + 1 colors.
 
-Classic centralized fan-rotation method: color edges one at a time; build
-a maximal fan at the busier endpoint, invert a two-color alternating path
-when the last fan vertex's smallest free color is taken at that endpoint,
-then rotate a fan prefix. Deterministic: ties always break toward the smallest color or
-vertex id. Each vertex keeps a row indexed by color that holds the edge of
-that color there, so a vertex's smallest free color is the first empty slot
+Classic centralized fan-rotation method (Misra and Gries): color edges one
+at a time. Build a maximal fan at the busier endpoint u and take d, the
+smallest color free at the last fan vertex. If d is free at u, w is
+that last vertex. Otherwise invert the two-color path leaving u through
+its d-edge, alternating d with u's smallest free color, and let w be the
+first fan vertex with d free whose fan prefix is still a fan. Then
+rotate the prefix up to w in one backward pass from w: the edge to w takes d and every earlier fan edge its successor's
+old color. When w is the first fan vertex, the new edge takes d directly.
+Deterministic: ties always break toward the smallest color or vertex id.
+Each vertex keeps a row indexed by color that holds the edge of that
+color there, so a vertex's smallest free color is the first empty slot
 of its row.
+
+An endpoint outside 0..n-1, a degree list of another length, a self-loop,
+a palette below max degree + 1 and parallel edges that block a rotation
+are InputErrors; parallel edges are looked for only on that failure.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import ContractViolation, InputError
 
@@ -18,6 +29,11 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
     """Color ``edges`` (pairs over 0..n-1) properly with colors
     0..palette_size-1; ``degree`` holds each vertex's degree in ``edges``,
     and the palette defaults to max degree + 1."""
+    if len(degree) != n:
+        raise InputError(f"degree has {len(degree)} entries for {n} vertices")
+    if not set(range(n)).issuperset(chain.from_iterable(edges)):
+        bad = next(e for e in edges if not (0 <= min(e) and max(e) < n))
+        raise InputError(f"edge {bad} has an endpoint outside 0..{n - 1}")
     xor = [u ^ v for u, v in edges]  # the far endpoint of e from v is xor[e] ^ v
     if 0 in xor:
         raise InputError("self-loops cannot be edge colored")
@@ -30,39 +46,6 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
     # at[v][c]: the edge of color c at vertex v, or None if c is free at v
     at = [[None] * palette for _ in range(n)]
 
-    def recolor(eids, new_colors):
-        """Give edge eids[i] the color new_colors[i]: uncolor them all
-        first, so that a clash found while coloring is a real one."""
-        for eidx in eids:
-            old = color[eidx]
-            if old is not None:
-                a, b = edges[eidx]
-                at[a][old] = None
-                at[b][old] = None
-                color[eidx] = None
-        for eidx, c in zip(eids, new_colors):
-            a, b = edges[eidx]
-            row_a, row_b = at[a], at[b]
-            if row_a[c] is not None or row_b[c] is not None:
-                raise ContractViolation("transient color clash")
-            row_a[c] = eidx
-            row_b[c] = eidx
-            color[eidx] = c
-
-    def invert_path(u, c, d):
-        """Flip colors along the maximal c/d-alternating path leaving u
-        through its d-edge."""
-        path = []
-        cur, col = u, d
-        while True:
-            eidx = at[cur][col]
-            if eidx is None:
-                break
-            path.append(eidx)
-            cur ^= xor[eidx]
-            col = c if col == d else d
-        recolor(path, [c if color[eidx] == d else d for eidx in path])
-
     for e0, (u, v) in enumerate(edges):
         if degree[v] > degree[u]:
             u, v = v, u  # anchor the fan at the busier endpoint
@@ -70,9 +53,7 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
         # The maximal fan v = fan[0], fan[1], ... at u: each next u-edge
         # has the smallest color free at the previous fan vertex whose far
         # end is not in the fan yet.
-        fan = [v]
-        fan_edges = [e0]
-        tail_at = at[v]
+        fan, fan_edges, tail_at = [v], [e0], at[v]
         while True:
             for c, eidx in enumerate(u_at):
                 if eidx is not None and tail_at[c] is None:
@@ -85,37 +66,85 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
             fan_edges.append(eidx)
             tail_at = at[w]
         try:
-            c = u_at.index(None)  # the smallest color free at u
-            d = tail_at.index(None)  # and at the last fan vertex
+            d = tail_at.index(None)  # the smallest color free at the last fan vertex
         except ValueError:
             stuck = u if None not in u_at else fan[-1]
             raise ContractViolation(f"no free color at vertex {stuck}") from None
         if u_at[d] is None:
             w_idx = len(fan) - 1
+        elif None not in u_at:
+            raise ContractViolation(f"no free color at vertex {u}")
         else:
-            invert_path(u, c, d)
+            # Invert the maximal c/d-alternating path leaving u through its
+            # d-edge, c the smallest color free at u: uncolor it all first,
+            # so that a clash found while recoloring is a real one.
+            flip = u_at.index(None) ^ d  # c ^ d turns either color into the other
+            path = []
+            cur, col = u, d
+            while (eidx := at[cur][col]) is not None:
+                path.append(eidx)
+                cur ^= xor[eidx]
+                col ^= flip
+            for eidx in path:
+                a, b = edges[eidx]
+                at[a][color[eidx]] = at[b][color[eidx]] = None
+            for eidx in path:
+                a, b = edges[eidx]
+                new = color[eidx] ^ flip
+                if at[a][new] is not None or at[b][new] is not None:
+                    raise ContractViolation("transient color clash")
+                at[a][new] = at[b][new] = eidx
+                color[eidx] = new
             if u_at[d] is not None:
                 raise ContractViolation("path inversion failed to free color")
-            # The first fan vertex with d free whose prefix is still a fan.
+            # The first fan vertex with d free whose prefix is still a fan;
+            # once a prefix breaks, every longer one is broken too.
             w_idx = None
             for i, x in enumerate(fan):
-                if at[x][d] is not None:
-                    continue
-                for j in range(i):
-                    nxt_color = color[fan_edges[j + 1]]
-                    if nxt_color is None or at[fan[j]][nxt_color] is not None:
-                        break
-                else:
+                if i and at[fan[i - 1]][color[fan_edges[i]]] is not None:
+                    break
+                if at[x][d] is None:
                     w_idx = i
                     break
             if w_idx is None:
+                if (pair := _parallel_pair(edges)) is not None:
+                    raise InputError(f"parallel edges join {pair}: fan rotation "
+                                     "needs a simple graph")
                 raise ContractViolation("no rotatable fan prefix after inversion")
-        # Rotate: each fan edge up to w takes its successor's color, and
-        # the edge to w takes d.
-        recolor(fan_edges[:w_idx + 1],
-                [color[e] for e in fan_edges[1:w_idx + 1]] + [d])
+        if not w_idx:  # w is v: e0 takes d, free at both of its ends
+            u_at[d] = at[v][d] = e0
+            color[e0] = d
+            continue
+        # Rotate in one backward pass from w: the edge to w takes d, each
+        # earlier fan edge its successor's old color. Only the fan vertex's
+        # old slot is cleared: u's new slot is free or held by the edge that
+        # just gave that color up, and the next step rewrites u's old one.
+        nxt, gave = d, None
+        for i in range(w_idx, -1, -1):
+            eidx = fan_edges[i]
+            x_at = at[fan[i]]
+            old = color[eidx]
+            if old is not None:
+                x_at[old] = None
+            if u_at[nxt] not in (None, gave) or x_at[nxt] is not None:
+                raise ContractViolation("transient color clash")
+            u_at[nxt] = x_at[nxt] = eidx
+            color[eidx] = nxt
+            nxt, gave = old, eidx
 
     return color
+
+
+def _parallel_pair(edges):
+    """The first repeated vertex pair (smaller id first) in ``edges``, or
+    None if the edges are simple."""
+    seen = set()
+    for u, v in edges:
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
+            return pair
+        seen.add(pair)
+    return None
 
 
 def proper_coloring_violations(n: int, edges, colors):

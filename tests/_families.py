@@ -87,6 +87,15 @@ def cycle_sum_graph(n, cycles, seed):
 
 
 @st.composite
+def multigraph_edge_lists(draw, max_n=8, max_edges=15):
+    """(n, edges) of a small loopless multigraph: each edge joins two
+    distinct random vertices, so vertex pairs may repeat."""
+    n = draw(st.integers(2, max_n))
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return n, [tuple(e) for e in draw(st.lists(pairs, max_size=max_edges))]
+
+
+@st.composite
 def edge_lists(draw, max_component=12):
     """(n, edges) of a simple graph: up to four components plus up to three
     isolated vertices. A component is a random graph of its own density

@@ -411,6 +411,13 @@ def test_split_and_halving_reject_unknown_method():
         iterate_halving(g, EDGE, 1, relaxed_config(), 0, method="auto")
 
 
+@pytest.mark.parametrize("g", [circulant_graph(10, 4), Graph(3, [])],
+                         ids=["circulant", "edgeless"])
+def test_split_once_rejects_unknown_kind(g):
+    with pytest.raises(InputError, match="'face'"):
+        split_once(g, "face", 1, relaxed_config(), 0)
+
+
 # --- iterated halving -------------------------------------------------------
 
 

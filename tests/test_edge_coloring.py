@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from resilient_lll.config import relaxed_config
-from resilient_lll.defective import halving_iterations
+from resilient_lll.defective import EDGE, halving_iterations, iterate_halving
 from resilient_lll.edge_coloring import (
     ReductionPlan,
     color_edges,
@@ -22,8 +22,15 @@ from resilient_lll.misra_gries import (
     misra_gries_edge_coloring,
     proper_coloring_violations,
 )
+from resilient_lll.seeds import derive_seed, rng_for
 
-from _families import cycle_sum_graph, degrees, edge_lists, halving_graphs
+from _families import (
+    cycle_sum_graph,
+    degrees,
+    edge_lists,
+    halving_graphs,
+    multigraph_edge_lists,
+)
 from _reference_edge_loops import color_edges_bucketed as reference_bucketed
 from _reference_edge_loops import misra_gries_edge_coloring as reference_colorer
 
@@ -75,6 +82,7 @@ def test_plan_direct_mode_at_desk_degrees():
         assert plan.mode == "direct"
         assert plan.palette.total_colors == delta + 1
         assert plan.checks["direct_palette"]["holds"]
+        assert plan.to_dict()["implied_c"] == 1.0
 
 
 def test_plan_trivially_large_epsilon():
@@ -94,6 +102,7 @@ def test_plan_bucketed_mode_at_astronomic_degree():
     assert plan.checks["palette_chain"]["holds"]
     assert plan.checks["bucket_range"]["holds"]
     assert plan.palette.bucket_count == 2 ** plan.iterations
+    assert plan.to_dict()["implied_c"] == plan.implied_c > 0
     # every bucket range covers (1 + eps/2) * delta'; the last is the smallest
     start, end = plan.palette.range(plan.palette.bucket_count - 1)
     assert end - start >= (1 + plan.eps_prime) * plan.delta_prime
@@ -132,7 +141,33 @@ def test_fan_rotation_proper_on_random_graphs(seed):
         assert max(colors) <= g.max_degree  # at most delta + 1 colors
 
 
+def benchmark_op_buckets(seed=0):
+    """(n, edges) of each Misra-Gries call in one op of the
+    edgecolor-bucketed benchmark: circulant_graph(256, 128) relabelled by
+    the op seed and halved five times at q = 2 into 32 4-regular buckets,
+    as ``color_edges`` builds them."""
+    g = circulant_graph(256, 128)
+    label = list(range(256))
+    rng_for(seed, "relabel").shuffle(label)
+    g = Graph(256, [(label[u], label[v]) for u, v in g.edges()])
+    halving = iterate_halving(g, EDGE, 2.0, relaxed_config(), derive_seed(seed, "buckets"))
+    edges = g.edges()
+    buckets = [(256, [edges[i] for i in members]) for _, members, _ in halving.classes]
+    assert len(buckets) == 32
+    return buckets
+
+
+def with_benchmark_buckets(test):
+    """Give ``test`` each bucket of one benchmark op as an explicit example
+    with extra = 2: the palette Δ + 1 + 2 = 7 is the width of the bucket's
+    palette range in that op."""
+    for case in benchmark_op_buckets():
+        test = example(case, 2)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
+@with_benchmark_buckets
 @given(edge_lists(), st.integers(1, 3))
 def test_fan_rotation_matches_reference_colorer(case, extra):
     n, edges = case
@@ -155,6 +190,39 @@ def test_fan_rotation_matches_reference_colorer_on_larger_graphs(make, args):
     degree = degrees(g.node_count, edges)
     assert misra_gries_edge_coloring(g.node_count, edges, degree) == reference_colorer(
         g.node_count, edges)
+
+
+@pytest.mark.parametrize("n, edges, degree, message", [
+    (2, [(0, 5)], [1, 1], "outside 0..1"),
+    (2, [(-1, 0)], [1, 1], "outside 0..1"),
+    (3, [(0, 1), (1, 3)], [1, 2, 1], "outside 0..2"),
+    (2, [(0, 1)], [1, 1, 0], "3 entries for 2 vertices"),
+    (3, [(0, 1)], [1, 1], "2 entries for 3 vertices"),
+], ids=["endpoint-n", "endpoint-negative", "second-edge", "degree-long", "degree-short"])
+def test_inputs_outside_the_domain_are_input_errors(n, edges, degree, message):
+    with pytest.raises(InputError, match=message):
+        misra_gries_edge_coloring(n, edges, degree)
+
+
+def test_parallel_edges_are_an_input_error_naming_the_pair():
+    # A triangle with one doubled edge: the fan at 0 cannot be rotated.
+    edges = [(0, 1), (0, 2), (1, 2), (0, 1)]
+    with pytest.raises(InputError, match=r"parallel edges join \(0, 1\)"):
+        misra_gries_edge_coloring(3, edges, degrees(3, edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_edge_lists())
+def test_multigraphs_color_properly_or_name_a_repeated_pair(case):
+    n, edges = case
+    try:
+        colors = misra_gries_edge_coloring(n, edges, degrees(n, edges))
+    except InputError as exc:
+        pairs = [tuple(sorted(e)) for e in edges]
+        assert any(f"join {p}:" in str(exc) and pairs.count(p) > 1 for p in pairs)
+    else:
+        assert proper_coloring_violations(n, edges, colors) == []
+        assert max(colors, default=0) <= max(degrees(n, edges), default=0)
 
 
 def test_palette_floor_validated():
