@@ -459,6 +459,14 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                        for _, _, local in halves)
         bound = inductive_bound(delta, q, i)
         if measured > bound:
+            if (i == 1 and kind == EDGE and delta % 2 == 0
+                    and _odd_regular_component(g)):
+                raise InputError(
+                    f"iteration 1: measured class degree {measured} exceeds inductive "
+                    f"bound {bound:.3f} on a graph with a {delta}-regular component "
+                    "of odd edge count, which no edge split keeps within ceil(deg/2) "
+                    "(the split contract's one exception)"
+                )
             raise ContractViolation(
                 f"iteration {i}: measured class degree {measured} exceeds "
                 f"inductive bound {bound:.3f}"

@@ -14,8 +14,9 @@ color there, so a vertex's smallest free color is the first empty slot
 of its row.
 
 An endpoint outside 0..n-1, a degree list of another length, a self-loop,
-a palette below max degree + 1 and parallel edges that block a rotation
-are InputErrors; parallel edges are looked for only on that failure.
+a palette below max degree + 1, parallel edges that block a rotation and
+a degree list that leaves a vertex no free color are InputErrors; parallel
+edges and wrong degrees are looked for only on those failures.
 """
 
 from __future__ import annotations
@@ -69,11 +70,11 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
             d = tail_at.index(None)  # the smallest color free at the last fan vertex
         except ValueError:
             stuck = u if None not in u_at else fan[-1]
-            raise ContractViolation(f"no free color at vertex {stuck}") from None
+            raise _no_free_color(n, edges, degree, stuck) from None
         if u_at[d] is None:
             w_idx = len(fan) - 1
         elif None not in u_at:
-            raise ContractViolation(f"no free color at vertex {u}")
+            raise _no_free_color(n, edges, degree, u)
         else:
             # Invert the maximal c/d-alternating path leaving u through its
             # d-edge, c the smallest color free at u: uncolor it all first,
@@ -133,6 +134,20 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
             nxt, gave = old, eidx
 
     return color
+
+
+def _no_free_color(n, edges, degree, vertex):
+    """The error for a vertex left with no free color: an InputError naming
+    the first vertex whose given degree differs from its edge count, which
+    shrinks the palette, or else a ContractViolation."""
+    counted = [0] * n
+    for u, v in edges:
+        counted[u] += 1
+        counted[v] += 1
+    for x, (given, count) in enumerate(zip(degree, counted)):
+        if given != count:
+            return InputError(f"degree[{x}] = {given}, but vertex {x} has {count} edges")
+    return ContractViolation(f"no free color at vertex {vertex}")
 
 
 def _parallel_pair(edges):

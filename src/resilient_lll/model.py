@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Optional
 
@@ -32,18 +33,11 @@ class VariableSpec:
     is_uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.domain_size < 1:
-            raise InputError(f"variable {self.var_id}: empty domain")
-        if len(self.weights) != self.domain_size:
-            raise InputError(f"variable {self.var_id}: weight count != domain size")
-        if any(w < 0 for w in self.weights):
-            raise InputError(f"variable {self.var_id}: negative weight")
-        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # NaN fails too
-            raise InputError(f"variable {self.var_id}: weights sum to {sum(self.weights)}")
-        w0 = self.weights[0]
-        object.__setattr__(
-            self, "is_uniform", all(abs(w - w0) <= WEIGHT_TOL for w in self.weights)
-        )
+        try:
+            uniform = _checked_uniformity(self.domain_size, tuple(self.weights))
+        except InputError as exc:
+            raise InputError(f"variable {self.var_id}: {exc}") from None
+        object.__setattr__(self, "is_uniform", uniform)
 
     @classmethod
     def uniform(cls, var_id: int, domain_size: int) -> "VariableSpec":
@@ -63,6 +57,25 @@ class VariableSpec:
             if x < acc:
                 return value
         return self.domain_size - 1
+
+
+@lru_cache(maxsize=256)
+def _checked_uniformity(domain_size: int, weights: tuple) -> bool:
+    """Whether ``weights`` are uniform, after checking that they are a
+    distribution over ``domain_size`` values; an InputError names the fault.
+    Pure, so it is memoised: while its entry stays in the bounded cache, a
+    distinct (domain size, weights) pair is checked once. A failure is not
+    cached, so its message is always built from the weights given."""
+    if domain_size < 1:
+        raise InputError("empty domain")
+    if len(weights) != domain_size:
+        raise InputError("weight count != domain size")
+    if any(w < 0 for w in weights):
+        raise InputError("negative weight")
+    if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:  # NaN fails too
+        raise InputError(f"weights sum to {sum(weights)}")
+    w0 = weights[0]
+    return all(abs(w - w0) <= WEIGHT_TOL for w in weights)
 
 
 @dataclass(frozen=True)
@@ -164,15 +177,16 @@ class EventSpec:
     event_id: int
     dependent_vars: tuple
     predicate: object
+    unsatisfiable: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.dependent_vars)) != len(self.dependent_vars):
+        deps = set(self.dependent_vars)
+        if len(deps) != len(self.dependent_vars):
             raise InputError(f"event {self.event_id}: duplicate dependent vars")
         refs = self.predicate.referenced(self.dependent_vars)
-        if not refs <= set(self.dependent_vars):
-            missing = sorted(refs - set(self.dependent_vars))
+        if not refs <= deps:
             raise InputError(
-                f"event {self.event_id}: predicate references vars {missing} "
+                f"event {self.event_id}: predicate references vars {sorted(refs - deps)} "
                 "outside its dependency list"
             )
         if isinstance(self.predicate, TruthTable):
@@ -181,14 +195,17 @@ class EventSpec:
                     f"event {self.event_id}: truth tables limited to arity "
                     f"{TRUTH_TABLE_MAX_ARITY}"
                 )
+        object.__setattr__(self, "unsatisfiable",
+                           self.predicate.structurally_false(self.dependent_vars))
 
     def evaluate(self, values) -> bool:
         """values: mapping var id -> value covering all dependent vars."""
         return self.predicate.evaluate(values, self.dependent_vars)
 
     def structurally_false(self) -> bool:
-        """True when no assignment can satisfy the predicate (cheap check)."""
-        return self.predicate.structurally_false(self.dependent_vars)
+        """True when no assignment can satisfy the predicate (cheap check,
+        made once at construction)."""
+        return self.unsatisfiable
 
 
 def count_classes(variables, event):
@@ -201,12 +218,15 @@ def count_classes(variables, event):
     if not isinstance(pred, CountThreshold) or not all(
             variables[v].is_uniform for v in deps):
         return None
-    occurrences = {v: [0] * len(pred.groups) for v in deps}
-    for j, group in enumerate(pred.groups):
+    # One pass over the groups: each counts its members in a dict in
+    # dependency order, and zipping the dicts' counts gives each variable's
+    # occurrences per group.
+    counts = [dict.fromkeys(deps, 0) for _ in pred.groups]
+    for count, group in zip(counts, pred.groups):
         for v in group:
-            occurrences[v][j] += 1
-    return tuple((variables[v].domain_size, tuple(occurrences[v]), v == pred.ref_var)
-                 for v in deps)
+            count[v] += 1
+    return tuple((variables[v].domain_size, occurrences, v == pred.ref_var)
+                 for v, occurrences in zip(deps, zip(*[c.values() for c in counts])))
 
 
 class LllInstance:
@@ -463,7 +483,7 @@ def instance_from_dict(data: dict) -> LllInstance:
     field = "variables"
     try:
         variables = [
-            VariableSpec(d["id"], d["domain"], tuple(float(w) for w in d["weights"]))
+            VariableSpec(d["id"], d["domain"], tuple(map(float, d["weights"])))
             for d in data["variables"]
         ]
         field = "events"

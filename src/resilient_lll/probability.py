@@ -62,10 +62,12 @@ class ProbabilityEstimate:
 
 
 def _validate_fixed(inst, fixed):
+    variables = inst.variables
+    n = len(variables)
     for v, val in fixed.items():
-        if not 0 <= v < inst.var_count:
+        if not 0 <= v < n:
             raise InputError(f"fixed value for unknown variable {v}")
-        if not 0 <= val < inst.variables[v].domain_size:
+        if not 0 <= val < variables[v].domain_size:
             raise InputError(f"value {val} out of domain for variable {v}")
 
 
@@ -262,10 +264,13 @@ class VulnerabilityOracle:
     cheaply as conditioning grows. A ``CountThreshold`` event over uniform
     variables is keyed by its shape (see ``_memo_key``), so events of the
     same shape share one result; any other event is keyed by (event,
-    revealed values). ``memo_counts`` counts the calls the memo answered
-    (hits), those it computed and stored (misses), and those decided
-    without it (shortcuts: a structurally false event, or one the empty
-    swap already satisfies); the three sum to the calls.
+    revealed values), and its exact swap probabilities are kept under
+    (event, swap set, values outside the swap set), so that memo misses
+    that differ only inside a swap set share them. ``memo_counts`` counts
+    the calls the memo answered (hits), those it computed and stored
+    (misses), and those decided without it (shortcuts: a structurally
+    false event, or one the empty swap already satisfies); the three sum
+    to the calls.
     """
 
     def __init__(self, inst: LllInstance, part: Partition, cfg: ThresholdConfig,
@@ -280,6 +285,7 @@ class VulnerabilityOracle:
         self._groups = {}
         self._layouts = {}
         self._indicator_memo = {}
+        self._swap_memo = {}
         self._inner_mc_events = set()
         self.memo_counts = {"hits": 0, "misses": 0, "shortcuts": 0}
 
@@ -366,12 +372,24 @@ class VulnerabilityOracle:
 
     def _swap_probability(self, event, base_values, swap_vars):
         fixed = {v: val for v, val in base_values.items() if v not in swap_vars}
-        est = _probability_over(
-            self.inst, event, fixed, sorted(swap_vars), self.cfg.mc_samples,
-            lambda: self._rng
-        )
+        free = sorted(swap_vars)
+        # An event without a shaped layout keeps each exact swap probability
+        # under (event, swap set, values outside it), all it depends on. A
+        # sampled one draws from the oracle's rng and is never kept; whether
+        # it is sampled depends on the swap set alone, so a kept key never
+        # skips a draw and the rng stream is unchanged.
+        swap_key = None
+        if self._layout(event.event_id) is None:
+            swap_key = (event.event_id, tuple(free), tuple(fixed.values()))
+            value = self._swap_memo.get(swap_key)
+            if value is not None:
+                return value
+        est = _probability_over(self.inst, event, fixed, free, self.cfg.mc_samples,
+                                lambda: self._rng)
         if not est.exact:
             self._inner_mc_events.add(event.event_id)
+        elif swap_key is not None:
+            self._swap_memo[swap_key] = est.value
         return est.value
 
     def indicator(self, a: int, key: tuple) -> bool:

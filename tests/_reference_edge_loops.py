@@ -14,7 +14,10 @@ degrees counted again), kept verbatim so that the differential tests can
 require the library's loops to give the same bits, labels, history and
 colors, edge for edge. The copied loops call the library's edge split,
 imported as ``library_edge_split`` since this module keeps the older walk
-under its own name.
+under its own name. The halving loop's one later change is on its failure
+path: a first-iteration overshoot on a graph with an odd-edge-count
+regular component of even degree, the split contract's stated exception,
+raises the library's ``InputError`` rather than a ``ContractViolation``.
 """
 
 from resilient_lll import general
@@ -24,6 +27,7 @@ from resilient_lll.defective import (
     VERTEX,
     DefectiveColoring,
     _lg_clamped,
+    _odd_regular_component,
     _split_vertex_class,
     balanced_edge_split as library_edge_split,
     build_split_instance,
@@ -344,6 +348,14 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
         measured = _max_class_degree(g, kind, labels, edges)
         bound = inductive_bound(delta, q, i)
         if measured > bound:
+            if (i == 1 and kind == EDGE and delta % 2 == 0
+                    and _odd_regular_component(g)):
+                raise InputError(
+                    f"iteration 1: measured class degree {measured} exceeds inductive "
+                    f"bound {bound:.3f} on a graph with a {delta}-regular component "
+                    "of odd edge count, which no edge split keeps within ceil(deg/2) "
+                    "(the split contract's one exception)"
+                )
             raise ContractViolation(
                 f"iteration {i}: measured class degree {measured} exceeds "
                 f"inductive bound {bound:.3f}"

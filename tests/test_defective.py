@@ -317,9 +317,11 @@ def test_edge_load_counts_match_dict_recount(seed, label_count, bound):
     try:
         halved = iterate_halving(g, EDGE, rng.choice([1, 1.5, 2]), relaxed_config(),
                                  seed)
-    except ContractViolation as exc:
+    except InputError as exc:
         # A dense odd component can admit no split within the bound: K7's
         # 21 edges exceed two colors of at most 3 edges per vertex.
+        assert "split contract's one exception" in str(exc)
+    except ContractViolation as exc:
         assert "exceeds inductive bound" in str(exc)
     else:
         if halved.history:
@@ -444,6 +446,28 @@ def test_iterate_halving_edge_moderate_scale():
     assert len(coloring.colors) == g.edge_count()
 
 
+@pytest.mark.parametrize("n, k, q", [(7, 6, 1.5), (11, 10, 2), (15, 14, 2)])
+def test_iterate_halving_names_the_split_exception_as_an_input_error(n, k, q):
+    # K7, K11 and K15 are k-regular with k even and an odd edge count, so
+    # every edge split puts k/2 + 1 edges of one color at the seam, and the
+    # first iteration's bound is below that.
+    with pytest.raises(InputError, match=rf"iteration 1: measured class degree "
+                       rf"{k // 2 + 1} exceeds .* {k}-regular component of odd edge "
+                       r"count.*split contract's one exception"):
+        iterate_halving(circulant_graph(n, k), EDGE, q, relaxed_config(), 0)
+
+
+@pytest.mark.parametrize("n, k, kind", [(9, 8, EDGE), (7, 6, VERTEX)])
+def test_iterate_halving_other_bound_failures_stay_contract_violations(
+        n, k, kind, monkeypatch):
+    # K9 has an even edge count, and the vertex kind has no such exception.
+    bound = defective.inductive_bound
+    monkeypatch.setattr(defective, "inductive_bound",
+                        lambda delta, q, i: bound(delta, q, i) if i == 0 else 0.0)
+    with pytest.raises(ContractViolation, match="exceeds inductive bound"):
+        iterate_halving(circulant_graph(n, k), kind, 1.5, relaxed_config(), 0)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_iterate_halving_lll_route(seed):
     g = circulant_graph(20, 8)
@@ -503,7 +527,7 @@ def halving_outcome(halve, g, kind, q, seed):
     of the check it fails."""
     try:
         coloring = halve(g, kind, q, relaxed_config(), seed)
-    except ContractViolation as exc:
+    except (ContractViolation, InputError) as exc:
         return type(exc).__name__, str(exc)
     return coloring.to_dict(), coloring.history
 

@@ -225,6 +225,12 @@ def test_multigraphs_color_properly_or_name_a_repeated_pair(case):
         assert max(colors, default=0) <= max(degrees(n, edges), default=0)
 
 
+def test_an_understated_degree_is_an_input_error_naming_the_vertex():
+    # Degree 1 everywhere gives a 2-color palette, but vertex 1 has 3 edges.
+    with pytest.raises(InputError, match=r"degree\[1\] = 1, but vertex 1 has 3 edges"):
+        misra_gries_edge_coloring(4, [(0, 1), (1, 2), (1, 3)], [1, 1, 1, 1])
+
+
 def test_palette_floor_validated():
     with pytest.raises(InputError):
         misra_gries_edge_coloring(3, [(0, 1), (1, 2)], [1, 2, 1], palette_size=2)
@@ -314,7 +320,7 @@ def bucketed_outcome(g, plan, seed):
     and message of the check it fails."""
     try:
         res = color_edges(g, plan.epsilon, relaxed_config(), seed, plan=plan)
-    except (ContractViolation, ReductionViolation) as exc:
+    except (ContractViolation, InputError, ReductionViolation) as exc:
         return type(exc).__name__, str(exc)
     return [res.colors[e] for e in g.edges()], res.bucket_degrees
 
@@ -322,7 +328,7 @@ def bucketed_outcome(g, plan, seed):
 def reference_outcome(g, plan, seed):
     try:
         return reference_bucketed(g, plan, relaxed_config(), seed)
-    except (ContractViolation, ReductionViolation) as exc:
+    except (ContractViolation, InputError, ReductionViolation) as exc:
         return type(exc).__name__, str(exc)
 
 

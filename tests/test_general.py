@@ -269,3 +269,20 @@ def test_event_classes_computed_once_per_event_per_instance(monkeypatch):
         solve_general(inst, r, relaxed_config(), 3)
     assert computed[id(inst.variables), 0] == 1
     assert max(computed.values()) == 1
+
+
+@pytest.mark.parametrize("seed, memo, fixed, reverted, sizes", [
+    (0, (376, 19, 5), 365, 35, (7, 7, 7, 7, 7, 7, 7)),
+    (1, (378, 19, 3), 363, 37, (9, 7, 7, 7, 7, 7, 7)),
+    (2, (381, 19, 0), 358, 42, (9, 7, 7, 7, 7, 7, 7, 7)),
+])
+def test_ring_stage_counters_are_pinned(seed, memo, fixed, reverted, sizes):
+    # The benchmark's ring-general op at r = 1: a change to the oracle's memo
+    # sharing, its estimate modes or the staged fates shows here first.
+    stage = solve_general(generators.ring_family(400, 2, 5, seed), 1, relaxed_config(),
+                          seed).stage
+    assert stage.indicator_memo == dict(zip(("hits", "misses", "shortcuts"), memo))
+    assert stage.danger_estimate_modes == {"exact": 400, "sampled": 0}
+    assert (stage.fixed_count, stage.reverted_count, stage.deferred_count) == (
+        fixed, reverted, 0)
+    assert stage.residual_component_sizes == sizes

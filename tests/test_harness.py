@@ -5,6 +5,7 @@ import pytest
 
 from resilient_lll.cli import main as cli_main
 from resilient_lll.config import config_from_file, relaxed_config, strict_config
+from resilient_lll.defective import build_split_instance
 from resilient_lll.errors import InputError
 from resilient_lll.experiment import (
     CSV_COLUMNS,
@@ -21,7 +22,7 @@ from resilient_lll.generators import (
     ring_family,
     window_family,
 )
-from resilient_lll.model import instance_to_dict
+from resilient_lll.model import instance_to_dict, save_instance
 from resilient_lll.probability import event_probability
 
 
@@ -251,9 +252,24 @@ def test_cli_graph_pipeline(tmp_path):
     assert ec["verification"]["proper"]
 
 
-def test_cli_reports_a_broken_guarantee_as_an_error(tmp_path, capsys):
+def test_cli_reports_a_runtime_failure_as_an_error(tmp_path, capsys):
+    # The edge-split instance of an 8-regular graph puts 15 swap neighbors
+    # of event 0 in the single part, above the oracle's subset cap.
+    inst_path = tmp_path / "split.json"
+    save_instance(build_split_instance(circulant_graph(18, 8), "edge", 1), inst_path)
+    rc = cli_main([
+        "solve-general", "--instance", str(inst_path), "--r", "1",
+        "--out-prefix", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: CapacityError: ")
+    assert "exceed subset cap" in err and "Traceback" not in err
+
+
+def test_cli_reports_an_unsplittable_graph_as_an_input_error(tmp_path, capsys):
     # K7's 21 edges cannot be split two ways with at most 3 per vertex per
-    # color, so the halving's inductive-bound check raises.
+    # color: it is the edge split contract's exception, named as bad input.
     graph_path = tmp_path / "k7.edges"
     graph_path.write_text("n 7\n" + "".join(
         f"{u} {v}\n" for u in range(7) for v in range(u + 1, 7)))
@@ -261,10 +277,10 @@ def test_cli_reports_a_broken_guarantee_as_an_error(tmp_path, capsys):
         "defective", "--kind", "edge", "--q", "1.5",
         "--graph", str(graph_path), "--out", str(tmp_path / "def.json"),
     ])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ContractViolation: ")
-    assert "exceeds inductive bound" in err and "Traceback" not in err
+    assert err.startswith("error: iteration 1: measured class degree 4 exceeds ")
+    assert "split contract's one exception" in err and "Traceback" not in err
 
 
 def test_cli_solve_resilient_and_experiment(tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from _families import small_instances
+from resilient_lll import model
 from resilient_lll.errors import CapacityError, InputError
-from resilient_lll.generators import window_family
+from resilient_lll.generators import ring_family, window_family
 from resilient_lll.graph import Graph
 from resilient_lll.model import (
     CountThreshold,
@@ -255,6 +256,61 @@ def test_weight_validation():
 def test_nan_weights_are_rejected_naming_the_variable(weights):
     with pytest.raises(InputError, match="variable 3: weights sum to nan"):
         VariableSpec(3, 2, weights)
+
+
+@pytest.mark.parametrize("domain, weights, message", [
+    (0, (), "empty domain"),
+    (2, (1.0,), "weight count != domain size"),
+    (2, (1.5, -0.5), "negative weight"),
+    (2, (math.nan, 0.5), "weights sum to nan"),
+    (2, (0.5, 0.6), "weights sum to 1.1"),
+    (2, (0, 2), "weights sum to 2"),
+    (2, (0.0, 2.0), "weights sum to 2.0"),
+])
+def test_a_bad_spec_raises_its_own_message_after_a_valid_one(domain, weights, message):
+    # The weight check is memoised per distinct (domain size, weights); a
+    # valid spec before it, or the same bad spec twice, changes no message.
+    VariableSpec.uniform(0, max(domain, 1))
+    for var_id in (5, 6):
+        with pytest.raises(InputError) as exc:
+            VariableSpec(var_id, domain, weights)
+        assert str(exc.value) == f"variable {var_id}: {message}"
+
+
+def test_a_ring_load_checks_its_one_distribution_once():
+    # 2,400 fair bits share one (domain size, weights) pair: the load runs
+    # the weight check once, and the other specs read its result.
+    data = instance_to_dict(ring_family(400, 2, 5, 0))
+    model._checked_uniformity.cache_clear()
+    inst = instance_from_dict(data)
+    info = model._checked_uniformity.cache_info()
+    assert inst.var_count == 2400
+    assert (info.misses, info.hits) == (1, 2399)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_round_trip_keeps_uniformity_classes_and_graphs(case):
+    inst, _ = case
+    back = instance_from_dict(instance_to_dict(inst))
+    for spec, loaded in zip(inst.variables, back.variables):
+        w0 = spec.weights[0]
+        uniform = all(abs(w - w0) <= model.WEIGHT_TOL for w in spec.weights)
+        assert spec.is_uniform == loaded.is_uniform == uniform
+    for a, (ev, loaded) in enumerate(zip(inst.events, back.events)):
+        assert ev.structurally_false() == loaded.structurally_false() == (
+            ev.predicate.structurally_false(ev.dependent_vars))
+        classes = None
+        pred = ev.predicate
+        if isinstance(pred, CountThreshold) and all(
+                inst.variables[v].is_uniform for v in ev.dependent_vars):
+            classes = tuple((inst.variables[v].domain_size,
+                             tuple(g.count(v) for g in pred.groups), v == pred.ref_var)
+                            for v in ev.dependent_vars)
+        assert inst.event_classes(a) == back.event_classes(a) == classes
+    assert back.owner == inst.owner
+    assert back.dep_graph.adjacency == inst.dep_graph.adjacency
+    assert back.alloc_graph.adjacency == inst.alloc_graph.adjacency
 
 
 def test_instance_from_dict_rejects_a_nan_weight():

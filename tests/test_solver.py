@@ -132,6 +132,36 @@ def test_fate_map_matches_straight_line_reference():
     assert report.per_event_fate == reference
 
 
+@pytest.mark.parametrize("fires", [
+    lambda row: row in ((0,) * 7, (1, 1, 1, 1, 2, 2, 2)),  # the event is fixed
+    lambda row: row[4] == 2,                              # the event is reverted
+], ids=["two-rows", "one-third"])
+def test_truth_table_swap_probabilities_are_computed_once(fires, monkeypatch):
+    # One 7-variable event owning all its variables: every indicator miss
+    # swaps all of them, so its swap probability depends on no revealed
+    # value. Queried with nothing revealed, the oracle misses on each
+    # completion, and only the first miss enumerates the 432-row support.
+    vs = [VariableSpec.uniform(v, 2 if v < 4 else 3) for v in range(7)]
+    support = list(itertools.product(*(range(s.domain_size) for s in vs)))
+    table = TruthTable(frozenset(filter(fires, support)))
+    inst = build_instance(vs, [EventSpec(0, tuple(range(7)), table)])
+    part = Partition(3, (1,))
+    cfg = relaxed_config()
+    calls = []
+    evaluate = TruthTable.evaluate
+
+    def counted(self, values, deps):
+        calls.append(1)
+        return evaluate(self, values, deps)
+
+    monkeypatch.setattr(TruthTable, "evaluate", counted)
+    _, report = run_first_stage(inst, part, cfg, seed=4)
+    misses = report.indicator_memo["misses"]
+    assert misses >= 288
+    assert 10 * len(calls) <= misses * len(support)
+    assert report.per_event_fate == straight_line_reference(inst, part, cfg, seed=4)
+
+
 def test_reference_agreement_with_nontrivial_dynamics():
     # Scan seeds until reverts and deferrals both occur, then demand exact
     # agreement with the straight-line loop on that run.
