@@ -133,12 +133,13 @@ def run_one(spec: ExperimentSpec, seed: int) -> RunRecord:
         cfg = _config(spec)
         subject = generators.generate(gen["kind"], gen["family"], gen["params"], seed)
         if spec.algorithm == "solve-general":
-            r = int(params.get("r", 1))
-            res = general_mod.solve_general(subject, r, cfg, seed)
+            r = params.get("r", 1)  # null: solve_general chooses the part count
+            res = general_mod.solve_general(subject, r if r is None else int(r), cfg, seed)
             stage = res.stage
             record.valid = True
             record.rounds = res.rounds_used
             record.extra = {
+                "parts": res.partition.part_count,
                 "post_resamplings": res.post_resamplings,
                 "warnings": res.warnings,
                 "certificate": res.certificate.value,

@@ -15,7 +15,7 @@ where the uniform envelope is hopeless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .config import ThresholdConfig, lg
 from .errors import InputError
@@ -67,35 +67,22 @@ class CriterionReport:
     worst_event: int | None
 
     def to_dict(self):
-        return {
-            "ok": self.ok, "p": self.p, "bound": self.bound,
-            "margin": self.margin, "exact": self.exact,
-            "c": self.c, "r": self.r, "worst_event": self.worst_event,
-        }
+        return asdict(self)
 
 
 def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
                     seed: int = 0) -> list:
-    """Probability estimate of every event, indexed by event id.
-
-    Events with the same threshold, reference value and multiset of
-    variable classes (``LllInstance.event_classes``) share one exact
-    estimate. A sampled estimate stays per event: its seed names the event.
-    """
-    shared = {}
-    estimates = []
+    """Probability estimate of every event, indexed by event id. Events
+    with one ``EventShape.estimate_key`` share one exact estimate; a
+    sampled estimate stays per event, as its seed names the event."""
+    shared, estimates = {}, []
     for ev in inst.events:
-        classes = inst.event_classes(ev.event_id)
-        shape = None
-        if classes is not None:
-            shape = (ev.predicate.threshold, ev.predicate.ref_value,
-                     tuple(sorted(classes)))
-        est = shared.get(shape)
+        shape = inst.shapes[ev.event_id]
+        est = None if shape is None else shared.get(shape.estimate_key)
         if est is None:
-            est = event_probability(inst, ev.event_id, mc_samples=mc_samples,
-                                    seed=seed)
+            est = event_probability(inst, ev.event_id, mc_samples=mc_samples, seed=seed)
             if shape is not None and est.exact:
-                shared[shape] = est
+                shared[shape.estimate_key] = est
         estimates.append(est)
     return estimates
 
@@ -134,11 +121,7 @@ class CertificateReport:
     exact: bool
 
     def to_dict(self):
-        return {
-            "value": self.value, "threshold": self.threshold,
-            "passes": self.passes, "uniform_bound": self.uniform_bound,
-            "p_used": self.p_used, "exact": self.exact,
-        }
+        return asdict(self)
 
 
 def resilience_certificate(inst: LllInstance, part: Partition,

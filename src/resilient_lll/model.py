@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Optional
 
@@ -208,25 +208,48 @@ class EventSpec:
         return self.unsatisfiable
 
 
-def count_classes(variables, event):
-    """Per dependent variable of a ``CountThreshold`` event whose variables
-    are all uniform, in dependency order, its class: (domain size,
-    occurrences in each group, whether it is the reference variable).
-    None for any other event."""
-    pred = event.predicate
-    deps = event.dependent_vars
-    if not isinstance(pred, CountThreshold) or not all(
-            variables[v].is_uniform for v in deps):
-        return None
-    # One pass over the groups: each counts its members in a dict in
-    # dependency order, and zipping the dicts' counts gives each variable's
-    # occurrences per group.
-    counts = [dict.fromkeys(deps, 0) for _ in pred.groups]
-    for count, group in zip(counts, pred.groups):
-        for v in group:
-            count[v] += 1
-    return tuple((variables[v].domain_size, occurrences, v == pred.ref_var)
-                 for v, occurrences in zip(deps, zip(*[c.values() for c in counts])))
+@dataclass(frozen=True)
+class EventShape:
+    """A ``CountThreshold`` event over uniform variables as the probability
+    layers see it, through each variable's class (domain size, occurrences
+    per group, whether it is the reference). Per dependency position:
+    ``classes``, the class id (one small int per class of the instance),
+    and ``conditioned``, whether the variable occurs more than once across
+    the groups and is not the reference."""
+
+    classes: tuple
+    estimate_key: tuple  # (threshold, reference value, sorted class ids)
+    conditioned: tuple
+    stride: int  # above every domain size: id * stride + value is one int
+
+
+def event_shapes(variables, events):
+    """Each event's ``EventShape``, or None if it has none. Events with the
+    same threshold, reference value and classes share one record."""
+    stride = 1 + max((spec.domain_size for spec in variables), default=0)
+    ids, made, shapes = {}, {}, []
+    for ev in events:
+        pred, deps = ev.predicate, ev.dependent_vars
+        if not isinstance(pred, CountThreshold) or not all(
+                variables[v].is_uniform for v in deps):
+            shapes.append(None)
+            continue
+        # Each group counts its members in a dict in dependency order;
+        # zipping the counts gives each variable's occurrences per group.
+        counts = [dict.fromkeys(deps, 0) for _ in pred.groups]
+        for count, group in zip(counts, pred.groups):
+            for v in group:
+                count[v] += 1
+        classes = tuple([(variables[v].domain_size, occ, v == pred.ref_var)
+                         for v, occ in zip(deps, zip(*[c.values() for c in counts]))])
+        shape = made.get((pred.threshold, pred.ref_value, classes))
+        if shape is None:
+            class_ids = tuple([ids.setdefault(cls, len(ids)) for cls in classes])
+            shape = made[pred.threshold, pred.ref_value, classes] = EventShape(
+                class_ids, (pred.threshold, pred.ref_value, tuple(sorted(class_ids))),
+                tuple([sum(occ) > 1 and not is_ref for _, occ, is_ref in classes]), stride)
+        shapes.append(shape)
+    return tuple(shapes)
 
 
 class LllInstance:
@@ -256,15 +279,11 @@ class LllInstance:
         self.d = self.dep_graph.max_degree
         self.d_vars = self.alloc_graph.max_degree
         self._validate_degrees()
-        self._classes = None
 
-    def event_classes(self, a: int):
-        """``count_classes`` of event ``a``, computed for every event on the
-        first request and kept."""
-        if self._classes is None:
-            self._classes = tuple(count_classes(self.variables, ev)
-                                  for ev in self.events)
-        return self._classes[a]
+    @cached_property
+    def shapes(self):
+        """``event_shapes`` of the events, built on the first read."""
+        return event_shapes(self.variables, self.events)
 
     @property
     def var_count(self) -> int:

@@ -13,11 +13,11 @@ flagged as approximate.
 
 Over uniform variables a ``CountThreshold`` probability is an integer
 count of completions over the support, so it depends on the variables
-only through their classes (``LllInstance.event_classes``) and on the
-fixed values only through how they compare with the reference. Events of
-the same shape therefore share one result: exact event estimates in
-``general.event_estimates``, and vulnerability indicators in the oracle's
-memo.
+only through their classes and on the fixed values only through how they
+compare with the reference. One ``EventShape`` per event holds them
+(``LllInstance.shapes``), and events of the same shape share one
+result: exact event estimates in ``general.event_estimates``, and
+vulnerability indicators, under keys of packed ints, in the oracle's memo.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .config import ThresholdConfig
 from .errors import CapacityError, InputError
@@ -67,8 +68,8 @@ def _validate_fixed(inst, fixed):
     for v, val in fixed.items():
         if not 0 <= v < n:
             raise InputError(f"fixed value for unknown variable {v}")
-        if not 0 <= val < variables[v].domain_size:
-            raise InputError(f"value {val} out of domain for variable {v}")
+        if type(val) is not int or not 0 <= val < variables[v].domain_size:
+            raise InputError(f"value {val!r} out of domain for variable {v}")
 
 
 def _probability_over(inst, event, fixed, free_vars, mc_samples, make_rng):
@@ -223,10 +224,7 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
             hits += weight * (rest - missed)
     if not uniform:
         return float(hits)
-    support = 1
-    for v in free:
-        support *= variables[v].domain_size
-    return hits / support
+    return hits / math.prod(variables[v].domain_size for v in free)
 
 
 def _conditioning(variables, pred, free):
@@ -282,7 +280,7 @@ class VulnerabilityOracle:
         self.cfg = cfg
         self.inner_thr = cfg.inner_threshold(inst.d)
         self._rng = rng_for(seed, "vulnerability")
-        self._groups = {}
+        self._parts = {}
         self._layouts = {}
         self._indicator_memo = {}
         self._swap_memo = {}
@@ -297,78 +295,77 @@ class VulnerabilityOracle:
         these events can perturb it by re-drawing their owned values. Each
         comes with the dependencies it owns, in ascending id order, and the
         members of a part are in ascending event id order."""
-        cached = self._groups.get(a)
-        if cached is not None:
-            return cached
-        owned = {}
-        for v in sorted(self.inst.events[a].dependent_vars):
-            owned.setdefault(self.inst.owner[v], []).append(v)
-        by_part = {}
-        for b in sorted(owned):
-            by_part.setdefault(self.part.part_of(b), []).append((b, tuple(owned[b])))
-        groups = []
-        for part_idx in sorted(by_part):
-            members = by_part[part_idx]
-            if len(members) > self.cfg.subset_cap:
-                raise CapacityError(
-                    f"event {a}: {len(members)} swap neighbors in part {part_idx} "
-                    f"exceed subset cap {self.cfg.subset_cap}"
-                )
-            groups.append((part_idx, tuple(members)))
-        groups = tuple(groups)
-        self._groups[a] = groups
-        return groups
+        deps = self.inst.events[a].dependent_vars
+        return tuple((part_idx, tuple([(b, tuple([deps[i] for i in positions]))
+                                       for b, positions in members]))
+                     for part_idx, members in self._members(a))
+
+    def _members(self, a: int):
+        """``swap_groups`` with dependency positions in place of variables,
+        built in one pass and kept. The members cover every position."""
+        parts = self._parts.get(a)
+        if parts is None:
+            deps = self.inst.events[a].dependent_vars
+            owned, by_part = {}, {}
+            for i in sorted(range(len(deps)), key=deps.__getitem__):
+                owned.setdefault(self.inst.owner[deps[i]], []).append(i)
+            for b in sorted(owned):
+                by_part.setdefault(self.part.part_of(b), []).append((b, tuple(owned[b])))
+            parts = tuple(sorted(by_part.items()))
+            for part_idx, members in parts:
+                if len(members) > self.cfg.subset_cap:
+                    raise CapacityError(
+                        f"event {a}: {len(members)} swap neighbors in part {part_idx} "
+                        f"exceed subset cap {self.cfg.subset_cap}")
+            self._parts[a] = parts
+        return parts
 
     def _layout(self, a: int):
-        """Event ``a``'s variable classes and the dependency positions of
-        each swap member per part. Every dependency has an owner and every
-        owner is a swap member, so the members cover every position.
+        """Event ``a``'s predicate, ``class id * stride`` per dependency
+        position (see ``EventShape``) and its ``_members``. None for an
+        event keyed per event: one without a shape, or whose swap
+        probabilities could be sampled, as a sampled value is never shared."""
+        if a not in self._layouts:
+            shape = self.inst.shapes[a]
+            self._layouts[a] = None if shape is None or self._samples(a, shape) else (
+                self.inst.events[a].predicate, [c * shape.stride for c in shape.classes],
+                self._members(a))
+        return self._layouts[a]
 
-        None when the event keeps the per-event memo key: any event but a
-        ``CountThreshold`` one over uniform variables, and such an event
-        whose swap probabilities could be sampled, since a sampled value
-        draws from the oracle's rng and is never shared."""
-        if a in self._layouts:
-            return self._layouts[a]
+    def _samples(self, a: int, shape) -> bool:
+        """``_conditioning``'s sampling rule on each part's full swap set,
+        read off the shape: the reference's domain size if it is swapped,
+        times two per swapped conditioned variable, above EXACT_ENUM_CAP."""
         ev = self.inst.events[a]
-        classes = self.inst.event_classes(a)
-        layout = None
-        # A part's full swap set conditions on the most variables.
-        if classes is not None and all(
-                _conditioning(self.inst.variables, ev.predicate,
-                              {v for _, sv in members for v in sv}) is not None
-                for _, members in self.swap_groups(a)):
-            position = {v: i for i, v in enumerate(ev.dependent_vars)}
-            layout = (ev.predicate, classes,
-                      tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)
-                            for _, members in self.swap_groups(a)))
-        self._layouts[a] = layout
-        return layout
+        ref_var = ev.predicate.ref_var
+        for _, members in self._members(a):
+            swapped = [i for _, positions in members for i in positions]
+            refs = (self.inst.variables[ref_var].domain_size
+                    if ref_var in [ev.dependent_vars[i] for i in swapped] else 1)
+            if refs << sum([shape.conditioned[i] for i in swapped]) > EXACT_ENUM_CAP:
+                return True
+        return False
 
     def _memo_key(self, a: int, key: tuple):
         """The indicator memo key of event ``a`` under the revealed values
-        ``key`` (in dependency order).
-
-        For a shaped event: the threshold, the reference value, and the
-        sorted (class, value class) pairs of each swap member, the members
-        of a part sorted and the parts sorted. The value class is whether
-        the value equals a constant reference, or the raw value when the
-        reference is a variable. Every swap probability is then an integer
-        count that the key determines, and the indicator is the same for
-        every event sharing it. The key is a 3-tuple, so it never equals a
-        per-event (event, values) key."""
+        ``key`` (in dependency order). For a shaped event: the threshold,
+        the reference value and, per swap member, the sorted ints
+        ``class id * stride + value class`` of its dependencies, the members
+        of a part sorted and the parts sorted. The value class (the value,
+        or whether it equals a constant reference) is below the stride, so
+        each int is one (class, value class) pair, and every swap
+        probability is an integer count that the key determines. The
+        3-tuple never equals a per-event (event, values) key."""
         layout = self._layout(a)
         if layout is None:
             return (a, key)
-        pred, classes, parts = layout
+        pred, bases, parts = layout
         if pred.ref_var is None:
             key = [x == pred.ref_value for x in key]
-
-        def stats(positions):
-            return tuple(sorted((classes[i], key[i]) for i in positions))
-
-        return (pred.threshold, pred.ref_value,
-                tuple(sorted(tuple(sorted(map(stats, members))) for members in parts)))
+        get = list(map(add, bases, key)).__getitem__
+        return (pred.threshold, pred.ref_value, tuple(sorted([
+            tuple(sorted([tuple(sorted(map(get, positions))) for _, positions in members]))
+            for _, members in parts])))
 
     def _swap_probability(self, event, base_values, swap_vars):
         fixed = {v: val for v, val in base_values.items() if v not in swap_vars}

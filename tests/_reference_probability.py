@@ -1,11 +1,18 @@
-"""Conditional event probability, as a reference for the tests.
+"""References for the probability tests.
 
-The solver never asks for it: the vulnerability oracle conditions on
-revealed values by itself. The tests use it to check the probability
-engine against enumeration, and the residual against its bound.
+Conditional event probability: the solver never asks for it, since the
+vulnerability oracle conditions on revealed values by itself. The tests
+use it to check the probability engine against enumeration, and the
+residual against its bound.
+
+The vulnerability oracle's memo key as it was built before event shape
+records: per-variable class tuples, and nested sorts of (class, value
+class) pairs. The tests check that the packed key shares indicators
+between exactly the same (event, values) pairs.
 """
 
-from resilient_lll.probability import _probability_over, _validate_fixed
+from resilient_lll.model import CountThreshold
+from resilient_lll.probability import _conditioning, _probability_over, _validate_fixed
 from resilient_lll.seeds import rng_for
 
 
@@ -33,3 +40,85 @@ def conditional_event_probability(inst, event_id, swap_events=(), row1_fixed=Non
             free.append(v)
     return _probability_over(inst, ev, fixed, free, mc_samples,
                              lambda: rng_for(seed, "cond_p", event_id, len(fixed)))
+
+
+def count_classes(variables, event):
+    """Per dependent variable of a ``CountThreshold`` event whose variables
+    are all uniform, in dependency order, its class: (domain size,
+    occurrences in each group, whether it is the reference variable).
+    None for any other event."""
+    pred = event.predicate
+    deps = event.dependent_vars
+    if not isinstance(pred, CountThreshold) or not all(
+            variables[v].is_uniform for v in deps):
+        return None
+    # One pass over the groups: each counts its members in a dict in
+    # dependency order, and zipping the dicts' counts gives each variable's
+    # occurrences per group.
+    counts = [dict.fromkeys(deps, 0) for _ in pred.groups]
+    for count, group in zip(counts, pred.groups):
+        for v in group:
+            count[v] += 1
+    return tuple((variables[v].domain_size, occurrences, v == pred.ref_var)
+                 for v, occurrences in zip(deps, zip(*[c.values() for c in counts])))
+
+
+class ReferenceMemoKeys:
+    """The memo key of a ``VulnerabilityOracle`` (whose ``swap_groups``
+    it reads), computed as the oracle once did."""
+
+    def __init__(self, oracle):
+        self.inst = oracle.inst
+        self.swap_groups = oracle.swap_groups
+        self._layouts = {}
+
+    def _layout(self, a: int):
+        """Event ``a``'s variable classes and the dependency positions of
+        each swap member per part. Every dependency has an owner and every
+        owner is a swap member, so the members cover every position.
+
+        None when the event keeps the per-event memo key: any event but a
+        ``CountThreshold`` one over uniform variables, and such an event
+        whose swap probabilities could be sampled, since a sampled value
+        draws from the oracle's rng and is never shared."""
+        if a in self._layouts:
+            return self._layouts[a]
+        ev = self.inst.events[a]
+        classes = count_classes(self.inst.variables, ev)
+        layout = None
+        # A part's full swap set conditions on the most variables.
+        if classes is not None and all(
+                _conditioning(self.inst.variables, ev.predicate,
+                              {v for _, sv in members for v in sv}) is not None
+                for _, members in self.swap_groups(a)):
+            position = {v: i for i, v in enumerate(ev.dependent_vars)}
+            layout = (ev.predicate, classes,
+                      tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)
+                            for _, members in self.swap_groups(a)))
+        self._layouts[a] = layout
+        return layout
+
+    def _memo_key(self, a: int, key: tuple):
+        """The indicator memo key of event ``a`` under the revealed values
+        ``key`` (in dependency order).
+
+        For a shaped event: the threshold, the reference value, and the
+        sorted (class, value class) pairs of each swap member, the members
+        of a part sorted and the parts sorted. The value class is whether
+        the value equals a constant reference, or the raw value when the
+        reference is a variable. Every swap probability is then an integer
+        count that the key determines, and the indicator is the same for
+        every event sharing it. The key is a 3-tuple, so it never equals a
+        per-event (event, values) key."""
+        layout = self._layout(a)
+        if layout is None:
+            return (a, key)
+        pred, classes, parts = layout
+        if pred.ref_var is None:
+            key = [x == pred.ref_value for x in key]
+
+        def stats(positions):
+            return tuple(sorted((classes[i], key[i]) for i in positions))
+
+        return (pred.threshold, pred.ref_value,
+                tuple(sorted(tuple(sorted(map(stats, members))) for members in parts)))

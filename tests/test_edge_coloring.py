@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -17,6 +19,7 @@ from resilient_lll.edge_coloring import (
 )
 from resilient_lll.errors import ContractViolation, InputError, ReductionViolation
 from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
+from resilient_lll import misra_gries
 from resilient_lll.graph import Graph
 from resilient_lll.misra_gries import (
     misra_gries_edge_coloring,
@@ -223,6 +226,46 @@ def test_multigraphs_color_properly_or_name_a_repeated_pair(case):
     else:
         assert proper_coloring_violations(n, edges, colors) == []
         assert max(colors, default=0) <= max(degrees(n, edges), default=0)
+
+
+BROKEN_LINK_CHECK = """\
+                if i and at[fan[i - 1]][color[fan_edges[i]]] is not None:
+                    break
+"""
+
+
+@functools.cache
+def colorer_raising_on_a_broken_link():
+    """A copy of ``misra_gries_edge_coloring`` whose rotatable-prefix scan
+    raises RuntimeError where the library's stops at a broken fan link."""
+    source = inspect.getsource(misra_gries)
+    assert BROKEN_LINK_CHECK in source
+    namespace = {"__name__": "resilient_lll.broken_link_probe",
+                 "__package__": "resilient_lll"}
+    exec(source.replace(BROKEN_LINK_CHECK, BROKEN_LINK_CHECK.replace(
+        "break", "raise RuntimeError('broken fan link')")), namespace)
+    return namespace["misra_gries_edge_coloring"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(edge_lists(), multigraph_edge_lists()), st.integers(0, 2))
+def test_no_fan_link_breaks_before_the_first_vertex_with_d_free(case, extra):
+    # The inversion recolors one fan edge at most: u's d-edge, to some fan
+    # vertex j, whose predecessor j - 1 had d free. If the c/d path ends at
+    # j - 1 it frees c there, and the link holds; otherwise j - 1 keeps d
+    # free and ends the scan before link j. So the scan's broken-link check
+    # never fires, and no input tells the library from a copy without it.
+    n, edges = case
+    degree = degrees(n, edges)
+    palette = max(degree, default=0) + 1 + extra
+    probe = colorer_raising_on_a_broken_link()
+    try:
+        colors = probe(n, edges, degree, palette)
+    except InputError:  # a multigraph's repeated pair, as in the library
+        with pytest.raises(InputError):
+            misra_gries_edge_coloring(n, edges, degree, palette)
+    else:
+        assert colors == misra_gries_edge_coloring(n, edges, degree, palette)
 
 
 def test_an_understated_degree_is_an_input_error_naming_the_vertex():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -252,23 +254,25 @@ def test_event_estimates_share_exact_estimates_by_shape(monkeypatch):
 
 
 def test_event_classes_computed_once_per_event_per_instance(monkeypatch):
-    # The criterion's estimates, the vulnerability oracle and the bootstrap
-    # partition all read event classes; each instance computes them once.
-    computed = Counter()
+    # The criterion's estimates and the vulnerability oracle both read the
+    # event shape records; each instance builds them once, for every event
+    # in one pass.
+    built = Counter()
     alive = []  # keeps each instance's variables, so their ids stay distinct
-    count_classes = model.count_classes
+    event_shapes = model.event_shapes
 
-    def counted(variables, event):
+    def counted(variables, events):
         alive.append(variables)
-        computed[id(variables), event.event_id] += 1
-        return count_classes(variables, event)
+        built[id(variables)] += len(events)
+        return event_shapes(variables, events)
 
-    monkeypatch.setattr(model, "count_classes", counted)
+    monkeypatch.setattr(model, "event_shapes", counted)
     inst = generators.ring_family(60, 2, 5, 3)
     for r in (1, 2):
         solve_general(inst, r, relaxed_config(), 3)
-    assert computed[id(inst.variables), 0] == 1
-    assert max(computed.values()) == 1
+    assert built[id(inst.variables)] == inst.event_count
+    assert all(shape is not None for shape in inst.shapes)
+    assert len(built) == len(alive)
 
 
 @pytest.mark.parametrize("seed, memo, fixed, reverted, sizes", [
@@ -286,3 +290,33 @@ def test_ring_stage_counters_are_pinned(seed, memo, fixed, reverted, sizes):
     assert (stage.fixed_count, stage.reverted_count, stage.deferred_count) == (
         fixed, reverted, 0)
     assert stage.residual_component_sizes == sizes
+
+
+def result_digest(result) -> str:
+    return hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "b4cb03d8b71d62f1a620fa57eccd07e61910ef350c58b70d52e7440f6e64c5dd"),
+    (1, "ff7afb5196f3ed92c580316d35b5da812baf6c497d0e7a5944f007a9c59854ac"),
+    (2, "cb511d6e1dbcd2f94d78da5316bcafd7938a4c0e10df5d148283256d1fd6cc94"),
+])
+def test_ring_general_result_is_pinned(seed, digest):
+    # The whole result of the benchmark's ring-general op, not just its
+    # assignment: fates, dangerous events, estimate modes and memo counts.
+    result = solve_general(generators.ring_family(400, 2, 5, seed), 1, relaxed_config(),
+                           seed)
+    assert result_digest(result) == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "737bdc1b119d83ab2f11c9957f44ca8110a5c92a9f03e19416150089c3f1fe75"),
+    (1, "737d88f39f4bbaf0d67e667a235a388cbf8d1d5f6844917f60f76bfccaff421e"),
+    (2, "ad58097afe70e8bbc1f56bb778936f4641b545444c97230415e181ac9b79392d"),
+])
+def test_ring_four_part_stage_report_is_pinned(seed, digest):
+    # The staged phase under partial reveals, where most indicator calls are
+    # memo hits between events of the same shape.
+    _, report = solver.run_first_stage(generators.ring_family(24, 2, 5, seed),
+                                       Partition.round_robin(24, 4), relaxed_config(), seed)
+    assert result_digest(report) == digest

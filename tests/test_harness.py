@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from resilient_lll import experiment
 from resilient_lll.cli import main as cli_main
 from resilient_lll.config import config_from_file, relaxed_config, strict_config
 from resilient_lll.defective import build_split_instance
@@ -99,6 +100,39 @@ def test_sweep_produces_consistent_summary(tmp_path):
     lines = open(spec.output_path).read().splitlines()
     assert len(lines) == 10
     assert json.loads(lines[0])["seed"] == 0
+
+
+def test_solve_general_spec_accepts_a_null_r(monkeypatch):
+    # ``"r": null`` hands the choice of the part count to solve_general,
+    # and the record keeps the part count it chose.
+    spec = ExperimentSpec.from_dict(json.loads("""{
+        "generator": {"kind": "instance", "family": "ring",
+                      "params": {"n": 40, "shared_degree": 4, "private_bits": 5}},
+        "algorithm": "solve-general", "seeds": [0],
+        "algorithm_params": {"r": null}}"""))
+    calls = []
+    solve_general = experiment.general_mod.solve_general
+
+    def spy(inst, r, cfg, seed):
+        calls.append((r, solve_general(inst, r, cfg, seed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiment.general_mod, "solve_general", spy)
+    record = run_one(spec, 0)
+    assert record.error is None and record.valid
+    [(r, res)] = calls
+    assert r is None
+    assert record.extra["parts"] == res.partition.part_count == res.criterion.r
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_solve_general_records_its_part_count(r):
+    spec = ExperimentSpec(
+        generator={"kind": "instance", "family": "ring",
+                   "params": {"n": 40, "shared_degree": 4, "private_bits": 5}},
+        algorithm="solve-general", seeds=[0], algorithm_params={"r": r})
+    record = run_one(spec, 0)
+    assert record.valid and record.extra["parts"] == r
 
 
 def test_records_reproducible_minus_wall_time(tmp_path):

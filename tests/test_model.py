@@ -297,17 +297,30 @@ def test_round_trip_keeps_uniformity_classes_and_graphs(case):
         w0 = spec.weights[0]
         uniform = all(abs(w - w0) <= model.WEIGHT_TOL for w in spec.weights)
         assert spec.is_uniform == loaded.is_uniform == uniform
+    class_of_id = {}
+    stride = 1 + max(spec.domain_size for spec in inst.variables)
     for a, (ev, loaded) in enumerate(zip(inst.events, back.events)):
         assert ev.structurally_false() == loaded.structurally_false() == (
             ev.predicate.structurally_false(ev.dependent_vars))
-        classes = None
+        shape = inst.shapes[a]
+        assert back.shapes[a] == shape
         pred = ev.predicate
-        if isinstance(pred, CountThreshold) and all(
+        if not isinstance(pred, CountThreshold) or not all(
                 inst.variables[v].is_uniform for v in ev.dependent_vars):
-            classes = tuple((inst.variables[v].domain_size,
-                             tuple(g.count(v) for g in pred.groups), v == pred.ref_var)
-                            for v in ev.dependent_vars)
-        assert inst.event_classes(a) == back.event_classes(a) == classes
+            assert shape is None
+            continue
+        classes = [(inst.variables[v].domain_size,
+                    tuple(g.count(v) for g in pred.groups), v == pred.ref_var)
+                   for v in ev.dependent_vars]
+        # One id per class across the instance.
+        for class_id, cls in zip(shape.classes, classes):
+            assert class_of_id.setdefault(class_id, cls) == cls
+        assert shape.estimate_key == (pred.threshold, pred.ref_value,
+                                      tuple(sorted(shape.classes)))
+        assert shape.conditioned == tuple(sum(occ) > 1 and not is_ref
+                                          for _, occ, is_ref in classes)
+        assert shape.stride == stride
+    assert len(set(class_of_id.values())) == len(class_of_id)
     assert back.owner == inst.owner
     assert back.dep_graph.adjacency == inst.dep_graph.adjacency
     assert back.alloc_graph.adjacency == inst.alloc_graph.adjacency

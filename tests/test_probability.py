@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from resilient_lll import probability
 from resilient_lll.config import relaxed_config, strict_config
 from resilient_lll.defective import EDGE, VERTEX, build_split_instance
-from resilient_lll.errors import CapacityError, ContractViolation
+from resilient_lll.errors import CapacityError, ContractViolation, InputError
 from resilient_lll.general import event_estimates
 from resilient_lll.generators import random_regular_graph, ring_family, window_family
 from resilient_lll.graph import Partition
@@ -21,15 +22,17 @@ from resilient_lll.model import (
     TruthTable,
     VariableSpec,
     build_instance,
+    check_assignment,
 )
 from resilient_lll.probability import (
+    EXACT_ENUM_CAP,
     VulnerabilityOracle,
     event_probability,
     vulnerability_probability,
 )
 from resilient_lll.seeds import first_row_value
 
-from _reference_probability import conditional_event_probability
+from _reference_probability import ReferenceMemoKeys, conditional_event_probability
 
 
 def fair_bits(n):
@@ -336,6 +339,20 @@ def hub_instance(n_leaves=15):
     return build_instance(fair_bits(n_leaves), [hub] + leaves, allocation)
 
 
+@pytest.mark.parametrize("value", [0.5, 1.0, True, "1", None])
+def test_probability_rejects_a_fixed_value_that_is_not_an_int(value):
+    # A fixed value must be an int in its domain, as in check_assignment.
+    inst = ring_family(40)
+    deps = inst.events[0].dependent_vars
+    oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
+                                 relaxed_config())
+    with pytest.raises(InputError,
+                       match=re.escape(f"value {value!r} out of domain for variable {deps[0]}")):
+        oracle.probability(0, {v: value for v in deps})
+    with pytest.raises(InputError, match="have no value in their domain"):
+        check_assignment(inst, {v: value for v in range(inst.var_count)})
+
+
 def test_vulnerability_capacity_error_names_offender():
     # A hub event whose 15 swap neighbors share one part exceeds the cap.
     inst = hub_instance()
@@ -533,38 +550,47 @@ def test_shared_oracle_matches_fresh_oracle_per_query(case):
                                      for ev in inst.events]
 
 
-def class_rule_samples(classes, parts, cap):
-    """Verbatim copy of the sampling rule the oracle's layout once kept
-    apart, over variable classes: whether some part's full swap set
-    conditions on more than ``cap`` cases."""
-    for members in parts:
-        free = [classes[i] for m in members for i in m]
-        refs = max((size for size, _, is_ref in free if is_ref), default=1)
-        shared = sum(sum(occ) > 1 for _, occ, is_ref in free if not is_ref)
-        if refs << shared > cap:
-            return True
-    return False
-
-
 @settings(max_examples=300, deadline=None)
 @given(shared_oracle_cases(), st.integers(0, 16))
 def test_layout_sampling_rule_matches_class_rule(case, cap):
-    # The layout asks the probability engine's own rule whether a swap
-    # probability could be sampled; under a small cap, it must agree with
-    # the class-based copy on every event.
+    # The layout decides from the event's shape whether a swap probability
+    # could be sampled; under a small cap, it must agree with the
+    # probability engine's own rule on every part's full swap set.
     inst, part, cfg, _ = case
     with mock.patch.object(probability, "EXACT_ENUM_CAP", cap):
         oracle = VulnerabilityOracle(inst, part, cfg)
         for ev in inst.events:
             a = ev.event_id
-            classes = inst.event_classes(a)
-            if classes is None:
+            if inst.shapes[a] is None:
                 assert oracle._layout(a) is None
                 continue
-            position = {v: i for i, v in enumerate(ev.dependent_vars)}
-            parts = [[[position[v] for v in sv] for _, sv in members]
-                     for _, members in oracle.swap_groups(a)]
-            assert (oracle._layout(a) is None) == class_rule_samples(classes, parts, cap)
+            samples = any(
+                probability._conditioning(inst.variables, ev.predicate,
+                                          {v for _, sv in members for v in sv}) is None
+                for _, members in oracle.swap_groups(a))
+            assert (oracle._layout(a) is None) == samples
+
+
+@settings(max_examples=300, deadline=None)
+@example(OCCURRENCE_CASE, EXACT_ENUM_CAP)
+@example(GROUPING_CASE, EXACT_ENUM_CAP)
+@example(REFERENCE_CASE, EXACT_ENUM_CAP)
+@given(shared_oracle_cases(), st.sampled_from([0, 2, 4, EXACT_ENUM_CAP]))
+def test_packed_memo_keys_match_reference_keys(case, cap):
+    # Two (event, full reveal) pairs share a packed memo key exactly when
+    # they share the reference key, so the memo's hits, misses and answers
+    # stay as they were. Small caps mix in per-event keys.
+    inst, part, cfg, _ = case
+    new, old = [], []
+    with mock.patch.object(probability, "EXACT_ENUM_CAP", cap):
+        oracle = VulnerabilityOracle(inst, part, cfg)
+        reference = ReferenceMemoKeys(oracle)
+        for ev in inst.events:
+            for key in itertools.product(*(range(inst.variables[v].domain_size)
+                                           for v in ev.dependent_vars)):
+                new.append(oracle._memo_key(ev.event_id, key))
+                old.append(reference._memo_key(ev.event_id, key))
+    assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
 
 
 # --- first-row values -----------------------------------------------------
