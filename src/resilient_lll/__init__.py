@@ -38,14 +38,14 @@ from .model import (
 )
 from .probability import (
     ProbabilityEstimate,
+    VulnerabilityOracle,
     event_probability,
-    vulnerability_probability,
 )
 from .solver import run_first_stage, residual_instance, solve
 from .shattering import extract_components, solve_component
 from .light_partition import (
     build_light_partition_instance,
-    compute_light_partition,
+    compute_light_partition_detailed,
     verify_resilience_1part,
 )
 from .general import criterion_check, resilience_certificate, solve_general

@@ -116,8 +116,7 @@ def cmd_solve_general(args):
 def cmd_partition(args):
     g = load_graph(args.graph)
     cfg = _config(args)
-    x = args.x if args.x is not None else lg(max(g.max_degree, 2))
-    rep = compute_light_partition_detailed(g, x, cfg, args.seed)
+    rep = compute_light_partition_detailed(g, args.x, cfg, args.seed)
     _write_json(
         {
             "part_count": rep.partition.part_count,
@@ -222,7 +221,7 @@ def build_parser():
 
     p = sub.add_parser("solve-general", help="criterion check, partition, solve")
     p.add_argument("--instance", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, default=None)  # omitted: the driver chooses
     p.add_argument("--mode", choices=("strict", "relaxed"), default=None)
     p.add_argument("--out-prefix", default="run")
     _add_common(p)

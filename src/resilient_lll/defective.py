@@ -77,11 +77,6 @@ def halving_iterations(delta: int, q: float) -> int:
     return max(0, math.floor(lg(delta) - lg(iteration_floor(q))))
 
 
-def inductive_degree(delta: int, q: float, i: int) -> float:
-    """Class degree bound entering iteration i (1-based)."""
-    return inductive_bound(delta, q, i - 1)
-
-
 def inductive_bound(delta: int, q: float, i: int) -> float:
     """Class degree bound after iteration i."""
     L = _lg_clamped(delta)
@@ -276,38 +271,24 @@ def build_split_instance(g: Graph, kind: str, q: float):
     if delta < 2:
         raise InputError("degree below 2: splitting is vacuous")
     threshold = split_threshold(delta, q)
+    # Per object, the groups of objects its event counts and its threshold.
     if kind == VERTEX:
-        variables = [VariableSpec.fair_bit(v) for v in range(g.node_count)]
-        events = []
-        allocation = {}
-        for v in range(g.node_count):
-            deps = tuple(sorted({v, *g.neighbors(v)}))
-            groups = (tuple(g.neighbors(v)),) if g.degree(v) else ((v,),)
-            thr = threshold if g.degree(v) else g.node_count + 1
-            events.append(
-                EventSpec(v, deps, CountThreshold(groups=groups, threshold=thr,
-                                                  ref_var=v))
-            )
-            allocation[v] = v
-        return build_instance(variables, events, allocation)
-
-    edges = g.edges()
-    incident = [[] for _ in range(g.node_count)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-    variables = [VariableSpec.fair_bit(i) for i in range(len(edges))]
-    events = []
-    allocation = {}
-    for i, (u, v) in enumerate(edges):
-        deps = tuple(sorted(set(incident[u]) | set(incident[v])))
-        groups = (tuple(incident[u]), tuple(incident[v]))
-        events.append(
-            EventSpec(i, deps, CountThreshold(groups=groups, threshold=threshold,
-                                              ref_var=i))
-        )
-        allocation[i] = i
-    return build_instance(variables, events, allocation)
+        # An isolated vertex counts itself, under a threshold it cannot reach.
+        objects = [((tuple(g.neighbors(v)),), threshold) if g.degree(v)
+                   else (((v,),), g.node_count + 1) for v in range(g.node_count)]
+    else:
+        edges = g.edges()
+        incident = [[] for _ in range(g.node_count)]
+        for i, (u, v) in enumerate(edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        objects = [((tuple(incident[u]), tuple(incident[v])), threshold)
+                   for u, v in edges]
+    events = [EventSpec(i, tuple(sorted({i}.union(*groups))),
+                        CountThreshold(groups=groups, threshold=thr, ref_var=i))
+              for i, (groups, thr) in enumerate(objects)]
+    return build_instance([VariableSpec.fair_bit(i) for i in range(len(objects))],
+                          events, {i: i for i in range(len(objects))})
 
 
 # --- splitting dispatch -----------------------------------------------------
@@ -431,10 +412,10 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                                  q, float(delta + 2), edges=edges, classes=tuple(classes))
     floor_val = iteration_floor(q)
     for i in range(1, k + 1):
-        if inductive_degree(delta, q, i) < 2 * floor_val:
+        if inductive_bound(delta, q, i - 1) < 2 * floor_val:  # entering iteration i
             raise ContractViolation(
                 f"iteration arithmetic broke at i={i}: class degree bound "
-                f"{inductive_degree(delta, q, i):.2f} below {2 * floor_val:.2f}"
+                f"{inductive_bound(delta, q, i - 1):.2f} below {2 * floor_val:.2f}"
             )
 
     history = []

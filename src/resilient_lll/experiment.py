@@ -15,7 +15,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .config import config_from_dict, resolve_config, ThresholdConfig
-from .errors import CapacityError, ComponentFailure, ContractViolation, InputError
+from .errors import (CapacityError, ComponentFailure, ContractViolation, InputError,
+                     ReductionViolation)
 from .graph import Partition
 from . import defective as defective_mod
 from . import edge_coloring as ec_mod
@@ -39,6 +40,7 @@ ERROR_CLASSES = {
     CapacityError.__name__: "capacity",
     ComponentFailure.__name__: "component",
     InputError.__name__: "input",
+    ReductionViolation.__name__: "reduction",
 }
 
 
@@ -153,12 +155,12 @@ def run_one(spec: ExperimentSpec, seed: int) -> RunRecord:
             record.rounds = res.rounds_used
             record.extra = {"post_resamplings": res.post_resamplings}
         elif spec.algorithm == "partition":
-            x = float(params.get("x", max(subject.max_degree, 1)))
-            rep = lp_mod.compute_light_partition_detailed(subject, x, cfg, seed)
+            # No x: the library's lg(max degree), as for ``rlll partition``.
+            rep = lp_mod.compute_light_partition_detailed(subject, params.get("x"), cfg, seed)
             record.valid = rep.max_observed_load <= rep.per_part_bound
             record.rounds = rep.stage_rounds
             record.extra = {
-                "parts": rep.grouped_parts,
+                "parts": rep.partition.part_count,
                 "max_load": rep.max_observed_load,
                 "bound": rep.per_part_bound,
             }
@@ -207,8 +209,8 @@ def aggregate(records) -> dict:
 
     ``error_classes`` counts the failed runs by the class of their error, so
     that a broken guarantee (``contract``) stands apart from a run that hit
-    a budget (``capacity``), an unsolved component (``component``) or bad
-    input (``input``)."""
+    a budget (``capacity``), an unsolved component (``component``), a
+    broken bucket guarantee (``reduction``) or bad input (``input``)."""
     total = len(records)
     ok = [r for r in records if r.valid]
     rounds = [r.rounds for r in records]

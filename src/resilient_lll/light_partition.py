@@ -56,38 +56,28 @@ def build_light_partition_instance(g: Graph, defect_const: float):
     return build_instance(variables, events, allocation)
 
 
-def group_base_parts(base_count: int, group_count: int):
-    """Balanced contiguous grouping: map base part -> group, sizes differing
-    by at most one."""
-    if group_count < 1 or group_count > base_count:
-        raise InputError(f"cannot group {base_count} parts into {group_count}")
-    return list(Partition.contiguous(base_count, group_count).assignment)
-
-
 @dataclass
 class LightPartitionReport:
     partition: Partition
-    base_parts: int
-    grouped_parts: int
     per_part_bound: float
     stage_rounds: int
     max_observed_load: int
 
 
-def compute_light_partition_detailed(g: Graph, x: float, cfg: ThresholdConfig,
+def compute_light_partition_detailed(g: Graph, x: float | None, cfg: ThresholdConfig,
                                      seed: int) -> LightPartitionReport:
+    """ceil(Δ / x) parts, x = lg(Δ) if None, each vertex with at most
+    defect_const * lg(Δ) * ceil(x / lg(Δ)) neighbors per part (Δ max degree)."""
     delta = g.max_degree
     if delta < 4:
         # Vacuously light: every per-part count is at most the degree.
-        part = Partition.singleton(g.node_count)
         return LightPartitionReport(
-            partition=part,
-            base_parts=1,
-            grouped_parts=1,
+            partition=Partition.singleton(g.node_count),
             per_part_bound=float(max(delta, 1)),
             stage_rounds=0,
             max_observed_load=delta,
         )
+    x = lg(delta) if x is None else float(x)
     if x < lg(delta):
         raise InputError(f"x = {x} below lg(max_degree) = {lg(delta):.3f}")
     inst = build_light_partition_instance(g, cfg.defect_const)
@@ -95,10 +85,9 @@ def compute_light_partition_detailed(g: Graph, x: float, cfg: ThresholdConfig,
         inst, Partition.singleton(inst.event_count), cfg, derive_seed(seed, "light")
     )
     base = base_part_count(delta)
-    groups = math.ceil(delta / x)
-    mapping = group_base_parts(base, min(groups, base))
-    assignment = tuple(mapping[result.assignment[v]] for v in range(g.node_count))
-    partition = Partition(max(mapping) + 1, assignment)
+    groups = Partition.contiguous(base, min(math.ceil(delta / x), base))
+    partition = Partition(groups.part_count, tuple(
+        groups.part_of(result.assignment[v]) for v in range(g.node_count)))
     bound = cfg.defect_const * lg(delta) * math.ceil(x / lg(delta))
     max_load = 0
     for v in range(g.node_count):
@@ -106,20 +95,10 @@ def compute_light_partition_detailed(g: Graph, x: float, cfg: ThresholdConfig,
         max_load = max(max_load, max(counts))
     return LightPartitionReport(
         partition=partition,
-        base_parts=base,
-        grouped_parts=partition.part_count,
         per_part_bound=bound,
         stage_rounds=result.rounds_used,
         max_observed_load=max_load,
     )
-
-
-def compute_light_partition(g: Graph, x: float, cfg: ThresholdConfig,
-                            seed: int) -> Partition:
-    """Partition V(g) into ceil(max_degree / x) parts such that every vertex
-    has at most defect_const * lg(max_degree) * ceil(x / lg(max_degree))
-    neighbors in each part."""
-    return compute_light_partition_detailed(g, x, cfg, seed).partition
 
 
 def witness_threshold(bad_threshold: int) -> int:

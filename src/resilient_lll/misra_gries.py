@@ -5,9 +5,10 @@ at a time. Build a maximal fan at the busier endpoint u and take d, the
 smallest color free at the last fan vertex. If d is free at u, w is
 that last vertex. Otherwise invert the two-color path leaving u through
 its d-edge, alternating d with u's smallest free color, and let w be the
-first fan vertex with d free whose fan prefix is still a fan. Then
-rotate the prefix up to w in one backward pass from w: the edge to w takes d and every earlier fan edge its successor's
-old color. When w is the first fan vertex, the new edge takes d directly.
+first fan vertex with d free, whose fan prefix the inversion leaves a
+fan. Then rotate the prefix up to w in one backward pass from w: the
+edge to w takes d and every earlier fan edge its successor's old color.
+When w is the first fan vertex, the new edge takes d directly.
 Deterministic: ties always break toward the smallest color or vertex id.
 Each vertex keeps a row indexed by color that holds the edge of that
 color there, so a vertex's smallest free color is the first empty slot
@@ -98,12 +99,14 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
                 color[eidx] = new
             if u_at[d] is not None:
                 raise ContractViolation("path inversion failed to free color")
-            # The first fan vertex with d free whose prefix is still a fan;
-            # once a prefix breaks, every longer one is broken too.
+            # The first fan vertex with d free; its prefix is still a fan. No
+            # u-edge has color c, so the inversion recolors one fan edge at
+            # most: u's d-edge, to some j whose predecessor had d free. Of the
+            # fan, only the path's far end changes which of c and d it has
+            # free; if that is j - 1, it frees c and link j holds, else j - 1
+            # keeps d free and ends the scan first. No other link uses c or d.
             w_idx = None
             for i, x in enumerate(fan):
-                if i and at[fan[i - 1]][color[fan_edges[i]]] is not None:
-                    break
                 if at[x][d] is None:
                     w_idx = i
                     break

@@ -58,9 +58,6 @@ class ProbabilityEstimate:
             slack = max(slack, sigmas / self.samples)
         return self.value + slack
 
-    def __float__(self):
-        return self.value
-
 
 def _validate_fixed(inst, fixed):
     variables = inst.variables
@@ -452,24 +449,3 @@ class VulnerabilityOracle:
         return ProbabilityEstimate(est.value, exact=False,
                                    samples=est.samples or self.cfg.mc_samples)
 
-
-def vulnerability_probability(
-    inst: LllInstance,
-    event_id: int,
-    part: Partition,
-    fixed=None,
-    cfg: ThresholdConfig | None = None,
-    *,
-    seed: int = 0,
-    mc_samples=None,
-    force_mc: bool = False,
-) -> ProbabilityEstimate:
-    """One-shot wrapper around VulnerabilityOracle for a single event.
-
-    Raises CapacityError when some part holds more swap neighbors of the
-    event than the subset cap; callers should then rely on the union-bound
-    certificate instead.
-    """
-    cfg = cfg or ThresholdConfig()
-    oracle = VulnerabilityOracle(inst, part, cfg, seed=seed)
-    return oracle.probability(event_id, fixed, mc_samples=mc_samples, force_mc=force_mc)

@@ -18,14 +18,13 @@ counts are comparable across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .config import ThresholdConfig
-from .errors import ContractViolation, InputError
+from .errors import ContractViolation
 from .graph import Partition, neighbors_within
 from .model import LllInstance, check_assignment
-from .probability import VulnerabilityOracle, vulnerability_probability
+from .probability import VulnerabilityOracle
 from .seeds import derive_seed, first_row_value
 from . import shattering
 
@@ -79,9 +78,6 @@ class StageReport:
             "indicator_memo": dict(self.indicator_memo),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
                     seed: int, debug: bool = False):
@@ -90,8 +86,6 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     Returns (RunState, StageReport). A CapacityError from the vulnerability
     oracle aborts the run, naming the offending event and iteration.
     """
-    if part.size != inst.event_count:
-        raise InputError("partition must cover every event")
     n = inst.event_count
     table_seed = derive_seed(seed, "table")
     oracle = VulnerabilityOracle(inst, part, cfg, seed=derive_seed(seed, "danger"))
@@ -221,12 +215,11 @@ def _assert_local_decisions(inst, part, cfg, iteration, active, committed,
     with a fresh oracle, confirming nothing leaked beyond the declared
     radius. Exact-mode verdicts must reproduce bit-for-bit."""
     dep = inst.dep_graph
+    debug_seed = derive_seed(seed, "debug", iteration)
     for a in active:
         deps = inst.events[a].dependent_vars
         projection = {v: committed[v] for v in deps if v in committed}
-        est = vulnerability_probability(
-            inst, a, part, projection, cfg, seed=derive_seed(seed, "debug", iteration)
-        )
+        est = VulnerabilityOracle(inst, part, cfg, seed=debug_seed).probability(a, projection)
         if est.exact:
             locally_dangerous = est.value >= cfg.danger_threshold(inst.d)
             if locally_dangerous != (a in dangerous):
@@ -255,13 +248,12 @@ class Residual:
     satisfied_fixed: tuple
 
 
-def residual_instance(inst: LllInstance, state: RunState,
-                      cfg: ThresholdConfig) -> Residual:
+def residual_instance(inst: LllInstance, state: RunState) -> Residual:
     """Restrict to unfixed variables, conditioning events on committed values.
 
     The live events are the run's components; fully-decided events that are
-    unsatisfied are dropped, and satisfied ones break the stage's guarantee:
-    fatal at guarantee-grade constants, recorded otherwise.
+    unsatisfied are dropped, and satisfied ones, which break the stage's
+    guarantee, are recorded in ``satisfied_fixed``.
     """
     fixed_values = {
         v: state.sampled_row1[v]
@@ -271,11 +263,6 @@ def residual_instance(inst: LllInstance, state: RunState,
     live = {a for c in state.components for a in c}
     satisfied_fixed = [ev.event_id for ev in inst.events
                        if ev.event_id not in live and ev.evaluate(fixed_values)]
-    if satisfied_fixed and cfg.guarantee_grade:
-        raise ContractViolation(
-            f"events {satisfied_fixed} are fully committed yet satisfied; "
-            "the staged phase must prevent this at guarantee-grade constants"
-        )
     return Residual(
         instance=inst,
         fixed_values=fixed_values,
@@ -312,7 +299,7 @@ def solve(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     returning an invalid assignment.
     """
     state, report = run_first_stage(inst, part, cfg, seed)
-    residual = residual_instance(inst, state, cfg)
+    residual = residual_instance(inst, state)
     if residual.satisfied_fixed:
         raise ContractViolation(
             f"run failed: events {list(residual.satisfied_fixed)} were "

@@ -1,5 +1,5 @@
 """Reference copies of the edge-split walk and its repair pass, the
-fan-rotation colorer and the halving loop.
+fan-rotation colorer, the halving loop and the split-instance builder.
 
 These are the earlier implementations of ``defective.balanced_edge_split``
 (closure walk over ``(edge id, endpoint)`` adjacency, a walk from every
@@ -8,16 +8,20 @@ that the library's split no longer has),
 ``misra_gries.misra_gries_edge_coloring`` (dict of colors per vertex, one
 helper call per step), ``defective.iterate_halving`` (labels regrouped into
 a class dict and every load recounted each iteration, each class's degrees
-counted again by its split) and the bucketed branch of
+counted again by its split), the bucketed branch of
 ``edge_coloring.color_edges`` (labels regrouped into buckets, each bucket's
-degrees counted again), kept verbatim so that the differential tests can
-require the library's loops to give the same bits, labels, history and
-colors, edge for edge. The copied loops call the library's edge split,
+degrees counted again) and ``defective.build_split_instance`` (one loop
+per kind), kept verbatim so that the differential tests can require the
+library's loops to give the same bits, labels, history, colors and
+instances, edge for edge. The copied loops call the library's edge split,
 imported as ``library_edge_split`` since this module keeps the older walk
-under its own name. The halving loop's one later change is on its failure
-path: a first-iteration overshoot on a graph with an odd-edge-count
-regular component of even degree, the split contract's stated exception,
-raises the library's ``InputError`` rather than a ``ContractViolation``.
+under its own name. The halving loop has two later changes. On its
+failure path, a first-iteration overshoot on a graph with an
+odd-edge-count regular component of even degree, the split contract's
+stated exception, raises the library's ``InputError`` rather than a
+``ContractViolation``. Its bound check reads the library's
+``inductive_bound`` at ``i - 1``, the value of the deleted
+``inductive_degree`` at ``i``.
 """
 
 from resilient_lll import general
@@ -28,17 +32,18 @@ from resilient_lll.defective import (
     DefectiveColoring,
     _lg_clamped,
     _odd_regular_component,
+    _check_kind,
     _split_vertex_class,
     balanced_edge_split as library_edge_split,
-    build_split_instance,
     halving_iterations,
     inductive_bound,
-    inductive_degree,
     iteration_floor,
     split_precondition_ok,
+    split_threshold,
 )
 from resilient_lll.errors import ContractViolation, InputError, ReductionViolation
 from resilient_lll.graph import Graph
+from resilient_lll.model import CountThreshold, EventSpec, VariableSpec, build_instance
 from resilient_lll.seeds import derive_seed
 
 REPAIR_PASSES = 4  # sweeps of the edge-split repair before giving up
@@ -272,6 +277,56 @@ def misra_gries_edge_coloring(n: int, edges, palette_size=None):
     return color
 
 
+def build_split_instance(g: Graph, kind: str, q: float):
+    """The instance whose valid assignments are admissible two-way splits.
+
+    One fair bit per object, allocated to the object's own event; the bad
+    event fires when some endpoint collects threshold many same-color
+    objects. q below 1 is rejected; the asymptotic admissibility window is
+    checked by split_precondition_ok and enforced only on strict paths,
+    since it excludes every degree reachable in tests.
+    """
+    _check_kind(kind)
+    if q < 1:
+        raise InputError("q must be at least 1")
+    delta = g.max_degree
+    if delta < 2:
+        raise InputError("degree below 2: splitting is vacuous")
+    threshold = split_threshold(delta, q)
+    if kind == VERTEX:
+        variables = [VariableSpec.fair_bit(v) for v in range(g.node_count)]
+        events = []
+        allocation = {}
+        for v in range(g.node_count):
+            deps = tuple(sorted({v, *g.neighbors(v)}))
+            groups = (tuple(g.neighbors(v)),) if g.degree(v) else ((v,),)
+            thr = threshold if g.degree(v) else g.node_count + 1
+            events.append(
+                EventSpec(v, deps, CountThreshold(groups=groups, threshold=thr,
+                                                  ref_var=v))
+            )
+            allocation[v] = v
+        return build_instance(variables, events, allocation)
+
+    edges = g.edges()
+    incident = [[] for _ in range(g.node_count)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    variables = [VariableSpec.fair_bit(i) for i in range(len(edges))]
+    events = []
+    allocation = {}
+    for i, (u, v) in enumerate(edges):
+        deps = tuple(sorted(set(incident[u]) | set(incident[v])))
+        groups = (tuple(incident[u]), tuple(incident[v]))
+        events.append(
+            EventSpec(i, deps, CountThreshold(groups=groups, threshold=threshold,
+                                              ref_var=i))
+        )
+        allocation[i] = i
+    return build_instance(variables, events, allocation)
+
+
 def _split_edge_class(n, edges, q, cfg, seed, method):
     degree = [0] * n
     for u, v in edges:
@@ -311,10 +366,10 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                                  float(max(delta, 1)), q, bound + 1, edges=edges)
     floor_val = iteration_floor(q)
     for i in range(1, k + 1):
-        if inductive_degree(delta, q, i) < 2 * floor_val:
+        if inductive_bound(delta, q, i - 1) < 2 * floor_val:
             raise ContractViolation(
                 f"iteration arithmetic broke at i={i}: class degree bound "
-                f"{inductive_degree(delta, q, i):.2f} below {2 * floor_val:.2f}"
+                f"{inductive_bound(delta, q, i - 1):.2f} below {2 * floor_val:.2f}"
             )
 
     labels = [0] * n_objects

@@ -18,7 +18,6 @@ from resilient_lll.defective import (
     edge_split_p_bound,
     halving_iterations,
     inductive_bound,
-    inductive_degree,
     iterate_halving,
     iteration_floor,
     split_once,
@@ -28,9 +27,11 @@ from resilient_lll.defective import (
 from resilient_lll.errors import ContractViolation, InputError
 from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
 from resilient_lll.graph import Graph
+from resilient_lll.model import instance_to_dict
 
 from _families import cycle_sum_graph, degrees, edge_lists, halving_graphs
 from _reference_edge_loops import balanced_edge_split as reference_edge_split
+from _reference_edge_loops import build_split_instance as reference_split_instance
 from _reference_edge_loops import iterate_halving as reference_halving
 
 
@@ -65,7 +66,7 @@ def test_inductive_chain_step_exact_rational():
     lhs = d_i / 2 + d_i / (4 * q * L)
     rhs = Fraction(delta, 2 ** i) + Fraction(delta * i, 2 ** i * q * L)
     assert lhs <= rhs
-    assert float(d_i) == pytest.approx(inductive_degree(delta, q, i))
+    assert float(d_i) == pytest.approx(inductive_bound(delta, q, i - 1))
     assert float(rhs) == pytest.approx(inductive_bound(delta, q, i))
 
 
@@ -73,7 +74,7 @@ def test_inductive_degree_stays_above_iteration_floor():
     for delta, q in ((1024, 2), (256, 2), (64, 1)):
         k = halving_iterations(delta, q)
         for i in range(1, k + 1):
-            assert inductive_degree(delta, q, i) >= 2 * iteration_floor(q)
+            assert inductive_bound(delta, q, i - 1) >= 2 * iteration_floor(q)
 
 
 # --- instance construction --------------------------------------------------
@@ -98,6 +99,23 @@ def test_edge_instance_structure():
     assert inst.d_vars == line_degree
     assert inst.d_vars <= 2 * g.max_degree - 1
     assert inst.d < 4 * g.max_degree ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.sampled_from((VERTEX, EDGE)), st.sampled_from((1, 1.5, 2)))
+@example((6, [(0, 1), (1, 2), (0, 2), (2, 3)]), VERTEX, 1)  # 4 and 5 isolated
+@example((6, [(0, 1), (1, 2), (0, 2), (2, 3)]), EDGE, 1.5)
+def test_split_instance_matches_reference_builder(case, kind, q):
+    # One loop over per-object groups builds both kinds exactly as the two
+    # per-kind loops did, isolated vertices included.
+    g = Graph(*case)
+    if g.max_degree < 2:
+        for build in (build_split_instance, reference_split_instance):
+            with pytest.raises(InputError, match="degree below 2"):
+                build(g, kind, q)
+        return
+    assert instance_to_dict(build_split_instance(g, kind, q)) == instance_to_dict(
+        reference_split_instance(g, kind, q))
 
 
 def test_instance_rejects_bad_q():

@@ -228,33 +228,42 @@ def test_multigraphs_color_properly_or_name_a_repeated_pair(case):
         assert max(colors, default=0) <= max(degrees(n, edges), default=0)
 
 
-BROKEN_LINK_CHECK = """\
-                if i and at[fan[i - 1]][color[fan_edges[i]]] is not None:
+SCAN = """\
+            for i, x in enumerate(fan):
+                if at[x][d] is None:
+                    w_idx = i
                     break
+"""
+
+LINK_CHECK = """\
+            if w_idx is not None and any(
+                    at[fan[i - 1]][color[fan_edges[i]]] is not None
+                    for i in range(1, w_idx + 1)):
+                raise RuntimeError('broken fan link')
 """
 
 
 @functools.cache
 def colorer_raising_on_a_broken_link():
-    """A copy of ``misra_gries_edge_coloring`` whose rotatable-prefix scan
-    raises RuntimeError where the library's stops at a broken fan link."""
+    """A copy of ``misra_gries_edge_coloring`` that raises RuntimeError
+    after its rotatable-prefix scan if any fan link up to the chosen w is
+    broken, that is, if some fan edge's color is taken at the previous fan
+    vertex."""
     source = inspect.getsource(misra_gries)
-    assert BROKEN_LINK_CHECK in source
+    assert SCAN in source
     namespace = {"__name__": "resilient_lll.broken_link_probe",
                  "__package__": "resilient_lll"}
-    exec(source.replace(BROKEN_LINK_CHECK, BROKEN_LINK_CHECK.replace(
-        "break", "raise RuntimeError('broken fan link')")), namespace)
+    exec(source.replace(SCAN, SCAN + LINK_CHECK), namespace)
     return namespace["misra_gries_edge_coloring"]
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(edge_lists(), multigraph_edge_lists()), st.integers(0, 2))
 def test_no_fan_link_breaks_before_the_first_vertex_with_d_free(case, extra):
-    # The inversion recolors one fan edge at most: u's d-edge, to some fan
-    # vertex j, whose predecessor j - 1 had d free. If the c/d path ends at
-    # j - 1 it frees c there, and the link holds; otherwise j - 1 keeps d
-    # free and ends the scan before link j. So the scan's broken-link check
-    # never fires, and no input tells the library from a copy without it.
+    # The argument above the library's scan: the inversion leaves every fan
+    # link up to the first vertex with d free intact, so the scan needs no
+    # broken-link check. The probe checks each of those links on every
+    # example and otherwise colors exactly as the library.
     n, edges = case
     degree = degrees(n, edges)
     palette = max(degree, default=0) + 1 + extra

@@ -23,7 +23,8 @@ from resilient_lll.generators import (
     ring_family,
     window_family,
 )
-from resilient_lll.model import instance_to_dict, save_instance
+from resilient_lll.general import solve_general
+from resilient_lll.model import instance_to_dict, load_instance, save_instance
 from resilient_lll.probability import event_probability
 
 
@@ -171,6 +172,22 @@ def test_partition_and_defective_and_edgecolor_algorithms(tmp_path):
         assert summary["successes"] == 2, (algorithm, records[0].error)
 
 
+def test_partition_spec_without_x_takes_the_cli_default(tmp_path):
+    # Both take x = lg(max degree): 4 parts of regular(60, 16), not 1.
+    generator = {"kind": "graph", "family": "regular", "params": {"n": 60, "d": 16}}
+    spec = ExperimentSpec(generator=generator, algorithm="partition", seeds=[3])
+    record = run_one(spec, 3)
+    graph_path = tmp_path / "g.edges"
+    cli_main(["gen", "--kind", "graph", "--family", "regular",
+              "--params", "n=60,d=16", "--seed", "3", "--out", str(graph_path)])
+    rc = cli_main(["partition", "--graph", str(graph_path), "--seed", "3",
+                   "--out", str(tmp_path / "part.json")])
+    assert rc == 0 and record.valid
+    part = json.loads((tmp_path / "part.json").read_text())
+    assert record.extra["parts"] == part["part_count"] == 4
+    assert record.extra["bound"] == part["per_part_bound"]
+
+
 def test_rounds_scale_linearly_across_partition_sizes(tmp_path):
     for parts in (1, 2, 4, 8):
         spec = make_spec(tmp_path, [3], algorithm="solve-resilient",
@@ -207,13 +224,14 @@ def test_aggregate_counts_errors_by_class():
         record(4, "ComponentFailure: component of 4 events unsolved"),
         record(5, "InputError: unknown graph family 'x'"),
         record(6, "ZeroDivisionError: float division by zero"),
+        record(7, "ReductionViolation: bucket 2 has degree 9 above 8"),
     ]
     summary = aggregate(records)
     assert summary["successes"] == 1
     assert summary["error_classes"] == {"contract": 2, "capacity": 1, "component": 1,
-                                        "input": 1, "other": 1}
+                                        "input": 1, "reduction": 1, "other": 1}
     assert aggregate(records[:1])["error_classes"] == dict.fromkeys(
-        ("contract", "capacity", "component", "input", "other"), 0)
+        ("contract", "capacity", "component", "input", "reduction", "other"), 0)
 
 
 def test_csv_format(tmp_path):
@@ -253,6 +271,18 @@ def test_cli_end_to_end(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "check.json").read_text())
     assert report["valid"]
+
+
+def test_cli_solve_general_without_r_lets_the_driver_choose(tmp_path):
+    inst_path = tmp_path / "split.json"
+    save_instance(build_split_instance(circulant_graph(12, 4), "vertex", 1), inst_path)
+    prefix = str(tmp_path / "run")
+    rc = cli_main(["solve-general", "--instance", str(inst_path), "--seed", "7",
+                   "--out-prefix", prefix])
+    assert rc == 0
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    chosen = solve_general(load_instance(inst_path), None, relaxed_config(), 7)
+    assert report["criterion"]["r"] == chosen.criterion.r == 2
 
 
 def test_cli_graph_pipeline(tmp_path):

@@ -7,13 +7,11 @@ import pytest
 from resilient_lll.config import lg, relaxed_config, strict_config
 from resilient_lll.errors import InputError
 from resilient_lll.generators import random_regular_graph
-from resilient_lll.graph import Graph, per_part_neighbor_counts
+from resilient_lll.graph import Graph, Partition, per_part_neighbor_counts
 from resilient_lll.light_partition import (
     base_part_count,
     build_light_partition_instance,
-    compute_light_partition,
     compute_light_partition_detailed,
-    group_base_parts,
     load_threshold,
     verify_resilience_1part,
     witness_threshold,
@@ -58,7 +56,8 @@ def test_part_domain_size_for_degree_64():
 
 
 def test_balanced_grouping_sizes():
-    mapping = group_base_parts(11, 4)
+    # The light partition groups its base parts through this split.
+    mapping = list(Partition.contiguous(11, 4).assignment)
     sizes = [mapping.count(grp) for grp in range(4)]
     assert sizes == [3, 3, 3, 2]
 
@@ -71,7 +70,8 @@ def test_load_threshold_strictly_above_constant():
 
 def test_x_equal_delta_gives_single_part():
     g = regular_graph(24, 6, seed=3)
-    part = compute_light_partition(g, x=6, cfg=relaxed_config(), seed=0)
+    report = compute_light_partition_detailed(g, x=6, cfg=relaxed_config(), seed=0)
+    part = report.partition
     assert part.part_count == 1
     for v in range(g.node_count):
         assert per_part_neighbor_counts(g, part, v)[0] == g.degree(v)
@@ -87,7 +87,7 @@ def test_small_degree_short_circuit():
 def test_x_below_lg_delta_rejected():
     g = regular_graph(24, 8, seed=4)
     with pytest.raises(InputError):
-        compute_light_partition(g, x=2, cfg=relaxed_config(), seed=0)
+        compute_light_partition_detailed(g, x=2, cfg=relaxed_config(), seed=0)
 
 
 def test_partition_contract_at_default_constants():

@@ -28,7 +28,6 @@ from resilient_lll.probability import (
     EXACT_ENUM_CAP,
     VulnerabilityOracle,
     event_probability,
-    vulnerability_probability,
 )
 from resilient_lll.seeds import first_row_value
 
@@ -249,7 +248,7 @@ def test_vulnerability_zero_probability_event():
     ev = EventSpec(0, (0, 1), TruthTable(frozenset()))
     inst = build_instance(fair_bits(2), [ev])
     part = Partition.singleton(1)
-    est = vulnerability_probability(inst, 0, part, cfg=relaxed_config())
+    est = VulnerabilityOracle(inst, part, relaxed_config()).probability(0)
     assert est.exact and est.value == 0.0
 
 
@@ -270,7 +269,7 @@ def test_vulnerability_single_event_matches_two_row_oracle():
     inst = single_bit_instance()
     part = Partition.singleton(1)
     for cfg in (strict_config(), relaxed_config()):
-        est = vulnerability_probability(inst, 0, part, cfg=cfg)
+        est = VulnerabilityOracle(inst, part, cfg).probability(0)
         assert est.exact
         assert est.value == pytest.approx(two_row_enumeration_oracle(inst, cfg))
 
@@ -279,8 +278,8 @@ def test_vulnerability_conditioned_on_full_row():
     inst = single_bit_instance()
     part = Partition.singleton(1)
     cfg = relaxed_config()
-    hot = vulnerability_probability(inst, 0, part, fixed={0: 1}, cfg=cfg)
-    cold = vulnerability_probability(inst, 0, part, fixed={0: 0}, cfg=cfg)
+    hot = VulnerabilityOracle(inst, part, cfg).probability(0, {0: 1})
+    cold = VulnerabilityOracle(inst, part, cfg).probability(0, {0: 0})
     assert (hot.value, cold.value) == (1.0, 0.0)
 
 
@@ -359,7 +358,7 @@ def test_vulnerability_capacity_error_names_offender():
     part = Partition.singleton(inst.event_count)
     cfg = relaxed_config(subset_cap=12)
     with pytest.raises(CapacityError, match="event 0"):
-        vulnerability_probability(inst, 0, part, cfg=cfg)
+        VulnerabilityOracle(inst, part, cfg).probability(0)
 
 
 def test_vulnerability_monte_carlo_path_close_to_exact():
@@ -368,9 +367,9 @@ def test_vulnerability_monte_carlo_path_close_to_exact():
     inst = build_instance(fair_bits(3), [ev])
     part = Partition.singleton(1)
     cfg = relaxed_config()
-    exact = vulnerability_probability(inst, 0, part, cfg=cfg)
-    sampled = vulnerability_probability(
-        inst, 0, part, cfg=cfg, force_mc=True, mc_samples=4000, seed=7
+    exact = VulnerabilityOracle(inst, part, cfg).probability(0)
+    sampled = VulnerabilityOracle(inst, part, cfg, seed=7).probability(
+        0, force_mc=True, mc_samples=4000
     )
     assert exact.exact and not sampled.exact
     assert abs(sampled.value - exact.value) <= 4 / math.sqrt(4000)

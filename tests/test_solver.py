@@ -23,7 +23,7 @@ from resilient_lll.model import (
     build_instance,
     check_assignment,
 )
-from resilient_lll.probability import VulnerabilityOracle, vulnerability_probability
+from resilient_lll.probability import ProbabilityEstimate, VulnerabilityOracle
 from resilient_lll.seeds import derive_seed, first_row_value
 from resilient_lll import shattering
 from resilient_lll.solver import (
@@ -103,7 +103,7 @@ def straight_line_reference(inst, part, cfg, seed):
         dangerous = set()
         for a in range(n):
             proj = {v: cond[v] for v in inst.events[a].dependent_vars if v in cond}
-            est = vulnerability_probability(inst, a, part, proj, cfg)
+            est = VulnerabilityOracle(inst, part, cfg).probability(a, proj)
             assert est.exact, "reference oracle expects the exact path"
             if est.value >= cfg.danger_threshold(inst.d):
                 dangerous.add(a)
@@ -303,7 +303,7 @@ def test_residual_of_clean_run_is_empty():
     part = Partition.singleton(4)
     cfg = relaxed_config()
     state, _ = run_first_stage(inst, part, cfg, seed=0)
-    residual = residual_instance(inst, state, cfg)
+    residual = residual_instance(inst, state)
     assert residual.components == []
     assert not residual.free_vars
     assert len(residual.fixed_values) == 4
@@ -314,7 +314,7 @@ def test_residual_keeps_reverted_event_with_free_vars():
     cfg = relaxed_config()
     part = Partition.round_robin(30, 3)
     state, _ = run_first_stage(inst, part, cfg, seed=77)
-    residual = residual_instance(inst, state, cfg)
+    residual = residual_instance(inst, state)
     assert state.reverted, "seed must produce at least one reverted event"
     live = {a for c in residual.components for a in c}
     for a in state.reverted:
@@ -334,7 +334,7 @@ def test_residual_conditional_probabilities_bounded():
     assert bound < 1.0, "bound must be informative at this degree"
     for seed in range(8):
         state, _ = run_first_stage(inst, part, cfg, seed=seed)
-        residual = residual_instance(inst, state, cfg)
+        residual = residual_instance(inst, state)
         for a in range(inst.event_count):
             est = conditional_event_probability(
                 inst, a,
@@ -376,10 +376,13 @@ def test_residual_components_grouped_once_per_solve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
-    vs = fair_bits(1)
+def one_bit_tautology():
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
-    inst = build_instance(vs, [taut])
+    return build_instance(fair_bits(1), [taut])
+
+
+def test_satisfied_fixed_event_is_fatal_at_guarantee_grade(monkeypatch):
+    inst = one_bit_tautology()
     state = RunState(
         fixed={0},
         reverted=set(),
@@ -390,10 +393,20 @@ def test_satisfied_fixed_event_is_fatal_at_guarantee_grade():
         free_vars=frozenset(),
         components=[],
     )
-    with pytest.raises(ContractViolation):
-        residual_instance(inst, state, strict_config())
-    rec = residual_instance(inst, state, relaxed_config())
-    assert rec.satisfied_fixed == (0,)
+    assert residual_instance(inst, state).satisfied_fixed == (0,)
+    # An oracle that calls the tautology safe lets the stage fix it: solve
+    # rejects the run at any grade, guarantee grade included.
+    monkeypatch.setattr(VulnerabilityOracle, "probability",
+                        lambda self, a, fixed=None, **kw: ProbabilityEstimate(0.0, True))
+    for cfg in (relaxed_config(), strict_config()):
+        with pytest.raises(ContractViolation, match="committed in a satisfied state"):
+            solve(inst, Partition.singleton(1), cfg, seed=0)
+
+
+def test_stage_rejects_a_partition_of_another_size():
+    inst = one_bit_tautology()
+    with pytest.raises(InputError, match="partition must cover all events"):
+        run_first_stage(inst, Partition.singleton(2), relaxed_config(), seed=0)
 
 
 def test_solve_all_zero_probability():
