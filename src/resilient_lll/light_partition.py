@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .config import ThresholdConfig, lg
 from .errors import InputError
@@ -67,7 +68,11 @@ class LightPartitionReport:
 def compute_light_partition_detailed(g: Graph, x: float | None, cfg: ThresholdConfig,
                                      seed: int) -> LightPartitionReport:
     """ceil(Δ / x) parts, x = lg(Δ) if None, each vertex with at most
-    defect_const * lg(Δ) * ceil(x / lg(Δ)) neighbors per part (Δ max degree)."""
+    defect_const * lg(Δ) * ceil(x / lg(Δ)) neighbors per part (Δ max degree).
+    An ``x`` that is not a finite positive real raises InputError at any Δ."""
+    if x is not None and not (isinstance(x, Real) and not isinstance(x, bool)
+                              and 0 < x < math.inf):
+        raise InputError(f"x = {x!r} is not a finite positive real")
     delta = g.max_degree
     if delta < 4:
         # Vacuously light: every per-part count is at most the degree.

@@ -18,6 +18,12 @@ compare with the reference. One ``EventShape`` per event holds them
 (``LllInstance.shapes``), and events of the same shape share one
 result: exact event estimates in ``general.event_estimates``, and
 vulnerability indicators, under keys of packed ints, in the oracle's memo.
+A shaped event's swap probability likewise depends only on how many of
+each (class, value class) are swapped and fixed, so the oracle searches
+its swap subsets as reachable count vectors, one engine call per distinct
+vector, shared by the events of one shape. ``subset_cap`` bounds that
+search at 2^subset_cap - 1 vectors per part, and the mask loop of the
+other events at ``subset_cap`` swap neighbors per part.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from .config import ThresholdConfig
 from .errors import CapacityError, InputError
@@ -59,6 +65,11 @@ class ProbabilityEstimate:
         return self.value + slack
 
 
+# The two answers of a fully revealed event, shared: estimates are frozen.
+EXACT_ZERO = ProbabilityEstimate(0.0, exact=True)
+EXACT_ONE = ProbabilityEstimate(1.0, exact=True)
+
+
 def _validate_fixed(inst, fixed):
     variables = inst.variables
     n = len(variables)
@@ -73,9 +84,9 @@ def _probability_over(inst, event, fixed, free_vars, mc_samples, make_rng):
     """Probability the event holds when ``free_vars`` are drawn fresh and the
     rest take the values in ``fixed`` (which must cover them)."""
     if event.structurally_false():
-        return ProbabilityEstimate(0.0, exact=True)
+        return EXACT_ZERO
     if not free_vars:
-        return ProbabilityEstimate(1.0 if event.evaluate(fixed) else 0.0, exact=True)
+        return EXACT_ONE if event.evaluate(fixed) else EXACT_ZERO
     cap = EXACT_ENUM_CAP
     if isinstance(event.predicate, CountThreshold):
         value = _count_threshold_probability(inst, event.predicate, fixed, free_vars)
@@ -249,6 +260,16 @@ def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_
                              lambda: rng_for(seed, "event_p", event_id))
 
 
+def _packed(pred, bases, key):
+    """Per dependency position of a shaped event, the int ``class id *
+    stride + value class`` under the revealed values ``key``: ``bases``
+    holds ``class id * stride``, and the value class is the value, or
+    whether it equals a constant reference."""
+    if pred.ref_var is None:
+        key = [x == pred.ref_value for x in key]
+    return list(map(add, bases, key))
+
+
 class VulnerabilityOracle:
     """Evaluates, per event, whether some same-part subset of its swap
     neighbors re-drawing their owned values would push the event's
@@ -259,13 +280,22 @@ class VulnerabilityOracle:
     cheaply as conditioning grows. A ``CountThreshold`` event over uniform
     variables is keyed by its shape (see ``_memo_key``), so events of the
     same shape share one result; any other event is keyed by (event,
-    revealed values), and its exact swap probabilities are kept under
-    (event, swap set, values outside the swap set), so that memo misses
-    that differ only inside a swap set share them. ``memo_counts`` counts
-    the calls the memo answered (hits), those it computed and stored
-    (misses), and those decided without it (shortcuts: a structurally
-    false event, or one the empty swap already satisfies); the three sum
-    to the calls.
+    revealed values). ``memo_counts`` counts the calls the memo answered
+    (hits), those it computed and stored (misses), and those decided
+    without it (shortcuts: a structurally false event, or one the empty
+    swap already satisfies); the three sum to the calls.
+
+    A memo miss of a shaped event evaluates one swap probability per
+    reachable swapped count vector of each part (``_any_vector_over``),
+    under a key that all events of one shape share. Any other event tries
+    every mask of each part's swap members (``_any_subset_over``) and keeps
+    its exact swap probabilities under (event, swap set, values outside
+    it); that 3-tuple never equals a shaped 4-tuple key, so one memo holds
+    both. ``subset_cap`` bounds both searches per part: at most
+    ``subset_cap`` members for the masks, and at most 2^subset_cap - 1
+    reachable vectors, the masks' count, for the vectors. ``swap_counts``
+    counts the swap probabilities the engine computed and those the memo
+    reused.
     """
 
     def __init__(self, inst: LllInstance, part: Partition, cfg: ThresholdConfig,
@@ -283,6 +313,7 @@ class VulnerabilityOracle:
         self._swap_memo = {}
         self._inner_mc_events = set()
         self.memo_counts = {"hits": 0, "misses": 0, "shortcuts": 0}
+        self.swap_counts = {"engine": 0, "reused": 0}
 
     def swap_groups(self, a: int):
         """Per part, the swap neighbors of event ``a`` with the owned
@@ -308,33 +339,32 @@ class VulnerabilityOracle:
                 owned.setdefault(self.inst.owner[deps[i]], []).append(i)
             for b in sorted(owned):
                 by_part.setdefault(self.part.part_of(b), []).append((b, tuple(owned[b])))
-            parts = tuple(sorted(by_part.items()))
-            for part_idx, members in parts:
-                if len(members) > self.cfg.subset_cap:
-                    raise CapacityError(
-                        f"event {a}: {len(members)} swap neighbors in part {part_idx} "
-                        f"exceed subset cap {self.cfg.subset_cap}")
-            self._parts[a] = parts
+            parts = self._parts[a] = tuple(sorted(by_part.items()))
         return parts
 
     def _layout(self, a: int):
-        """Event ``a``'s predicate, ``class id * stride`` per dependency
-        position (see ``EventShape``) and its ``_members``. None for an
-        event keyed per event: one without a shape, or whose swap
-        probabilities could be sampled, as a sampled value is never shared."""
+        """Event ``a``'s predicate, its shape's stride, ``class id * stride``
+        per dependency position (see ``EventShape``) and its ``_members``.
+        None for an event keyed per event: one without a shape, or whose
+        swap probabilities could be sampled, as a sampled value is never
+        shared."""
         if a not in self._layouts:
             shape = self.inst.shapes[a]
             self._layouts[a] = None if shape is None or self._samples(a, shape) else (
-                self.inst.events[a].predicate, [c * shape.stride for c in shape.classes],
-                self._members(a))
+                self.inst.events[a].predicate, shape.stride,
+                [c * shape.stride for c in shape.classes], self._members(a))
         return self._layouts[a]
 
     def _samples(self, a: int, shape) -> bool:
         """``_conditioning``'s sampling rule on each part's full swap set,
         read off the shape: the reference's domain size if it is swapped,
-        times two per swapped conditioned variable, above EXACT_ENUM_CAP."""
+        times two per swapped conditioned variable, above EXACT_ENUM_CAP.
+        No part can sample when the whole event stays within the cap."""
         ev = self.inst.events[a]
         ref_var = ev.predicate.ref_var
+        refs = 1 if ref_var is None else self.inst.variables[ref_var].domain_size
+        if refs << sum(shape.conditioned) <= EXACT_ENUM_CAP:
+            return False
         for _, members in self._members(a):
             swapped = [i for _, positions in members for i in positions]
             refs = (self.inst.variables[ref_var].domain_size
@@ -356,34 +386,31 @@ class VulnerabilityOracle:
         layout = self._layout(a)
         if layout is None:
             return (a, key)
-        pred, bases, parts = layout
-        if pred.ref_var is None:
-            key = [x == pred.ref_value for x in key]
-        get = list(map(add, bases, key)).__getitem__
+        pred, _, bases, parts = layout
+        get = _packed(pred, bases, key).__getitem__
         return (pred.threshold, pred.ref_value, tuple(sorted([
             tuple(sorted([tuple(sorted(map(get, positions))) for _, positions in members]))
             for _, members in parts])))
 
-    def _swap_probability(self, event, base_values, swap_vars):
-        fixed = {v: val for v, val in base_values.items() if v not in swap_vars}
-        free = sorted(swap_vars)
-        # An event without a shaped layout keeps each exact swap probability
-        # under (event, swap set, values outside it), all it depends on. A
-        # sampled one draws from the oracle's rng and is never kept; whether
-        # it is sampled depends on the swap set alone, so a kept key never
-        # skips a draw and the rng stream is unchanged.
-        swap_key = None
-        if self._layout(event.event_id) is None:
-            swap_key = (event.event_id, tuple(free), tuple(fixed.values()))
-            value = self._swap_memo.get(swap_key)
-            if value is not None:
-                return value
-        est = _probability_over(self.inst, event, fixed, free, self.cfg.mc_samples,
-                                lambda: self._rng)
-        if not est.exact:
-            self._inner_mc_events.add(event.event_id)
-        elif swap_key is not None:
+    def _swap_probability(self, event, values, swap_vars, swap_key):
+        """Probability of ``event`` when ``swap_vars`` are drawn fresh and
+        its other dependencies keep ``values``, kept in the swap memo under
+        ``swap_key`` if exact. A sampled value draws from the oracle's rng
+        and is never kept; whether it is sampled depends on the swap set
+        alone, so a kept key never skips a draw and the rng stream is the
+        one drawn without the memo."""
+        value = self._swap_memo.get(swap_key)
+        if value is not None:
+            self.swap_counts["reused"] += 1
+            return value
+        fixed = {v: val for v, val in values.items() if v not in swap_vars}
+        est = _probability_over(self.inst, event, fixed, sorted(swap_vars),
+                                self.cfg.mc_samples, lambda: self._rng)
+        self.swap_counts["engine"] += 1
+        if est.exact:
             self._swap_memo[swap_key] = est.value
+        else:
+            self._inner_mc_events.add(event.event_id)
         return est.value
 
     def indicator(self, a: int, key: tuple) -> bool:
@@ -403,20 +430,81 @@ class VulnerabilityOracle:
         if result is not None:
             self.memo_counts["hits"] += 1
             return result
-        result = self._any_subset_over(ev, values)
+        layout = self._layout(a)
+        result = (self._any_subset_over(ev, values) if layout is None
+                  else self._any_vector_over(ev, values, layout))
         self._indicator_memo[memo_key] = result
         self.memo_counts["misses"] += 1
         return result
 
     def _any_subset_over(self, ev, values) -> bool:
-        for _, members in self.swap_groups(ev.event_id):
+        """Whether some nonempty same-part subset of the swap members,
+        re-drawn, reaches the threshold: every mask of every part."""
+        groups = self.swap_groups(ev.event_id)
+        for part_idx, members in groups:
+            if len(members) > self.cfg.subset_cap:
+                raise CapacityError(
+                    f"event {ev.event_id}: {len(members)} swap neighbors in part "
+                    f"{part_idx} exceed subset cap {self.cfg.subset_cap}")
+        for _, members in groups:
             k = len(members)
             for mask in range(1, 1 << k):
                 swap_vars = set()
                 for i in range(k):
                     if mask >> i & 1:
                         swap_vars.update(members[i][1])
-                if self._swap_probability(ev, values, swap_vars) >= self.inner_thr:
+                swap_key = (ev.event_id, tuple(sorted(swap_vars)),
+                            tuple([val for v, val in values.items() if v not in swap_vars]))
+                if self._swap_probability(ev, values, swap_vars, swap_key) >= self.inner_thr:
+                    return True
+        return False
+
+    def _any_vector_over(self, ev, values, layout) -> bool:
+        """``_any_subset_over``'s answer for a shaped event.
+
+        A swap probability depends only on the swapped count vector over
+        the event's ints ``class id * stride + value class``: it gives the
+        swapped classes, and subtracted from the event's counts, the fixed
+        ints. Per part, a subset-sum DP over the members builds every
+        reachable nonempty vector with one witness subset, and each vector
+        is evaluated once, under the key (threshold, reference value,
+        sorted fixed ints, sorted swapped class ids) that all events of one
+        shape share. Raises CapacityError when a part reaches more than
+        2^subset_cap - 1 vectors."""
+        pred, stride, bases, parts = layout
+        ints = _packed(pred, bases, values.values())
+        labels = sorted(set(ints))
+        cells = [labels.index(x) for x in ints]
+        total = [0] * len(labels)
+        for j in cells:
+            total[j] += 1
+        zero = (0,) * len(labels)
+        budget = (1 << self.cfg.subset_cap) - 1
+        searches = []
+        for part_idx, members in parts:
+            reach = {zero: ()}
+            for _, positions in members:
+                step = list(zero)
+                for i in positions:
+                    step[cells[i]] += 1
+                for vec, witness in list(reach.items()):
+                    reach.setdefault(tuple(map(add, vec, step)), witness + positions)
+                if len(reach) - 1 > budget:
+                    raise CapacityError(
+                        f"event {ev.event_id}: at least {len(reach) - 1} reachable swap "
+                        f"vectors in part {part_idx} exceed {budget} "
+                        f"(2^subset_cap - 1, subset cap {self.cfg.subset_cap})")
+            del reach[zero]
+            searches.append(reach)
+        classes = [x // stride for x in labels]
+        flatten, repeat = itertools.chain.from_iterable, itertools.repeat
+        for reach in searches:
+            for vec, witness in reach.items():
+                swap_key = (pred.threshold, pred.ref_value,
+                            tuple(flatten(map(repeat, labels, map(sub, total, vec)))),
+                            tuple(flatten(map(repeat, classes, vec))))
+                swap_vars = {ev.dependent_vars[i] for i in witness}
+                if self._swap_probability(ev, values, swap_vars, swap_key) >= self.inner_thr:
                     return True
         return False
 
@@ -428,12 +516,11 @@ class VulnerabilityOracle:
         _validate_fixed(self.inst, fixed)
         ev = self.inst.events[a]
         if ev.structurally_false():
-            return ProbabilityEstimate(0.0, exact=True)
+            return EXACT_ZERO
         deps = ev.dependent_vars
         free = [v for v in deps if v not in fixed]
         if not free:
-            key = tuple(fixed[v] for v in deps)
-            est = ProbabilityEstimate(1.0 if self.indicator(a, key) else 0.0, exact=True)
+            est = EXACT_ONE if self.indicator(a, tuple(fixed[v] for v in deps)) else EXACT_ZERO
         else:
             est = _mass_over(
                 self.inst, free, fixed,
@@ -448,4 +535,3 @@ class VulnerabilityOracle:
         # inner sample count so that ``upper`` has a defined slack.
         return ProbabilityEstimate(est.value, exact=False,
                                    samples=est.samples or self.cfg.mc_samples)
-

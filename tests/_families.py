@@ -33,6 +33,19 @@ def path_instance(n_events=30, rows=frozenset({(1, 1)})):
     return build_instance(vs, events)
 
 
+def hub_instance(n_leaves=15, shaped=True):
+    """A hub event that fires when all its bits are 1, over bits each owned
+    by its own leaf event, so the hub has one same-part swap neighbor per
+    bit. Shaped, it is a count-all-ones event; unshaped, a one-row
+    ``TruthTable`` with the same rows, which the oracle keys per event."""
+    bits = tuple(range(n_leaves))
+    predicate = (CountThreshold(groups=(bits,), threshold=n_leaves, ref_value=1) if shaped
+                 else TruthTable(frozenset({(1,) * n_leaves})))
+    leaves = [EventSpec(i + 1, (i,), TruthTable(frozenset({(1,)}))) for i in bits]
+    return build_instance(fair_bits(n_leaves), [EventSpec(0, bits, predicate)] + leaves,
+                          {v: v + 1 for v in bits})
+
+
 def ring_instance(n_events=30, privates=4):
     """Events on a ring sharing one bit with each ring neighbor, plus private
     bits; each event fires only when all its bits are 1, so

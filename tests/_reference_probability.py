@@ -16,6 +16,48 @@ from resilient_lll.probability import _conditioning, _probability_over, _validat
 from resilient_lll.seeds import rng_for
 
 
+def reference_indicator(oracle, a, key):
+    """``VulnerabilityOracle.indicator`` of event ``a`` under the full
+    reveal ``key``, without memos or caps."""
+    ev = oracle.inst.events[a]
+    values = dict(zip(ev.dependent_vars, key))
+    if ev.structurally_false():
+        return False
+    if ev.evaluate(values):
+        return True
+    return ReferenceSubsets(oracle)._any_subset_over(ev, values)
+
+
+class ReferenceSubsets:
+    """The oracle's mask loop as it was, over the swap groups and the inner
+    threshold of a ``VulnerabilityOracle``."""
+
+    def __init__(self, oracle):
+        self.inst = oracle.inst
+        self.cfg = oracle.cfg
+        self.inner_thr = oracle.inner_thr
+        self.swap_groups = oracle.swap_groups
+        self._rng = rng_for(0, "reference-subsets")
+
+    def _swap_probability(self, event, base_values, swap_vars):
+        fixed = {v: val for v, val in base_values.items() if v not in swap_vars}
+        free = sorted(swap_vars)
+        return _probability_over(self.inst, event, fixed, free, self.cfg.mc_samples,
+                                 lambda: self._rng).value
+
+    def _any_subset_over(self, ev, values) -> bool:
+        for _, members in self.swap_groups(ev.event_id):
+            k = len(members)
+            for mask in range(1, 1 << k):
+                swap_vars = set()
+                for i in range(k):
+                    if mask >> i & 1:
+                        swap_vars.update(members[i][1])
+                if self._swap_probability(ev, values, swap_vars) >= self.inner_thr:
+                    return True
+        return False
+
+
 def conditional_event_probability(inst, event_id, swap_events=(), row1_fixed=None,
                                   *, mc_samples=10_000, seed=0):
     """Probability of the swap event: the event is re-evaluated with the

@@ -292,6 +292,23 @@ def test_ring_stage_counters_are_pinned(seed, memo, fixed, reverted, sizes):
     assert stage.residual_component_sizes == sizes
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ring_swap_counts_are_pinned(seed, monkeypatch):
+    # The same op's 19 indicator misses evaluate 105 swap probabilities, one
+    # per reachable count vector. The engine computes 21 of them; the
+    # shape-keyed swap memo answers the rest.
+    made = []
+
+    class Recorded(VulnerabilityOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "VulnerabilityOracle", Recorded)
+    solve_general(generators.ring_family(400, 2, 5, seed), 1, relaxed_config(), seed)
+    assert [oracle.swap_counts for oracle in made] == [{"engine": 21, "reused": 84}]
+
+
 def result_digest(result) -> str:
     return hashlib.sha256(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from _families import hub_instance
 from resilient_lll import experiment
 from resilient_lll.cli import main as cli_main
 from resilient_lll.config import config_from_file, relaxed_config, strict_config
@@ -317,10 +318,10 @@ def test_cli_graph_pipeline(tmp_path):
 
 
 def test_cli_reports_a_runtime_failure_as_an_error(tmp_path, capsys):
-    # The edge-split instance of an 8-regular graph puts 15 swap neighbors
-    # of event 0 in the single part, above the oracle's subset cap.
-    inst_path = tmp_path / "split.json"
-    save_instance(build_split_instance(circulant_graph(18, 8), "edge", 1), inst_path)
+    # A per-event-keyed hub puts 15 swap neighbors of event 0 in the single
+    # part, above the oracle's subset cap.
+    inst_path = tmp_path / "hub.json"
+    save_instance(hub_instance(shaped=False), inst_path)
     rc = cli_main([
         "solve-general", "--instance", str(inst_path), "--r", "1",
         "--out-prefix", str(tmp_path / "run"),

@@ -1,13 +1,15 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from resilient_lll.cli import main as cli_main
 from resilient_lll.config import lg, relaxed_config, strict_config
 from resilient_lll.errors import InputError
 from resilient_lll.generators import random_regular_graph
-from resilient_lll.graph import Graph, Partition, per_part_neighbor_counts
+from resilient_lll.graph import Graph, Partition, per_part_neighbor_counts, save_graph
 from resilient_lll.light_partition import (
     base_part_count,
     build_light_partition_instance,
@@ -88,6 +90,24 @@ def test_x_below_lg_delta_rejected():
     g = regular_graph(24, 8, seed=4)
     with pytest.raises(InputError):
         compute_light_partition_detailed(g, x=2, cfg=relaxed_config(), seed=0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -5, 0, "3", True])
+@pytest.mark.parametrize("delta", [3, 6])
+def test_x_must_be_a_finite_positive_real(x, delta):
+    # Checked before the degree-below-4 short-circuit, so it holds at any Δ.
+    g = regular_graph(24, delta, seed=4)
+    with pytest.raises(InputError, match=re.escape(f"x = {x!r} is not a finite positive real")):
+        compute_light_partition_detailed(g, x, relaxed_config(), seed=0)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-5"])
+def test_cli_partition_rejects_a_bad_x(tmp_path, capsys, x):
+    path = tmp_path / "g.edges"
+    save_graph(regular_graph(20, 6, seed=1), path)
+    rc = cli_main(["partition", "--graph", str(path), f"--x={x}", "--out", "-"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: x = {float(x)!r} is not a finite positive real\n"
 
 
 def test_partition_contract_at_default_constants():

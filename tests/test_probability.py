@@ -31,7 +31,12 @@ from resilient_lll.probability import (
 )
 from resilient_lll.seeds import first_row_value
 
-from _reference_probability import ReferenceMemoKeys, conditional_event_probability
+from _families import hub_instance
+from _reference_probability import (
+    ReferenceMemoKeys,
+    conditional_event_probability,
+    reference_indicator,
+)
 
 
 def fair_bits(n):
@@ -323,21 +328,6 @@ def test_swap_groups_are_dependencies_grouped_by_owner(family):
                           for v in owned) == sorted(inst.events[a].dependent_vars)
 
 
-def hub_instance(n_leaves=15):
-    """A count-all-ones hub over bits each owned by its own leaf event, so
-    the hub has one same-part swap neighbor per bit."""
-    hub = EventSpec(
-        0, tuple(range(n_leaves)),
-        CountThreshold(groups=(tuple(range(n_leaves)),), threshold=n_leaves, ref_value=1),
-    )
-    leaves = [
-        EventSpec(i + 1, (i,), TruthTable(frozenset({(1,)})))
-        for i in range(n_leaves)
-    ]
-    allocation = {v: v + 1 for v in range(n_leaves)}
-    return build_instance(fair_bits(n_leaves), [hub] + leaves, allocation)
-
-
 @pytest.mark.parametrize("value", [0.5, 1.0, True, "1", None])
 def test_probability_rejects_a_fixed_value_that_is_not_an_int(value):
     # A fixed value must be an int in its domain, as in check_assignment.
@@ -353,8 +343,9 @@ def test_probability_rejects_a_fixed_value_that_is_not_an_int(value):
 
 
 def test_vulnerability_capacity_error_names_offender():
-    # A hub event whose 15 swap neighbors share one part exceeds the cap.
-    inst = hub_instance()
+    # A per-event-keyed hub whose 15 swap neighbors share one part exceeds
+    # the cap.
+    inst = hub_instance(shaped=False)
     part = Partition.singleton(inst.event_count)
     cfg = relaxed_config(subset_cap=12)
     with pytest.raises(CapacityError, match="event 0"):
@@ -385,18 +376,52 @@ def test_oracle_memoization_consistency():
 
 
 def test_satisfied_indicator_precedes_subset_cap():
-    # All ones satisfies the hub: the empty swap answers before the 15 swap
-    # neighbors are counted against the cap of 12.
-    inst = hub_instance()
+    # All ones satisfies the per-event-keyed hub: the empty swap answers
+    # before the 15 swap neighbors are counted against the cap of 12.
+    inst = hub_instance(shaped=False)
     oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
                                  relaxed_config(subset_cap=12))
     assert oracle.indicator(0, (1,) * 15) is True
     with pytest.raises(CapacityError) as info:
         oracle.indicator(0, (0,) + (1,) * 14)
     assert str(info.value) == "event 0: 15 swap neighbors in part 0 exceed subset cap 12"
-    # A failed layout is not cached: the next unsatisfied query raises again.
+    # A failed search is not memoized: the next unsatisfied query raises again.
     with pytest.raises(CapacityError):
         oracle.indicator(0, (1,) * 14 + (0,))
+
+
+def test_shaped_hub_answers_as_the_mask_loop_beyond_the_member_cap():
+    # The count-all-ones hub has 15 swap neighbors in one part, above a cap
+    # of 12 members, but a key with z zero bits reaches only
+    # (z + 1)(16 - z) - 1 count vectors. One zero bit swapped alone gives
+    # 1/2, above 15^-1; eight zero bits all redraw to 1 with probability 2^-8.
+    inst = hub_instance()
+    part = Partition.singleton(inst.event_count)
+    oracle = VulnerabilityOracle(inst, part, relaxed_config(subset_cap=12))
+    reference = VulnerabilityOracle(inst, part, relaxed_config(subset_cap=15))
+    keys = [(0,) + (1,) * 14, (0, 1) * 7 + (0,), (0,) * 15]
+    answers = [oracle.indicator(0, key) for key in keys]
+    assert answers == [True, False, False]
+    assert answers == [reference_indicator(reference, 0, key) for key in keys]
+    # The first key answers at its first vector; the second tries all
+    # 9 * 8 - 1; of the third key's 15, the 9 that leave only zeros fixed
+    # were met under the second.
+    assert oracle.swap_counts == {"engine": 1 + 71 + 15 - 9, "reused": 9}
+
+
+def test_reachable_vector_budget_names_event_part_and_count():
+    # A cap of 3 allows 2^3 - 1 = 7 vectors per part. At all zeros the hub's
+    # members all add the same vector, so the search reaches one more per
+    # member and stops at the eighth.
+    inst = hub_instance()
+    oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
+                                 relaxed_config(subset_cap=3))
+    assert oracle.indicator(0, (1,) * 15) is True
+    with pytest.raises(CapacityError) as info:
+        oracle.indicator(0, (0,) * 15)
+    assert str(info.value) == ("event 0: at least 8 reachable swap vectors in part 0 "
+                               "exceed 7 (2^subset_cap - 1, subset cap 3)")
+    assert oracle.memo_counts == {"hits": 0, "misses": 0, "shortcuts": 1}
 
 
 def test_sampled_swap_probability_is_not_shared():
@@ -547,6 +572,106 @@ def test_shared_oracle_matches_fresh_oracle_per_query(case):
     # Exact event estimates are shared by shape as well.
     assert event_estimates(inst) == [event_probability(inst, ev.event_id)
                                      for ev in inst.events]
+
+
+@st.composite
+def shaped_swap_cases(draw):
+    """A shaped count-threshold event over m <= 12 uniform variables, and
+    sometimes a sibling over fresh variables: the same types on a prefix
+    of them, so a twin or a smaller event with the same threshold. Each
+    variable takes one of up to three types (a domain size and its
+    occurrences per group), so many variables share a class. Each is owned
+    by its event or by a leaf event, so a part holds up to 12 swap members;
+    the parts are random. Queries are full reveals of the shaped events."""
+    m = draw(st.integers(1, 12))
+    n_groups = draw(st.integers(1, 3))
+    types = draw(st.lists(st.tuples(st.integers(1, 3),
+                                    st.lists(st.integers(0, 2), min_size=n_groups,
+                                             max_size=n_groups)),
+                          min_size=1, max_size=3))
+    typed = [draw(st.sampled_from(types)) for _ in range(m)]
+    threshold = draw(st.integers(0, 12)) / 2
+    ref_var = draw(st.none() | st.integers(0, m - 1))
+    ref_values = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    labels = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
+    counts = [m] + draw(st.lists(st.integers(1, m), max_size=1))
+    variables, events, owner, keys = [], [], {}, []
+    for t, count in enumerate(counts):
+        ids = range(len(variables), len(variables) + count)
+        variables += [VariableSpec.uniform(v, size) for v, (size, _) in zip(ids, typed)]
+        groups = tuple(tuple(ids[v] for v in range(count) for _ in range(typed[v][1][g]))
+                       or (ids[0],) for g in range(n_groups))
+        ref = ({"ref_var": ids[ref_var]} if ref_var is not None and ref_var < count
+               else {"ref_value": ref_values[t]})
+        events.append(count_event(t, tuple(ids), groups, threshold, **ref))
+        keys.append(st.tuples(*(st.integers(0, size - 1) for size, _ in typed[:count])))
+    for t, count in enumerate(counts):
+        ids = events[t].dependent_vars
+        for label in sorted(set(labels[:count])):
+            owned = tuple(ids[v] for v in range(count) if labels[v] == label)
+            if label:
+                events.append(EventSpec(len(events), owned, TruthTable(frozenset())))
+            owner.update(dict.fromkeys(owned, t if not label else len(events) - 1))
+    try:
+        inst = build_instance(variables, events, owner)
+    except ContractViolation:  # degree conditions of the model
+        assume(False)
+    parts = draw(st.integers(1, 3))
+    part = Partition(parts, tuple(draw(st.integers(0, parts - 1))
+                                  for _ in range(inst.event_count)))
+    cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])), subset_cap=12)
+    queries = [(t, k) for t, key in enumerate(keys)
+               for k in draw(st.lists(key, min_size=1, max_size=6))]
+    draw(st.randoms()).shuffle(queries)
+    return inst, part, cfg, queries
+
+
+def twelve_member_case(**ref):
+    """Two overlapping groups over 12 variables of domains 2 and 3, each
+    owned by its own leaf event in one part. The threshold asks for a whole
+    group, so each key tries every reachable vector and answers False, but
+    for all zeros under ``ref_var``, which the empty swap satisfies."""
+    sizes = (2, 3) * 6
+    groups = (tuple(range(8)), tuple(range(4, 12)) + (0,))
+    hub = count_event(0, tuple(range(12)), groups, 8, **ref)
+    leaves = [EventSpec(v + 1, (v,), TruthTable(frozenset())) for v in range(12)]
+    inst = build_instance([VariableSpec.uniform(v, d) for v, d in enumerate(sizes)],
+                          [hub] + leaves, [v + 1 for v in range(12)])
+    keys = [(0,) * 12, (1, 2) * 6, (0, 1, 1, 0, 1, 2, 0, 0, 1, 1, 0, 2)]
+    return (inst, Partition.singleton(inst.event_count), relaxed_config(c3=0.5),
+            [(0, key) for key in keys])
+
+
+def sibling_case():
+    """Count-all-ones events over 6 and 3 leaf-owned bits with one
+    threshold, 3, at all zeros. Swapping k + 3 of the 6 bits leaves as many
+    zeros fixed as swapping k of the 3, yet it can reach 3 ones; only the
+    6-bit event passes 6^-1. The 3-bit event is asked first, so a swap key
+    that dropped the swapped classes would hand its zeros to the other."""
+    events = [count_event(0, tuple(range(6)), (tuple(range(6)),), 3, ref_value=1),
+              count_event(1, (6, 7, 8), ((6, 7, 8),), 3, ref_value=1)]
+    events += [EventSpec(v + 2, (v,), TruthTable(frozenset())) for v in range(9)]
+    inst = build_instance(fair_bits(9), events, [v + 2 for v in range(9)])
+    return (inst, Partition.singleton(inst.event_count), relaxed_config(),
+            [(1, (0,) * 3), (0, (0,) * 6)])
+
+
+@settings(max_examples=150, deadline=None)
+@example(sibling_case())
+@example(twelve_member_case(ref_value=1))
+@example(twelve_member_case(ref_var=3))
+@given(shaped_swap_cases())
+def test_vector_search_matches_reference_mask_loop(case):
+    # The reachable-vector search answers every full reveal as the mask
+    # loop does, and an oracle that shares swap probabilities and
+    # indicators across queries answers as a fresh one.
+    inst, part, cfg, queries = case
+    shared = VulnerabilityOracle(inst, part, cfg)
+    for a, key in queries:
+        assert shared._layout(a) is not None
+        expected = reference_indicator(VulnerabilityOracle(inst, part, cfg), a, key)
+        assert VulnerabilityOracle(inst, part, cfg).indicator(a, key) == expected
+        assert shared.indicator(a, key) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -41,6 +41,7 @@ from resilient_lll.solver import (
 
 from _families import (
     fair_bits,
+    hub_instance,
     never_event,
     path_instance,
     ring_instance,
@@ -280,18 +281,8 @@ def test_seed_determinism():
 
 
 def test_capacity_error_names_event_and_iteration():
-    n_leaves = 15
-    vs = fair_bits(n_leaves)
-    hub = EventSpec(
-        0, tuple(range(n_leaves)),
-        CountThreshold(groups=(tuple(range(n_leaves)),), threshold=n_leaves, ref_value=1),
-    )
-    leaves = [
-        EventSpec(i + 1, (i,), TruthTable(frozenset({(1,)})))
-        for i in range(n_leaves)
-    ]
-    allocation = {v: v + 1 for v in range(n_leaves)}
-    inst = build_instance(vs, [hub] + leaves, allocation)
+    # A per-event-keyed hub with 15 swap neighbors in one part.
+    inst = hub_instance(shaped=False)
     part = Partition.singleton(inst.event_count)
     with pytest.raises(CapacityError, match="event 0 in iteration 0"):
         run_first_stage(inst, part, relaxed_config(subset_cap=8), seed=2)
