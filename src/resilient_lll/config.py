@@ -10,9 +10,9 @@ solver downgrades some hard failures to recorded warnings under it).
 ``ThresholdConfig`` holds the paper's constants (c1, c2, c3, gamma and the
 defect constant) plus the two estimation knobs the presets and the CLI set,
 ``mc_samples`` and ``subset_cap``. ``subset_cap`` bounds the vulnerability
-oracle's swap search per part: the masks of at most ``subset_cap`` swap
-neighbors for an event keyed per event, and at most 2^subset_cap - 1
-reachable swapped count vectors for a shaped one. Implementation caps with
+oracle's swap search at 2^subset_cap - 1 reachable swapped count vectors
+per part, for every event; an event keyed per event reaches one vector per
+subset of its swap neighbors. Implementation caps with
 one value in use are module constants next to the code they bound:
 ``EXACT_ENUM_CAP`` and ``EXACT_OUTER_CAP`` in ``probability``,
 ``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in ``shattering``,
@@ -37,7 +37,7 @@ class ThresholdConfig:
     gamma: float = 99.0  # per-part load constant for light partitions
     defect_const: float = 99.0  # light-partition per-part neighbor constant
     mc_samples: int = 10_000
-    subset_cap: int = 12        # per part: swap neighbors masked, or 2^cap - 1 count vectors
+    subset_cap: int = 12        # per part: at most 2^cap - 1 swapped count vectors
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3, self.gamma, self.defect_const) <= 0:

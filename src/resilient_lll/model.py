@@ -214,13 +214,14 @@ class EventShape:
     layers see it, through each variable's class (domain size, occurrences
     per group, whether it is the reference). Per dependency position:
     ``classes``, the class id (one small int per class of the instance),
-    and ``conditioned``, whether the variable occurs more than once across
-    the groups and is not the reference."""
+    ``conditioned``, whether the variable occurs more than once across the
+    groups and is not the reference, and ``sizes``, its domain size."""
 
     classes: tuple
     estimate_key: tuple  # (threshold, reference value, sorted class ids)
     conditioned: tuple
     stride: int  # above every domain size: id * stride + value is one int
+    sizes: tuple
 
 
 def event_shapes(variables, events):
@@ -247,7 +248,8 @@ def event_shapes(variables, events):
             class_ids = tuple([ids.setdefault(cls, len(ids)) for cls in classes])
             shape = made[pred.threshold, pred.ref_value, classes] = EventShape(
                 class_ids, (pred.threshold, pred.ref_value, tuple(sorted(class_ids))),
-                tuple([sum(occ) > 1 and not is_ref for _, occ, is_ref in classes]), stride)
+                tuple([sum(occ) > 1 and not is_ref for _, occ, is_ref in classes]), stride,
+                tuple([size for size, _, _ in classes]))
         shapes.append(shape)
     return tuple(shapes)
 

@@ -20,10 +20,11 @@ result: exact event estimates in ``general.event_estimates``, and
 vulnerability indicators, under keys of packed ints, in the oracle's memo.
 A shaped event's swap probability likewise depends only on how many of
 each (class, value class) are swapped and fixed, so the oracle searches
-its swap subsets as reachable count vectors, one engine call per distinct
-vector, shared by the events of one shape. ``subset_cap`` bounds that
-search at 2^subset_cap - 1 vectors per part, and the mask loop of the
-other events at ``subset_cap`` swap neighbors per part.
+swap subsets as reachable count vectors, one engine call per distinct
+vector, shared by the events of one shape. Every other event takes one
+class per dependency position, so each of its swap subsets is a vector of
+its own. ``subset_cap`` bounds the search at 2^subset_cap - 1 vectors per
+part for every event.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, attrgetter, eq, gt
 
 from .config import ThresholdConfig
 from .errors import CapacityError, InputError
@@ -41,6 +42,8 @@ from .seeds import rng_for
 
 EXACT_ENUM_CAP = 1 << 20
 EXACT_OUTER_CAP = 4096  # vulnerability: enumerate outer completions up to this support
+_INT = {int}
+_domain_size = attrgetter("domain_size")
 
 
 @dataclass(frozen=True)
@@ -260,13 +263,22 @@ def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_
                              lambda: rng_for(seed, "event_p", event_id))
 
 
-def _packed(pred, bases, key):
-    """Per dependency position of a shaped event, the int ``class id *
-    stride + value class`` under the revealed values ``key``: ``bases``
-    holds ``class id * stride``, and the value class is the value, or
-    whether it equals a constant reference."""
-    if pred.ref_var is None:
-        key = [x == pred.ref_value for x in key]
+class _CheckedKey(tuple):
+    """Revealed values that ``VulnerabilityOracle.probability`` builds from
+    the ``fixed`` values it checked and from values drawn in their domains.
+    ``indicator`` skips its key check for this type, which would otherwise
+    repeat for every outer completion."""
+
+    __slots__ = ()
+
+
+def _packed(ref, bases, key):
+    """Per dependency position, the int ``class id * stride + value class``
+    under the revealed values ``key``: ``bases`` holds ``class id *
+    stride``, and the value class is the value, or whether it equals the
+    constant reference ``ref`` when that is not None."""
+    if ref is not None:
+        key = map(eq, key, itertools.repeat(ref))
     return list(map(add, bases, key))
 
 
@@ -276,26 +288,25 @@ class VulnerabilityOracle:
     conditional probability past the inner threshold — and how likely that
     is over the not-yet-revealed first-row values.
 
-    Indicator results are memoized so the staged solver can re-query
-    cheaply as conditioning grows. A ``CountThreshold`` event over uniform
-    variables is keyed by its shape (see ``_memo_key``), so events of the
-    same shape share one result; any other event is keyed by (event,
-    revealed values). ``memo_counts`` counts the calls the memo answered
-    (hits), those it computed and stored (misses), and those decided
-    without it (shortcuts: a structurally false event, or one the empty
-    swap already satisfies); the three sum to the calls.
+    Each event's layout (``_layout``) gives every dependency position a
+    class and a key prefix. A ``CountThreshold`` event over uniform
+    variables whose swap probabilities are never sampled takes its shape's
+    classes under a prefix that all events of the shape share; any other
+    event takes one class per position under its own id. Indicator results
+    are memoized under the prefix and the revealed (class, value class)
+    ints (see ``_memo_key``), so the staged solver can re-query cheaply as
+    conditioning grows, and events of one shape share one result.
+    ``memo_counts`` counts the calls the memo answered (hits), those it
+    computed and stored (misses), and those decided without it (shortcuts:
+    a structurally false event, or one the empty swap already satisfies);
+    the three sum to the calls.
 
-    A memo miss of a shaped event evaluates one swap probability per
-    reachable swapped count vector of each part (``_any_vector_over``),
-    under a key that all events of one shape share. Any other event tries
-    every mask of each part's swap members (``_any_subset_over``) and keeps
-    its exact swap probabilities under (event, swap set, values outside
-    it); that 3-tuple never equals a shaped 4-tuple key, so one memo holds
-    both. ``subset_cap`` bounds both searches per part: at most
-    ``subset_cap`` members for the masks, and at most 2^subset_cap - 1
-    reachable vectors, the masks' count, for the vectors. ``swap_counts``
-    counts the swap probabilities the engine computed and those the memo
-    reused.
+    A memo miss evaluates one swap probability per reachable swapped count
+    vector of each part (``_any_vector_over``), kept under a swap key with
+    the same prefix. ``subset_cap`` bounds that search at 2^subset_cap - 1
+    vectors per part, the mask count of ``subset_cap`` swap neighbors, for
+    every event. ``swap_counts`` counts the swap probabilities the engine
+    computed and those the memo reused.
     """
 
     def __init__(self, inst: LllInstance, part: Partition, cfg: ThresholdConfig,
@@ -307,7 +318,8 @@ class VulnerabilityOracle:
         self.cfg = cfg
         self.inner_thr = cfg.inner_threshold(inst.d)
         self._rng = rng_for(seed, "vulnerability")
-        self._parts = {}
+        # Above every count of one int in an event: see ``_any_vector_over``.
+        self._base = 1 + max((len(ev.dependent_vars) for ev in inst.events), default=0)
         self._layouts = {}
         self._indicator_memo = {}
         self._swap_memo = {}
@@ -315,58 +327,61 @@ class VulnerabilityOracle:
         self.memo_counts = {"hits": 0, "misses": 0, "shortcuts": 0}
         self.swap_counts = {"engine": 0, "reused": 0}
 
-    def swap_groups(self, a: int):
-        """Per part, the swap neighbors of event ``a`` with the owned
-        variables through which they can perturb it.
-
-        The swap neighbors are the owners of ``a``'s dependencies: exactly
-        these events can perturb it by re-drawing their owned values. Each
-        comes with the dependencies it owns, in ascending id order, and the
-        members of a part are in ascending event id order."""
-        deps = self.inst.events[a].dependent_vars
-        return tuple((part_idx, tuple([(b, tuple([deps[i] for i in positions]))
-                                       for b, positions in members]))
-                     for part_idx, members in self._members(a))
-
     def _members(self, a: int):
-        """``swap_groups`` with dependency positions in place of variables,
-        built in one pass and kept. The members cover every position."""
-        parts = self._parts.get(a)
-        if parts is None:
-            deps = self.inst.events[a].dependent_vars
-            owned, by_part = {}, {}
-            for i in sorted(range(len(deps)), key=deps.__getitem__):
-                owned.setdefault(self.inst.owner[deps[i]], []).append(i)
-            for b in sorted(owned):
-                by_part.setdefault(self.part.part_of(b), []).append((b, tuple(owned[b])))
-            parts = self._parts[a] = tuple(sorted(by_part.items()))
-        return parts
+        """Per part, in ascending part order, the swap neighbors of event
+        ``a``: the owners of its dependencies, exactly the events that can
+        perturb it by re-drawing their owned values. Each comes, in
+        ascending event id order, with the positions of the dependencies it
+        owns, in ascending variable id order. The members cover every
+        position."""
+        deps = self.inst.events[a].dependent_vars
+        owned, by_part = {}, {}
+        for i in sorted(range(len(deps)), key=deps.__getitem__):
+            owned.setdefault(self.inst.owner[deps[i]], []).append(i)
+        for b in sorted(owned):
+            by_part.setdefault(self.part.part_of(b), []).append((b, tuple(owned[b])))
+        return tuple(sorted(by_part.items()))
 
     def _layout(self, a: int):
-        """Event ``a``'s predicate, its shape's stride, ``class id * stride``
-        per dependency position (see ``EventShape``) and its ``_members``.
-        None for an event keyed per event: one without a shape, or whose
-        swap probabilities could be sampled, as a sampled value is never
-        shared."""
-        if a not in self._layouts:
-            shape = self.inst.shapes[a]
-            self._layouts[a] = None if shape is None or self._samples(a, shape) else (
-                self.inst.events[a].predicate, shape.stride,
-                [c * shape.stride for c in shape.classes], self._members(a))
-        return self._layouts[a]
+        """Event ``a``'s key prefix, constant reference (or None), stride,
+        ``class id * stride`` per dependency position, ``_members`` and
+        the domain size of each dependency, built once.
 
-    def _samples(self, a: int, shape) -> bool:
+        A shaped event (see ``EventShape``) whose swap probabilities are
+        never sampled takes its shape's classes and stride under the
+        prefix (threshold, reference value). Any other event takes class i
+        at position i, a stride above its largest domain and its raw
+        values, under the prefix ``a``: its predicate reads the values
+        themselves, or a sampled swap value is never shared."""
+        layout = self._layouts.get(a)
+        if layout is None:
+            ev = self.inst.events[a]
+            shape = self.inst.shapes[a]
+            members = self._members(a)
+            if shape is not None and not self._samples(ev, shape, members):
+                pred = ev.predicate
+                prefix, ref = (pred.threshold, pred.ref_value), pred.ref_value
+                stride, classes, sizes = shape.stride, shape.classes, shape.sizes
+            else:
+                sizes = tuple(map(_domain_size, map(self.inst.variables.__getitem__,
+                                                    ev.dependent_vars)))
+                prefix, ref = a, None
+                stride, classes = 1 + max(sizes, default=0), range(len(sizes))
+            layout = self._layouts[a] = (prefix, ref, stride, [c * stride for c in classes],
+                                         members, sizes)
+        return layout
+
+    def _samples(self, ev, shape, members) -> bool:
         """``_conditioning``'s sampling rule on each part's full swap set,
         read off the shape: the reference's domain size if it is swapped,
         times two per swapped conditioned variable, above EXACT_ENUM_CAP.
         No part can sample when the whole event stays within the cap."""
-        ev = self.inst.events[a]
         ref_var = ev.predicate.ref_var
         refs = 1 if ref_var is None else self.inst.variables[ref_var].domain_size
         if refs << sum(shape.conditioned) <= EXACT_ENUM_CAP:
             return False
-        for _, members in self._members(a):
-            swapped = [i for _, positions in members for i in positions]
+        for _, part_members in members:
+            swapped = [i for _, positions in part_members for i in positions]
             refs = (self.inst.variables[ref_var].domain_size
                     if ref_var in [ev.dependent_vars[i] for i in swapped] else 1)
             if refs << sum([shape.conditioned[i] for i in swapped]) > EXACT_ENUM_CAP:
@@ -375,20 +390,16 @@ class VulnerabilityOracle:
 
     def _memo_key(self, a: int, key: tuple):
         """The indicator memo key of event ``a`` under the revealed values
-        ``key`` (in dependency order). For a shaped event: the threshold,
-        the reference value and, per swap member, the sorted ints
-        ``class id * stride + value class`` of its dependencies, the members
-        of a part sorted and the parts sorted. The value class (the value,
-        or whether it equals a constant reference) is below the stride, so
-        each int is one (class, value class) pair, and every swap
-        probability is an integer count that the key determines. The
-        3-tuple never equals a per-event (event, values) key."""
-        layout = self._layout(a)
-        if layout is None:
-            return (a, key)
-        pred, _, bases, parts = layout
-        get = _packed(pred, bases, key).__getitem__
-        return (pred.threshold, pred.ref_value, tuple(sorted([
+        ``key`` (in dependency order): its layout's prefix and, per swap
+        member, the sorted ints ``class id * stride + value class`` of its
+        dependencies, the members of a part sorted and the parts sorted.
+        The value class is below the stride, so each int is one (class,
+        value class) pair, and the members cover every position, so the key
+        determines every swap probability: an integer count for a shaped
+        event, and for any other the values themselves."""
+        prefix, ref, _, bases, parts, _ = self._layout(a)
+        get = _packed(ref, bases, key).__getitem__
+        return (prefix, tuple(sorted([
             tuple(sorted([tuple(sorted(map(get, positions))) for _, positions in members]))
             for _, members in parts])))
 
@@ -414,8 +425,17 @@ class VulnerabilityOracle:
         return est.value
 
     def indicator(self, a: int, key: tuple) -> bool:
-        """Whether, under the given full first-row values of the event's
-        dependencies, any single-part swap subset reaches the threshold."""
+        """Whether, under the given full first-row values ``key`` of the
+        event's dependencies, any single-part swap subset reaches the
+        threshold. Raises InputError unless ``key`` holds one int in its
+        variable's domain per dependency."""
+        layout = self._layout(a)
+        sizes = layout[5]
+        if type(key) is not _CheckedKey and (
+                len(key) != len(sizes) or not {*map(type, key)} <= _INT
+                or key and min(key) < 0 or not all(map(gt, sizes, key))):
+            raise InputError(f"event {a}: key {key!r} is not one int in its variable's "
+                             "domain per dependency")
         ev = self.inst.events[a]
         values = dict(zip(ev.dependent_vars, key))
         if ev.structurally_false():
@@ -430,81 +450,55 @@ class VulnerabilityOracle:
         if result is not None:
             self.memo_counts["hits"] += 1
             return result
-        layout = self._layout(a)
-        result = (self._any_subset_over(ev, values) if layout is None
-                  else self._any_vector_over(ev, values, layout))
+        result = self._any_vector_over(ev, key, values, layout)
         self._indicator_memo[memo_key] = result
         self.memo_counts["misses"] += 1
         return result
 
-    def _any_subset_over(self, ev, values) -> bool:
+    def _any_vector_over(self, ev, key, values, layout) -> bool:
         """Whether some nonempty same-part subset of the swap members,
-        re-drawn, reaches the threshold: every mask of every part."""
-        groups = self.swap_groups(ev.event_id)
-        for part_idx, members in groups:
-            if len(members) > self.cfg.subset_cap:
-                raise CapacityError(
-                    f"event {ev.event_id}: {len(members)} swap neighbors in part "
-                    f"{part_idx} exceed subset cap {self.cfg.subset_cap}")
-        for _, members in groups:
-            k = len(members)
-            for mask in range(1, 1 << k):
-                swap_vars = set()
-                for i in range(k):
-                    if mask >> i & 1:
-                        swap_vars.update(members[i][1])
-                swap_key = (ev.event_id, tuple(sorted(swap_vars)),
-                            tuple([val for v, val in values.items() if v not in swap_vars]))
-                if self._swap_probability(ev, values, swap_vars, swap_key) >= self.inner_thr:
-                    return True
-        return False
-
-    def _any_vector_over(self, ev, values, layout) -> bool:
-        """``_any_subset_over``'s answer for a shaped event.
+        re-drawn, reaches the threshold.
 
         A swap probability depends only on the swapped count vector over
         the event's ints ``class id * stride + value class``: it gives the
         swapped classes, and subtracted from the event's counts, the fixed
-        ints. Per part, a subset-sum DP over the members builds every
+        ints. A count vector is kept as one int, the sum of base^x over its
+        ints x, where the oracle's base exceeds every event's dependency
+        count, so it is a base-``base`` numeral with one digit per int and
+        adding a member is one addition; the swapped classes are kept the
+        same way. Per part, a subset-sum DP over the members builds every
         reachable nonempty vector with one witness subset, and each vector
-        is evaluated once, under the key (threshold, reference value,
-        sorted fixed ints, sorted swapped class ids) that all events of one
-        shape share. Raises CapacityError when a part reaches more than
-        2^subset_cap - 1 vectors."""
-        pred, stride, bases, parts = layout
-        ints = _packed(pred, bases, values.values())
-        labels = sorted(set(ints))
-        cells = [labels.index(x) for x in ints]
-        total = [0] * len(labels)
-        for j in cells:
-            total[j] += 1
-        zero = (0,) * len(labels)
+        is evaluated once, under the key (prefix, fixed ints, swapped class
+        ids). Under one class per position every subset is its own vector,
+        met in mask order. Raises CapacityError, before any evaluation,
+        when a part reaches more than 2^subset_cap - 1 vectors."""
+        prefix, ref, stride, bases, parts, _ = layout
+        base = self._base
+        ints = _packed(ref, bases, key)
+        codes = [base ** x for x in ints]
+        class_codes = [base ** (x // stride) for x in ints]
         budget = (1 << self.cfg.subset_cap) - 1
         searches = []
         for part_idx, members in parts:
-            reach = {zero: ()}
+            reach = {0: ((), 0)}
             for _, positions in members:
-                step = list(zero)
-                for i in positions:
-                    step[cells[i]] += 1
-                for vec, witness in list(reach.items()):
-                    reach.setdefault(tuple(map(add, vec, step)), witness + positions)
+                step = sum([codes[i] for i in positions])
+                class_step = sum([class_codes[i] for i in positions])
+                for vec, (witness, classes) in list(reach.items()):
+                    reach.setdefault(vec + step, (witness + positions, classes + class_step))
                 if len(reach) - 1 > budget:
                     raise CapacityError(
                         f"event {ev.event_id}: at least {len(reach) - 1} reachable swap "
                         f"vectors in part {part_idx} exceed {budget} "
                         f"(2^subset_cap - 1, subset cap {self.cfg.subset_cap})")
-            del reach[zero]
+            del reach[0]
             searches.append(reach)
-        classes = [x // stride for x in labels]
-        flatten, repeat = itertools.chain.from_iterable, itertools.repeat
+        total = sum(codes)
         for reach in searches:
-            for vec, witness in reach.items():
-                swap_key = (pred.threshold, pred.ref_value,
-                            tuple(flatten(map(repeat, labels, map(sub, total, vec)))),
-                            tuple(flatten(map(repeat, classes, vec))))
+            for vec, (witness, classes) in reach.items():
                 swap_vars = {ev.dependent_vars[i] for i in witness}
-                if self._swap_probability(ev, values, swap_vars, swap_key) >= self.inner_thr:
+                if self._swap_probability(ev, values, swap_vars,
+                                          (prefix, total - vec, classes)) >= self.inner_thr:
                     return True
         return False
 
@@ -520,11 +514,12 @@ class VulnerabilityOracle:
         deps = ev.dependent_vars
         free = [v for v in deps if v not in fixed]
         if not free:
-            est = EXACT_ONE if self.indicator(a, tuple(fixed[v] for v in deps)) else EXACT_ZERO
+            est = (EXACT_ONE if self.indicator(a, _CheckedKey(map(fixed.__getitem__, deps)))
+                   else EXACT_ZERO)
         else:
             est = _mass_over(
                 self.inst, free, fixed,
-                lambda values: self.indicator(a, tuple(values[v] for v in deps)),
+                lambda values: self.indicator(a, _CheckedKey(map(values.__getitem__, deps))),
                 0 if force_mc else EXACT_OUTER_CAP,
                 mc_samples or self.cfg.mc_samples, lambda: self._rng,
             )

@@ -9,11 +9,28 @@ The vulnerability oracle's memo key as it was built before event shape
 records: per-variable class tuples, and nested sorts of (class, value
 class) pairs. The tests check that the packed key shares indicators
 between exactly the same (event, values) pairs.
+
+The oracle's swap groups with variables in place of positions, and the
+mask loop that tried every subset of them before the reachable-vector
+search: the tests check the search's answers against it.
 """
+
+import functools
+import random
 
 from resilient_lll.model import CountThreshold
 from resilient_lll.probability import _conditioning, _probability_over, _validate_fixed
 from resilient_lll.seeds import rng_for
+
+
+def swap_groups(oracle, a):
+    """Per part, the swap neighbors of event ``a`` with the dependencies
+    they own, as variables: ``oracle._members`` with each position read as
+    its variable."""
+    deps = oracle.inst.events[a].dependent_vars
+    return tuple((part_idx, tuple([(b, tuple([deps[i] for i in positions]))
+                                   for b, positions in members]))
+                 for part_idx, members in oracle._members(a))
 
 
 def reference_indicator(oracle, a, key):
@@ -36,8 +53,11 @@ class ReferenceSubsets:
         self.inst = oracle.inst
         self.cfg = oracle.cfg
         self.inner_thr = oracle.inner_thr
-        self.swap_groups = oracle.swap_groups
-        self._rng = rng_for(0, "reference-subsets")
+        self.swap_groups = functools.partial(swap_groups, oracle)
+        # A copy of the oracle's rng: a sampled swap draws what the oracle,
+        # asked the same query first, would draw.
+        self._rng = random.Random()
+        self._rng.setstate(oracle._rng.getstate())
 
     def _swap_probability(self, event, base_values, swap_vars):
         fixed = {v: val for v, val in base_values.items() if v not in swap_vars}
@@ -106,12 +126,12 @@ def count_classes(variables, event):
 
 
 class ReferenceMemoKeys:
-    """The memo key of a ``VulnerabilityOracle`` (whose ``swap_groups``
-    it reads), computed as the oracle once did."""
+    """The memo key of a ``VulnerabilityOracle`` (whose swap groups it
+    reads), computed as the oracle once did."""
 
     def __init__(self, oracle):
         self.inst = oracle.inst
-        self.swap_groups = oracle.swap_groups
+        self.swap_groups = functools.partial(swap_groups, oracle)
         self._layouts = {}
 
     def _layout(self, a: int):

@@ -319,7 +319,7 @@ def test_cli_graph_pipeline(tmp_path):
 
 def test_cli_reports_a_runtime_failure_as_an_error(tmp_path, capsys):
     # A per-event-keyed hub puts 15 swap neighbors of event 0 in the single
-    # part, above the oracle's subset cap.
+    # part, whose 2^15 - 1 swap subsets exceed the oracle's subset cap.
     inst_path = tmp_path / "hub.json"
     save_instance(hub_instance(shaped=False), inst_path)
     rc = cli_main([
@@ -329,7 +329,8 @@ def test_cli_reports_a_runtime_failure_as_an_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: CapacityError: ")
-    assert "exceed subset cap" in err and "Traceback" not in err
+    assert "reachable swap vectors in part 0 exceed 4095 (2^subset_cap - 1, subset cap 12)" in err
+    assert "Traceback" not in err
 
 
 def test_cli_reports_an_unsplittable_graph_as_an_input_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from resilient_lll.model import (
 )
 from resilient_lll.probability import (
     EXACT_ENUM_CAP,
+    ProbabilityEstimate,
     VulnerabilityOracle,
     event_probability,
 )
@@ -36,6 +37,7 @@ from _reference_probability import (
     ReferenceMemoKeys,
     conditional_event_probability,
     reference_indicator,
+    swap_groups,
 )
 
 
@@ -321,7 +323,7 @@ def test_swap_groups_are_dependencies_grouped_by_owner(family):
         part = Partition(r, tuple(rng.randrange(r) for _ in range(inst.event_count)))
         oracle = VulnerabilityOracle(inst, part, cfg)
         for a in range(inst.event_count):
-            groups = oracle.swap_groups(a)
+            groups = swap_groups(oracle, a)
             assert groups == expected_swap_groups(inst, part, a)
             # The members cover every dependency, as the shaped memo key assumes.
             assert sorted(v for _, members in groups for _, owned in members
@@ -352,6 +354,36 @@ def test_vulnerability_capacity_error_names_offender():
         VulnerabilityOracle(inst, part, cfg).probability(0)
 
 
+@pytest.mark.parametrize("key", [(3, 0, 1), (0, -1, 1), (0, 1), (0, 1, 1, 0),
+                                 (True, 0, 1), (0.0, 0, 1), ("1", 0, 1)])
+def test_indicator_rejects_a_key_outside_the_domains(key):
+    # Three fair bits, var 0 twice in the group, var 2 the reference: three
+    # classes. The value 3 would pack as class 1 holding 0, and the key
+    # would alias a reveal with two class-1 zeros.
+    inst = build_instance(fair_bits(3), [
+        EventSpec(0, (0, 1, 2), CountThreshold(((0, 0, 1),), 2, ref_var=2))])
+    oracle = VulnerabilityOracle(inst, Partition.singleton(1), relaxed_config())
+    assert oracle._layout(0)[0] == (2, None)
+    with pytest.raises(InputError) as info:
+        oracle.indicator(0, key)
+    assert str(info.value) == (f"event 0: key {key!r} is not one int in its "
+                               "variable's domain per dependency")
+    assert oracle.memo_counts == {"hits": 0, "misses": 0, "shortcuts": 0}
+
+
+def test_indicator_rejects_a_key_outside_the_domains_of_an_unshaped_event():
+    # Per-position classes under stride 3: the value 3 at position 0 would
+    # pack as position 1 holding 0.
+    inst = hub_instance(4, shaped=False)
+    oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
+                                 relaxed_config())
+    assert oracle._layout(0)[:4] == (0, None, 3, [0, 3, 6, 9])
+    for key in [(3, 1, 1, 1), (1, 1, 2, 1), (1, 1, 1), (1, 1, 1, True)]:
+        with pytest.raises(InputError, match=re.escape(f"event 0: key {key!r} ")):
+            oracle.indicator(0, key)
+    assert oracle.indicator(0, (0, 1, 1, 1)) is True
+
+
 def test_vulnerability_monte_carlo_path_close_to_exact():
     rows = frozenset({(1, 1, 1), (1, 1, 0), (0, 1, 1)})
     ev = EventSpec(0, (0, 1, 2), TruthTable(rows))
@@ -377,14 +409,17 @@ def test_oracle_memoization_consistency():
 
 def test_satisfied_indicator_precedes_subset_cap():
     # All ones satisfies the per-event-keyed hub: the empty swap answers
-    # before the 15 swap neighbors are counted against the cap of 12.
+    # before its 15 swap neighbors are searched. Under a cap of 12 the
+    # search stops at the 13th neighbor, whose subsets bring the count to
+    # 2^13 - 1 vectors, one per subset.
     inst = hub_instance(shaped=False)
     oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
                                  relaxed_config(subset_cap=12))
     assert oracle.indicator(0, (1,) * 15) is True
     with pytest.raises(CapacityError) as info:
         oracle.indicator(0, (0,) + (1,) * 14)
-    assert str(info.value) == "event 0: 15 swap neighbors in part 0 exceed subset cap 12"
+    assert str(info.value) == ("event 0: at least 8191 reachable swap vectors in part 0 "
+                               "exceed 4095 (2^subset_cap - 1, subset cap 12)")
     # A failed search is not memoized: the next unsatisfied query raises again.
     with pytest.raises(CapacityError):
         oracle.indicator(0, (1,) * 14 + (0,))
@@ -424,17 +459,48 @@ def test_reachable_vector_budget_names_event_part_and_count():
     assert oracle.memo_counts == {"hits": 0, "misses": 0, "shortcuts": 1}
 
 
-def test_sampled_swap_probability_is_not_shared():
-    # Every bit occurs in both groups, so swapping all 21 bits conditions on
-    # 2^21 match patterns and is sampled; the twin event samples its own.
+def sampled_twins():
+    """Twin events over 21 fair bits, each bit in both groups, so swapping
+    all 21 bits conditions on 2^21 match patterns and is sampled. Event 0
+    owns every bit. Returns the oracle and the all-zeros reveal."""
     bits = tuple(range(21))
     events = [EventSpec(a, bits, CountThreshold((bits, bits), 21, ref_value=1))
               for a in (0, 1)]
     inst = build_instance(fair_bits(21), events, [0] * 21)
-    oracle = VulnerabilityOracle(inst, Partition.singleton(2), relaxed_config())
-    zeros = dict.fromkeys(bits, 0)
+    return (VulnerabilityOracle(inst, Partition.singleton(2), relaxed_config()),
+            dict.fromkeys(bits, 0))
+
+
+def test_sampled_swap_probability_is_not_shared():
+    # The twin event samples its own swap probability.
+    oracle, zeros = sampled_twins()
     assert [oracle.probability(a, zeros).exact for a in (0, 1)] == [False, False]
     assert oracle.memo_counts == {"hits": 0, "misses": 2, "shortcuts": 0}
+
+
+def test_sampled_swap_draws_are_pinned():
+    # Each twin's one sampled swap draws its 2,000 samples from the oracle's
+    # rng in turn; the next draw fixes how many came before it.
+    oracle, zeros = sampled_twins()
+    assert [oracle.probability(a, zeros) for a in (0, 1)] == [
+        ProbabilityEstimate(0.0, exact=False, samples=2000)] * 2
+    assert oracle._rng.random() == 0.7981722576743173
+
+
+def test_per_event_swap_search_counts_are_pinned():
+    # The unshaped 12-leaf hub at d = 12: a key with z <= 3 zero bits
+    # answers when its zeros are first swapped together, z >= 4 tries all
+    # 4,095 swap subsets. The five-zero key reuses the 2,048 swap
+    # probabilities that swap bit 4, which the four-zero key computed.
+    inst = hub_instance(12, shaped=False)
+    oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
+                                 relaxed_config())
+    keys = [(1,) * 12, (0,) + (1,) * 11, (0,) * 3 + (1,) * 9, (0,) * 4 + (1,) * 8,
+            (0,) * 5 + (1,) * 7, (0,) * 4 + (1,) * 8, (1,) * 11 + (0,)]
+    assert [oracle.indicator(0, key) for key in keys] == [
+        True, True, True, False, False, False, True]
+    assert oracle.swap_counts == {"engine": 1 + 7 + 4095 + 2047 + 2048, "reused": 2048}
+    assert oracle.memo_counts == {"hits": 1, "misses": 5, "shortcuts": 1}
 
 
 @st.composite
@@ -574,18 +640,29 @@ def test_shared_oracle_matches_fresh_oracle_per_query(case):
                                      for ev in inst.events]
 
 
+SWAP_SEARCH_KINDS = ("shaped", "truth-table", "max-load", "weighted", "sampled")
+
+
 @st.composite
-def shaped_swap_cases(draw):
-    """A shaped count-threshold event over m <= 12 uniform variables, and
-    sometimes a sibling over fresh variables: the same types on a prefix
-    of them, so a twin or a smaller event with the same threshold. Each
-    variable takes one of up to three types (a domain size and its
-    occurrences per group), so many variables share a class. Each is owned
-    by its event or by a leaf event, so a part holds up to 12 swap members;
-    the parts are random. Queries are full reveals of the shaped events."""
-    m = draw(st.integers(1, 12))
+def swap_search_cases(draw):
+    """An event over m uniform variables, and sometimes a sibling over
+    fresh variables: the same types on a prefix of them, so a twin or a
+    smaller event with the same threshold. Each variable takes one of up to
+    three types (a domain size and its occurrences per group), so many
+    variables share a class. Each is owned by its event or by a leaf event,
+    so a part holds up to m swap members; the parts are random. Queries are
+    full reveals of the two events.
+
+    The kind decides the events' predicate: "shaped" a count threshold
+    (m <= 12), which the oracle keys by shape; the other kinds (m <= 6) are
+    keyed per event: a random ``TruthTable``, a ``MaxPartLoad``, a count
+    threshold over weighted variables, and one over uniform variables under
+    an ``EXACT_ENUM_CAP`` of 0, so that every swap probability is sampled.
+    Returns (kind, that cap, instance, partition, config, queries)."""
+    kind = draw(st.sampled_from(SWAP_SEARCH_KINDS))
+    m = draw(st.integers(1, 12 if kind == "shaped" else 6))
     n_groups = draw(st.integers(1, 3))
-    types = draw(st.lists(st.tuples(st.integers(1, 3),
+    types = draw(st.lists(st.tuples(st.integers(2 if kind == "weighted" else 1, 3),
                                     st.lists(st.integers(0, 2), min_size=n_groups,
                                              max_size=n_groups)),
                           min_size=1, max_size=3))
@@ -595,16 +672,27 @@ def shaped_swap_cases(draw):
     ref_values = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
     labels = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
     counts = [m] + draw(st.lists(st.integers(1, m), max_size=1))
+    rnd = draw(st.randoms(use_true_random=False))
     variables, events, owner, keys = [], [], {}, []
     for t, count in enumerate(counts):
         ids = range(len(variables), len(variables) + count)
-        variables += [VariableSpec.uniform(v, size) for v, (size, _) in zip(ids, typed)]
+        for v, (size, _) in zip(ids, typed):
+            # Weights 1..size (scaled), never uniform at size >= 2.
+            variables.append(VariableSpec(v, size, tuple([(j + 1) / (size * (size + 1) / 2)
+                                                          for j in range(size)]))
+                             if kind == "weighted" else VariableSpec.uniform(v, size))
         groups = tuple(tuple(ids[v] for v in range(count) for _ in range(typed[v][1][g]))
                        or (ids[0],) for g in range(n_groups))
         ref = ({"ref_var": ids[ref_var]} if ref_var is not None and ref_var < count
                else {"ref_value": ref_values[t]})
-        events.append(count_event(t, tuple(ids), groups, threshold, **ref))
-        keys.append(st.tuples(*(st.integers(0, size - 1) for size, _ in typed[:count])))
+        support = list(itertools.product(*(range(size) for size, _ in typed[:count])))
+        predicate = {
+            "truth-table": lambda: TruthTable(frozenset(
+                row for row in support if rnd.random() < 0.3)),
+            "max-load": lambda: MaxPartLoad(tuple(ids), threshold),
+        }.get(kind, lambda: CountThreshold(groups, threshold, **ref))()
+        events.append(EventSpec(t, tuple(ids), predicate))
+        keys.append(st.sampled_from(support))
     for t, count in enumerate(counts):
         ids = events[t].dependent_vars
         for label in sorted(set(labels[:count])):
@@ -619,11 +707,12 @@ def shaped_swap_cases(draw):
     parts = draw(st.integers(1, 3))
     part = Partition(parts, tuple(draw(st.integers(0, parts - 1))
                                   for _ in range(inst.event_count)))
-    cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])), subset_cap=12)
+    cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])), subset_cap=12,
+                         mc_samples=32 if kind == "sampled" else 2000)
     queries = [(t, k) for t, key in enumerate(keys)
                for k in draw(st.lists(key, min_size=1, max_size=6))]
     draw(st.randoms()).shuffle(queries)
-    return inst, part, cfg, queries
+    return kind, 0 if kind == "sampled" else EXACT_ENUM_CAP, inst, part, cfg, queries
 
 
 def twelve_member_case(**ref):
@@ -638,8 +727,8 @@ def twelve_member_case(**ref):
     inst = build_instance([VariableSpec.uniform(v, d) for v, d in enumerate(sizes)],
                           [hub] + leaves, [v + 1 for v in range(12)])
     keys = [(0,) * 12, (1, 2) * 6, (0, 1, 1, 0, 1, 2, 0, 0, 1, 1, 0, 2)]
-    return (inst, Partition.singleton(inst.event_count), relaxed_config(c3=0.5),
-            [(0, key) for key in keys])
+    return ("shaped", EXACT_ENUM_CAP, inst, Partition.singleton(inst.event_count),
+            relaxed_config(c3=0.5), [(0, key) for key in keys])
 
 
 def sibling_case():
@@ -652,26 +741,52 @@ def sibling_case():
               count_event(1, (6, 7, 8), ((6, 7, 8),), 3, ref_value=1)]
     events += [EventSpec(v + 2, (v,), TruthTable(frozenset())) for v in range(9)]
     inst = build_instance(fair_bits(9), events, [v + 2 for v in range(9)])
-    return (inst, Partition.singleton(inst.event_count), relaxed_config(),
-            [(1, (0,) * 3), (0, (0,) * 6)])
+    return ("shaped", EXACT_ENUM_CAP, inst, Partition.singleton(inst.event_count),
+            relaxed_config(), [(1, (0,) * 3), (0, (0,) * 6)])
+
+
+def carry_case():
+    """Count-all-ones events with threshold 3, at all zeros, over three
+    leaf-owned bits and over one leaf-owned bit that occurs three times in
+    its group: two classes. Swapping the three bits swaps three of the
+    first class, 1/8 in all, below 3^-1; the one bit's swap reaches 1/2. A
+    count vector numeral whose base did not exceed 3 would carry the
+    first into the second and answer the three bits with the one bit's
+    probability."""
+    events = [count_event(0, (0, 1, 2), ((0, 1, 2),), 3, ref_value=1),
+              count_event(1, (3,), ((3, 3, 3),), 3, ref_value=1)]
+    events += [EventSpec(v + 2, (v,), TruthTable(frozenset())) for v in range(4)]
+    inst = build_instance(fair_bits(4), events, [v + 2 for v in range(4)])
+    return ("shaped", EXACT_ENUM_CAP, inst, Partition.singleton(inst.event_count),
+            relaxed_config(), [(1, (0,)), (0, (0,) * 3)])
 
 
 @settings(max_examples=150, deadline=None)
+@example(carry_case())
 @example(sibling_case())
 @example(twelve_member_case(ref_value=1))
 @example(twelve_member_case(ref_var=3))
-@given(shaped_swap_cases())
+@given(swap_search_cases())
 def test_vector_search_matches_reference_mask_loop(case):
     # The reachable-vector search answers every full reveal as the mask
-    # loop does, and an oracle that shares swap probabilities and
-    # indicators across queries answers as a fresh one.
-    inst, part, cfg, queries = case
-    shared = VulnerabilityOracle(inst, part, cfg)
-    for a, key in queries:
-        assert shared._layout(a) is not None
-        expected = reference_indicator(VulnerabilityOracle(inst, part, cfg), a, key)
-        assert VulnerabilityOracle(inst, part, cfg).indicator(a, key) == expected
-        assert shared.indicator(a, key) == expected
+    # loop does: for a shaped event by count vectors under a prefix that
+    # its shape shares, for any other by one vector per subset, in mask
+    # order, so that a fresh oracle's sampled swaps draw what the loop
+    # draws. An oracle that shares swap probabilities and indicators across
+    # queries answers as a fresh one wherever no swap was sampled.
+    kind, cap, inst, part, cfg, queries = case
+    with mock.patch.object(probability, "EXACT_ENUM_CAP", cap):
+        shared = VulnerabilityOracle(inst, part, cfg)
+        for a, key in queries:
+            prefix = shared._layout(a)[0]
+            assert isinstance(prefix, tuple) if kind == "shaped" else prefix == a
+            expected = reference_indicator(VulnerabilityOracle(inst, part, cfg), a, key)
+            assert VulnerabilityOracle(inst, part, cfg).indicator(a, key) == expected
+            answer = shared.indicator(a, key)
+            if a not in shared._inner_mc_events:
+                assert answer == expected
+            else:
+                assert kind == "sampled"
 
 
 @settings(max_examples=300, deadline=None)
@@ -685,14 +800,18 @@ def test_layout_sampling_rule_matches_class_rule(case, cap):
         oracle = VulnerabilityOracle(inst, part, cfg)
         for ev in inst.events:
             a = ev.event_id
+            # A per-event layout's prefix is the event id; a shaped one's,
+            # shared by the events of its shape, is a tuple.
+            prefix = oracle._layout(a)[0]
             if inst.shapes[a] is None:
-                assert oracle._layout(a) is None
+                assert prefix == a
                 continue
             samples = any(
                 probability._conditioning(inst.variables, ev.predicate,
                                           {v for _, sv in members for v in sv}) is None
-                for _, members in oracle.swap_groups(a))
-            assert (oracle._layout(a) is None) == samples
+                for _, members in swap_groups(oracle, a))
+            assert (prefix == a) == samples
+            assert isinstance(prefix, tuple) != samples
 
 
 @settings(max_examples=300, deadline=None)

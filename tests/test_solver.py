@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -286,6 +288,34 @@ def test_capacity_error_names_event_and_iteration():
     part = Partition.singleton(inst.event_count)
     with pytest.raises(CapacityError, match="event 0 in iteration 0"):
         run_first_stage(inst, part, relaxed_config(subset_cap=8), seed=2)
+
+
+def truth_table_ring(n_events=24, privates=5):
+    """Events on a ring, as in ``ring_instance``, that fire when at most one
+    of their bits is 0: ``TruthTable`` events, which the oracle keys per
+    event."""
+    vs = fair_bits(n_events * (1 + privates))
+    events, owner = [], {}
+    for i in range(n_events):
+        own = [n_events + i * privates + j for j in range(privates)]
+        deps = tuple(sorted({(i - 1) % n_events, i, (i + 1) % n_events, *own}))
+        rows = frozenset(row for row in itertools.product((0, 1), repeat=len(deps))
+                         if sum(row) >= len(deps) - 1)
+        events.append(EventSpec(i, deps, TruthTable(rows)))
+        owner.update(dict.fromkeys([i] + own, i))
+    return build_instance(vs, events, owner)
+
+
+@pytest.mark.parametrize("r, digest", [
+    (2, "da0b83ea74620576a0f1df9fc1e45f4b42f567c42e2cc075b560b23e60ddcc17"),
+    (3, "d7b447c61ed3b0d6ef83f0a69987d55ae72b75d59b23f4379043828d41b02596"),
+])
+def test_truth_table_ring_result_is_pinned(r, digest):
+    # The whole result over per-event-keyed events: fates (15 and 17 fixed),
+    # memo counts and the residual solve.
+    result = solve(truth_table_ring(), Partition.round_robin(24, r), relaxed_config(), 1)
+    text = json.dumps(result.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_residual_of_clean_run_is_empty():
