@@ -287,7 +287,7 @@ def build_split_instance(g: Graph, kind: str, q: float):
     events = [EventSpec(i, tuple(sorted({i}.union(*groups))),
                         CountThreshold(groups=groups, threshold=thr, ref_var=i))
               for i, (groups, thr) in enumerate(objects)]
-    return build_instance([VariableSpec.fair_bit(i) for i in range(len(objects))],
+    return build_instance([VariableSpec.fair_bit()] * len(objects),
                           events, {i: i for i in range(len(objects))})
 
 

@@ -122,23 +122,13 @@ def ring_family(n_events: int, shared_degree: int = 2, private_bits: int = 5,
         raise InputError("need more events than the shared degree")
     partner = random_regular_graph(n_events, shared_degree, seed)
     n_vars = n_events * (1 + private_bits)
-    variables = [VariableSpec.fair_bit(v) for v in range(n_vars)]
-    events = []
-    allocation = {}
+    events, allocation = [], {}
     for i in range(n_events):
         own = [i] + [n_events + i * private_bits + j for j in range(private_bits)]
-        partners = [p for p in partner.neighbors(i)]
-        deps = tuple(sorted(own + partners))
-        events.append(
-            EventSpec(
-                i, deps,
-                CountThreshold(groups=(deps,), threshold=len(deps), ref_value=1),
-            )
-        )
-        for v in own:
-            allocation[v] = i
-    inst = build_instance(variables, events, allocation)
-    return inst
+        deps = tuple(sorted(own + list(partner.neighbors(i))))
+        events.append(EventSpec(i, deps, CountThreshold((deps,), len(deps), ref_value=1)))
+        allocation.update(dict.fromkeys(own, i))
+    return build_instance([VariableSpec.fair_bit()] * n_vars, events, allocation)
 
 
 def window_family(n_events: int, private_bits: int = 6, seed: int = 0):
@@ -155,22 +145,15 @@ def window_family(n_events: int, private_bits: int = 6, seed: int = 0):
     shared = n_events + 1
     private_ids = list(range(shared, shared + n_events * private_bits))
     rng.shuffle(private_ids)
-    variables = [VariableSpec.fair_bit(v) for v in range(shared + n_events * private_bits)]
     events = []
     allocation = {n_events: n_events - 1}  # last shared bit: its only owner
     for i in range(n_events):
         own_private = private_ids[i * private_bits:(i + 1) * private_bits]
         deps = tuple(sorted([i, i + 1] + own_private))
-        events.append(
-            EventSpec(
-                i, deps,
-                CountThreshold(groups=(deps,), threshold=len(deps), ref_value=1),
-            )
-        )
-        allocation[i] = i
-        for v in own_private:
-            allocation[v] = i
-    return build_instance(variables, events, allocation)
+        events.append(EventSpec(i, deps, CountThreshold((deps,), len(deps), ref_value=1)))
+        allocation.update(dict.fromkeys([i] + own_private, i))
+    return build_instance([VariableSpec.fair_bit()] * (shared + n_events * private_bits),
+                          events, allocation)
 
 
 GRAPH_FAMILIES = {

@@ -8,7 +8,7 @@ on for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 
 from .errors import InputError
@@ -22,6 +22,13 @@ class Graph:
     def __init__(self, node_count: int, edges):
         if node_count < 0:
             raise InputError("node_count must be nonnegative")
+        # The edges' shapes and endpoint types, each in one C-level pass.
+        edges = list(edges)
+        if not ({*map(type, edges)} <= {tuple, list} and {*map(len, edges)} <= {2}
+                and {*map(type, chain.from_iterable(edges))} <= {int}):
+            bad = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2
+                       or not {*map(type, e)} <= {int})
+            raise InputError(f"edge {bad!r} is not a pair of ints")
         adj = [[] for _ in range(node_count)]
         for u, v in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -36,10 +43,18 @@ class Graph:
             if not all(map(lt, nbrs, islice(nbrs, 1, None))):
                 v = next(v for v, w in zip(nbrs, nbrs[1:]) if v == w)
                 raise InputError(f"duplicate edge ({u}, {v})")
-        self.node_count = node_count
-        self.adjacency = tuple(map(tuple, adj))
+        self.node_count, self.adjacency, self._edges = node_count, tuple(map(tuple, adj)), None
         self.max_degree = max(map(len, adj), default=0)
-        self._edges = None
+
+    @classmethod
+    def from_adjacency(cls, adjacency: tuple) -> "Graph":
+        """The graph whose node v has the sorted neighbours ``adjacency[v]``,
+        which the caller built symmetric, in range and loop-free: unlike
+        ``Graph(n, edges)``, it checks nothing."""
+        g = cls.__new__(cls)
+        g.node_count, g.adjacency, g._edges = len(adjacency), adjacency, None
+        g.max_degree = max(map(len, adjacency), default=0)
+        return g
 
     @classmethod
     def empty(cls, node_count: int) -> "Graph":

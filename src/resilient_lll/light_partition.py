@@ -46,7 +46,7 @@ def build_light_partition_instance(g: Graph, defect_const: float):
         raise InputError("degree below 4: use the single-part short-circuit")
     parts = base_part_count(delta)
     threshold = load_threshold(delta, defect_const)
-    variables = [VariableSpec.uniform(v, parts) for v in range(g.node_count)]
+    variables = [VariableSpec.uniform(parts)] * g.node_count
     events = []
     allocation = {}
     for v in range(g.node_count):
@@ -124,45 +124,24 @@ def verify_resilience_1part(inst, cfg: ThresholdConfig, trials: int,
     """
     parts = inst.variables[0].domain_size
     rng = rng_for(seed, "verify_light")
-    per_event = []
-    events = []
+    witnesses = []
     for ev in inst.events:
         pred = ev.predicate
         if not isinstance(pred, MaxPartLoad):
             raise InputError("verify expects light-partition instances")
-        events.append((ev.event_id, pred.counted, witness_threshold(int(pred.threshold))))
-    hits = [0] * len(events)
+        witnesses.append(MaxPartLoad(pred.counted, witness_threshold(int(pred.threshold))))
+    hits = [0] * len(witnesses)
     for _ in range(trials):
         row = [rng.randrange(parts) for _ in range(inst.var_count)]
-        for idx, (_, counted, w_thr) in enumerate(events):
-            counts = {}
-            for v in counted:
-                val = row[v]
-                c = counts.get(val, 0) + 1
-                if c >= w_thr:
-                    hits[idx] += 1
-                    break
-                counts[val] = c
-    overall = True
-    for idx, (event_id, counted, w_thr) in enumerate(events):
-        est = hits[idx] / trials
+        for idx, witness in enumerate(witnesses):
+            hits[idx] += witness.evaluate(row, ())
+    per_event = []
+    for ev, witness, hit in zip(inst.events, witnesses, hits):
+        est = hit / trials
         stderr = math.sqrt(est * (1 - est) / trials)
-        mu = len(counted) / parts
-        bound = parts * math.exp(3 * mu - w_thr)
-        ok = est + 3 * stderr <= bound
-        overall = overall and ok
-        per_event.append(
-            {
-                "event": event_id,
-                "estimate": est,
-                "bound": bound,
-                "witness_threshold": w_thr,
-                "pass": ok,
-            }
-        )
-    return {
-        "trials": trials,
-        "parts": parts,
-        "all_pass": overall,
-        "events": per_event,
-    }
+        bound = parts * math.exp(3 * (len(witness.counted) / parts) - witness.threshold)
+        per_event.append({"event": ev.event_id, "estimate": est, "bound": bound,
+                          "witness_threshold": witness.threshold,
+                          "pass": est + 3 * stderr <= bound})
+    return {"trials": trials, "parts": parts,
+            "all_pass": all(e["pass"] for e in per_event), "events": per_event}

@@ -2,7 +2,9 @@
 
 An instance is a set of independent finite random variables plus a family
 of bad events over them, each event owning (via the allocation) the
-variables it is responsible for sampling. Two derived graphs drive the
+variables it is responsible for sampling. A variable's id is its position
+in the instance's variable list, and variables of one distribution share
+one ``VariableSpec`` record. Two derived graphs drive the
 solver: the dependency graph (events sharing any variable) and the
 allocation graph (events linked through an owned variable).
 """
@@ -11,41 +13,48 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import cached_property
 from typing import Optional
 
 from .errors import CapacityError, ContractViolation, InputError
 from .graph import Graph
 
 WEIGHT_TOL = 1e-12
+_INT = {int}
 TRUTH_TABLE_MAX_ARITY = 20
 BRUTE_FORCE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
 class VariableSpec:
-    """A finite random variable: values 0..domain_size-1 with given weights."""
+    """A distribution over values 0..domain_size-1 with given weights. A
+    variable is the spec at its position in ``LllInstance.variables``, its
+    id; variables of one distribution may share one spec."""
 
-    var_id: int
     domain_size: int
     weights: tuple
     is_uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            uniform = _checked_uniformity(self.domain_size, tuple(self.weights))
-        except InputError as exc:
-            raise InputError(f"variable {self.var_id}: {exc}") from None
-        object.__setattr__(self, "is_uniform", uniform)
+        if self.domain_size < 1:
+            raise InputError("empty domain")
+        if len(self.weights) != self.domain_size:
+            raise InputError("weight count != domain size")
+        if any(w < 0 for w in self.weights):
+            raise InputError("negative weight")
+        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # NaN fails too
+            raise InputError(f"weights sum to {sum(self.weights)}")
+        w0 = self.weights[0]
+        object.__setattr__(self, "is_uniform",
+                           all(abs(w - w0) <= WEIGHT_TOL for w in self.weights))
 
     @classmethod
-    def uniform(cls, var_id: int, domain_size: int) -> "VariableSpec":
-        return cls(var_id, domain_size, tuple([1.0 / domain_size] * domain_size))
+    def uniform(cls, domain_size: int) -> "VariableSpec":
+        return cls(domain_size, tuple([1.0 / domain_size] * domain_size))
 
     @classmethod
-    def fair_bit(cls, var_id: int) -> "VariableSpec":
-        return cls.uniform(var_id, 2)
+    def fair_bit(cls) -> "VariableSpec":
+        return cls.uniform(2)
 
     def sample(self, rng) -> int:
         if self.is_uniform:
@@ -57,25 +66,6 @@ class VariableSpec:
             if x < acc:
                 return value
         return self.domain_size - 1
-
-
-@lru_cache(maxsize=256)
-def _checked_uniformity(domain_size: int, weights: tuple) -> bool:
-    """Whether ``weights`` are uniform, after checking that they are a
-    distribution over ``domain_size`` values; an InputError names the fault.
-    Pure, so it is memoised: while its entry stays in the bounded cache, a
-    distinct (domain size, weights) pair is checked once. A failure is not
-    cached, so its message is always built from the weights given."""
-    if domain_size < 1:
-        raise InputError("empty domain")
-    if len(weights) != domain_size:
-        raise InputError("weight count != domain size")
-    if any(w < 0 for w in weights):
-        raise InputError("negative weight")
-    if not abs(sum(weights) - 1.0) <= WEIGHT_TOL:  # NaN fails too
-        raise InputError(f"weights sum to {sum(weights)}")
-    w0 = weights[0]
-    return all(abs(w - w0) <= WEIGHT_TOL for w in weights)
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ class LllInstance:
     def __init__(self, variables, events, owner):
         self.variables = tuple(variables)
         self.events = tuple(events)
-        self.owner = tuple(owner)  # var id -> owning event id
+        self.owner = owner = tuple(owner)  # var id -> owning event id
         self._validate_owners()
         allocated = [[] for _ in self.events]
         for v, a in enumerate(self.owner):
@@ -275,9 +265,15 @@ class LllInstance:
                 dependents[v].append(ev.event_id)
         # var id -> ascending ids of the events that depend on it; the one
         # answer to which events see a variable.
-        self.dependents = tuple(tuple(evs) for evs in dependents)
-        self.dep_graph = self._build_dep_graph()
-        self.alloc_graph = self._build_alloc_graph()
+        self.dependents = dependents = tuple(tuple(evs) for evs in dependents)
+        # Events sharing a variable: the union of its variables' dependents.
+        self.dep_graph = self._event_graph(
+            set().union(*(dependents[v] for v in ev.dependent_vars)) for ev in self.events)
+        # Events linked through an owned variable: the owners of its
+        # variables and the dependents of the variables it owns.
+        self.alloc_graph = self._event_graph(
+            {owner[v] for v in ev.dependent_vars}.union(*(dependents[v] for v in owned))
+            for ev, owned in zip(self.events, self.allocated))
         self.d = self.dep_graph.max_degree
         self.d_vars = self.alloc_graph.max_degree
         self._validate_degrees()
@@ -295,27 +291,15 @@ class LllInstance:
     def event_count(self) -> int:
         return len(self.events)
 
-    def _build_dep_graph(self) -> Graph:
-        # Events sharing a variable: the union of its variables' dependents.
-        return self._event_graph(
-            set().union(*(self.dependents[v] for v in ev.dependent_vars))
-            for ev in self.events)
-
-    def _build_alloc_graph(self) -> Graph:
-        # Events linked through an owned variable: the owners of its
-        # variables and the dependents of the variables it owns.
-        owner, dependents = self.owner, self.dependents
-        return self._event_graph(
-            {owner[v] for v in ev.dependent_vars}.union(*(dependents[v] for v in owned))
-            for ev, owned in zip(self.events, self.allocated))
-
     def _event_graph(self, neighbour_sets) -> Graph:
         """The graph joining each event a to the events in the a-th of
-        ``neighbour_sets``, each pair listed once, from its smaller endpoint."""
-        edges = []
+        ``neighbour_sets`` other than a. The sets are symmetric and in range
+        by construction, so each one, sorted, is a's adjacency as it is."""
+        adjacency = []
         for a, nbrs in enumerate(neighbour_sets):
-            edges.extend(zip(repeat(a), filter(a.__lt__, nbrs)))
-        return Graph(len(self.events), edges)
+            nbrs.discard(a)
+            adjacency.append(tuple(sorted(nbrs)))
+        return Graph.from_adjacency(tuple(adjacency))
 
     def _validate_owners(self):
         for v, a in enumerate(self.owner):
@@ -346,15 +330,13 @@ class LllInstance:
 
 
 def build_instance(variables, events, allocation=None) -> LllInstance:
-    """Assemble an instance, deriving graphs and degree caches.
+    """Assemble an instance, deriving graphs and degree caches. Variable v
+    is ``variables[v]``.
 
     When ``allocation`` (a var id -> event id mapping) is omitted, each
     variable goes to its lowest-id dependent event.
     """
-    variables = sorted(variables, key=lambda v: v.var_id)
     events = sorted(events, key=lambda e: e.event_id)
-    if [v.var_id for v in variables] != list(range(len(variables))):
-        raise InputError("variable ids must be dense 0..n-1")
     if [e.event_id for e in events] != list(range(len(events))):
         raise InputError("event ids must be dense 0..n-1")
     n_vars = len(variables)
@@ -451,12 +433,8 @@ def _predicate_to_dict(ev: EventSpec) -> dict:
     if isinstance(p, TruthTable):
         params = {"rows": sorted(list(r) for r in p.rows)}
     elif isinstance(p, CountThreshold):
-        params = {
-            "groups": [list(g) for g in p.groups],
-            "threshold": p.threshold,
-            "ref_var": p.ref_var,
-            "ref_value": p.ref_value,
-        }
+        params = {"groups": [list(g) for g in p.groups], "threshold": p.threshold,
+                  "ref_var": p.ref_var, "ref_value": p.ref_value}
     elif isinstance(p, MaxPartLoad):
         params = {"counted": list(p.counted), "threshold": p.threshold}
     else:
@@ -470,12 +448,8 @@ def _predicate_from_dict(data: dict):
     if kind == "truth_table":
         return TruthTable(frozenset(tuple(r) for r in params["rows"]))
     if kind == "count_threshold":
-        return CountThreshold(
-            groups=tuple(tuple(g) for g in params["groups"]),
-            threshold=params["threshold"],
-            ref_var=params.get("ref_var"),
-            ref_value=params.get("ref_value"),
-        )
+        return CountThreshold(tuple(tuple(g) for g in params["groups"]), params["threshold"],
+                              params.get("ref_var"), params.get("ref_value"))
     if kind == "max_part_load":
         return MaxPartLoad(tuple(params["counted"]), params["threshold"])
     raise InputError(f"unknown predicate kind {kind!r}")
@@ -483,35 +457,52 @@ def _predicate_from_dict(data: dict):
 
 def instance_to_dict(inst: LllInstance) -> dict:
     return {
-        "variables": [
-            {"id": v.var_id, "domain": v.domain_size, "weights": list(v.weights)}
-            for v in inst.variables
-        ],
-        "events": [
-            {
-                "id": ev.event_id,
-                "vars": list(ev.dependent_vars),
-                "predicate": _predicate_to_dict(ev),
-            }
-            for ev in inst.events
-        ],
-        "allocation": {str(v): inst.owner[v] for v in range(inst.var_count)},
+        "variables": [{"id": v, "domain": spec.domain_size, "weights": list(spec.weights)}
+                      for v, spec in enumerate(inst.variables)],
+        "events": [{"id": ev.event_id, "vars": list(ev.dependent_vars),
+                    "predicate": _predicate_to_dict(ev)} for ev in inst.events],
+        "allocation": {str(v): a for v, a in enumerate(inst.owner)},
     }
 
 
+def _require_ints(values, what):
+    """An InputError names the first of ``values`` that is not an int (nor a bool)."""
+    if not {*map(type, values)} <= _INT:
+        raise InputError(f"{what} {next(x for x in values if type(x) is not int)!r} "
+                         "is not an int")
+
+
 def instance_from_dict(data: dict) -> LllInstance:
-    """Inverse of instance_to_dict; bad input is an InputError naming its field."""
+    """Inverse of instance_to_dict; bad input is an InputError naming its
+    field. Each distinct distribution is built and checked once, and its
+    variables share the record."""
     field = "variables"
     try:
-        variables = [
-            VariableSpec(d["id"], d["domain"], tuple(map(float, d["weights"])))
-            for d in data["variables"]
-        ]
+        entries = data["variables"]
+        ids = [d["id"] for d in entries]
+        _require_ints(ids, "variable id")
+        _require_ints([d["domain"] for d in entries], "domain")
+        if sorted(ids) != list(range(len(ids))):
+            raise InputError("variable ids must be dense 0..n-1")
+        variables, specs = [None] * len(ids), {}
+        for v, d in zip(ids, entries):
+            domain, weights = d["domain"], tuple(map(float, d["weights"]))
+            # -0.0 == 0.0, so a zero weight adds its repr, which keeps the sign.
+            key = (domain, weights, 0.0 in weights and repr(weights))
+            spec = specs.get(key)
+            if spec is None:
+                try:
+                    spec = specs[key] = VariableSpec(domain, weights)
+                except InputError as exc:
+                    raise InputError(f"variable {v}: {exc}") from None
+            variables[v] = spec
         field = "events"
         events = [
             EventSpec(d["id"], tuple(d["vars"]), _predicate_from_dict(d["predicate"]))
             for d in data["events"]
         ]
+        _require_ints([ev.event_id for ev in events], "event id")
+        _require_ints([v for ev in events for v in ev.dependent_vars], "dependency")
         field = "allocation"
         allocation = {int(k): v for k, v in (data.get("allocation") or {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

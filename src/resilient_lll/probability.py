@@ -4,12 +4,13 @@
 engine conditions on the reference value and on the free variables that
 occur in more than one group position, then counts each group's matches
 with a Poisson-binomial DP. It falls back to seeded Monte Carlo only when
-that conditioning would enumerate more than 2^20 cases. The other
-predicate kinds (``TruthTable``, ``MaxPartLoad``) are exact by full
-weighted enumeration while the free support is at most 2^20 assignments,
-and fall back to Monte Carlo above that; one enumerator serves these and
-the vulnerability oracle's outer probability. Sampled estimates are
-flagged as approximate.
+that conditioning would enumerate more than 2^20 cases. ``TruthTable``
+probabilities are exact at any support too, counted from the rows that
+agree with the fixed values. ``MaxPartLoad`` probabilities are exact by
+full weighted enumeration while the free support is at most 2^20
+assignments, and fall back to Monte Carlo above that; one enumerator
+serves these and the vulnerability oracle's outer probability. Sampled
+estimates are flagged as approximate.
 
 Over uniform variables a ``CountThreshold`` probability is an integer
 count of completions over the support, so it depends on the variables
@@ -37,7 +38,7 @@ from operator import add, attrgetter, eq, gt
 from .config import ThresholdConfig
 from .errors import CapacityError, InputError
 from .graph import Partition
-from .model import CountThreshold, LllInstance
+from .model import CountThreshold, LllInstance, TruthTable
 from .seeds import rng_for
 
 EXACT_ENUM_CAP = 1 << 20
@@ -90,6 +91,8 @@ def _probability_over(inst, event, fixed, free_vars, mc_samples, make_rng):
         return EXACT_ZERO
     if not free_vars:
         return EXACT_ONE if event.evaluate(fixed) else EXACT_ZERO
+    if isinstance(event.predicate, TruthTable):
+        return _truth_table_probability(inst, event, fixed, free_vars)
     cap = EXACT_ENUM_CAP
     if isinstance(event.predicate, CountThreshold):
         value = _count_threshold_probability(inst, event.predicate, fixed, free_vars)
@@ -124,10 +127,7 @@ def _mass_over(inst, free_vars, base, test, cap, mc_samples, make_rng):
                 if uniform:
                     hits += 1
                 else:
-                    w = 1.0
-                    for s, val in zip(specs, combo):
-                        w *= s.weights[val]
-                    total += w
+                    total += _weight(specs, combo)
         return ProbabilityEstimate(hits / support if uniform else total, exact=True)
     rng = make_rng()
     hits = 0
@@ -137,6 +137,38 @@ def _mass_over(inst, free_vars, base, test, cap, mc_samples, make_rng):
         if test(values):
             hits += 1
     return ProbabilityEstimate(hits / mc_samples, exact=False, samples=mc_samples)
+
+
+def _weight(specs, combo) -> float:
+    """The probability that the variables ``specs`` take the values ``combo``."""
+    w = 1.0
+    for s, val in zip(specs, combo):
+        w *= s.weights[val]
+    return w
+
+
+def _truth_table_probability(inst, event, fixed, free_vars):
+    """The exact probability of a ``TruthTable`` event, without enumeration.
+    Each of its rows that agrees with ``fixed`` and holds a domain value at
+    every free position is one satisfying completion: over uniform free
+    variables, their count over the support; otherwise their weights, summed
+    in enumeration order. Either way, the float ``_mass_over`` gives."""
+    deps, specs = event.dependent_vars, [inst.variables[v] for v in free_vars]
+    at = list(map(deps.index, free_vars))
+    agree = [(i, fixed[v]) for i, v in enumerate(deps) if v not in free_vars]
+    completions = []
+    for row in event.predicate.rows:
+        if len(row) == len(deps) and all(row[i] == val for i, val in agree):
+            values = [row[i] for i in at]
+            if all(x in range(s.domain_size) for x, s in zip(values, specs)):
+                completions.append(tuple(map(int, values)))
+    if all(s.is_uniform for s in specs):
+        value = len(completions) / math.prod(s.domain_size for s in specs)
+    else:
+        value = 0.0
+        for combo in sorted(completions):
+            value += _weight(specs, combo)
+    return ProbabilityEstimate(value, exact=True)
 
 
 def _count_threshold_probability(inst, pred, fixed, free_vars):

@@ -19,7 +19,7 @@ from resilient_lll.model import (
 
 
 def fair_bits(n):
-    return [VariableSpec.fair_bit(i) for i in range(n)]
+    return [VariableSpec.fair_bit()] * n
 
 
 def never_event(event_id, deps):
@@ -158,10 +158,10 @@ def small_instances(draw):
     variables = []
     for v in range(n_vars):
         if draw(st.booleans()):
-            variables.append(VariableSpec.uniform(v, draw(st.integers(2, 3))))
+            variables.append(VariableSpec.uniform(draw(st.integers(2, 3))))
         else:
             weights = draw(st.sampled_from(SKEWED_WEIGHTS))
-            variables.append(VariableSpec(v, len(weights), weights))
+            variables.append(VariableSpec(len(weights), weights))
     n_events = draw(st.integers(1, 5))
     deps = [set(draw(st.lists(st.integers(0, n_vars - 1), min_size=1, max_size=4,
                               unique=True)))

@@ -294,7 +294,7 @@ def build_split_instance(g: Graph, kind: str, q: float):
         raise InputError("degree below 2: splitting is vacuous")
     threshold = split_threshold(delta, q)
     if kind == VERTEX:
-        variables = [VariableSpec.fair_bit(v) for v in range(g.node_count)]
+        variables = [VariableSpec.fair_bit()] * g.node_count
         events = []
         allocation = {}
         for v in range(g.node_count):
@@ -313,7 +313,7 @@ def build_split_instance(g: Graph, kind: str, q: float):
     for i, (u, v) in enumerate(edges):
         incident[u].append(i)
         incident[v].append(i)
-    variables = [VariableSpec.fair_bit(i) for i in range(len(edges))]
+    variables = [VariableSpec.fair_bit()] * len(edges)
     events = []
     allocation = {}
     for i, (u, v) in enumerate(edges):

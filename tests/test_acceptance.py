@@ -271,7 +271,7 @@ def test_criterion_9_determinism():
 
 def chain_component(k, arity):
     n_vars = k * (arity - 1) + 1
-    vs = [VariableSpec.fair_bit(i) for i in range(n_vars)]
+    vs = [VariableSpec.fair_bit()] * n_vars
     events = []
     for i in range(k):
         start = i * (arity - 1)

@@ -168,6 +168,23 @@ def test_duplicate_edge_named_from_its_smaller_endpoint():
         Graph(5, [(0, 4), (3, 1), (2, 4), (1, 3)])
 
 
+@pytest.mark.parametrize("edge", [(0, True), (0, 1.0), (0, 1, 2), (1,), "01", 2, None])
+def test_an_edge_that_is_not_a_pair_of_ints_is_an_input_error(edge):
+    message = re.escape(f"edge {edge!r} is not a pair of ints")
+    with pytest.raises(InputError, match=message):
+        Graph(3, [(1, 2), edge, (0, 1)])
+    with pytest.raises(InputError, match=message):  # the first bad edge is named
+        Graph(3, [(1, 2), edge, (0, 1.5)])
+
+
+def test_adjacency_constructor_keeps_what_it_is_given():
+    adjacency = ((1, 2), (0,), (0,), ())
+    g = Graph.from_adjacency(adjacency)
+    assert g.adjacency is adjacency
+    assert (g.node_count, g.max_degree, g.edges()) == (4, 2, ((0, 1), (0, 2)))
+    assert g.adjacency == Graph(4, [(0, 1), (2, 0)]).adjacency
+
+
 def test_partition_helpers():
     p = Partition.round_robin(7, 3)
     assert sorted(len(x) for x in p.parts()) == [2, 2, 3]

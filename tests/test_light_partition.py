@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import re
@@ -173,6 +175,22 @@ def test_verify_report_matches_multinomial_oracle():
         oracle = multinomial_tail_oracle(deg, parts, w)
         sigma = math.sqrt(max(oracle * (1 - oracle), 1e-9) / trials)
         assert abs(entry["estimate"] - oracle) <= 4 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("n, d, defect_const, digest", [
+    (60, 16, 3.2, "262ad02f4e1735636d87032e0dd0ef7360a99ea109e937953fdf8d7bd7bc9629"),
+    (40, 8, 2.5, "5dc0cc6289a8fa58e894e4838e4c151a025e60ea160c7ba7bc2989d5d558e019"),
+    (30, 6, 2.0, "e22eb7f6bfb0c402325aa83225d1b7e7e62c3c500085012f20f789acef44523d"),
+    (30, 6, 99.0, "0633cd1dd1b92824e1d757424a3e98ef81a2f0db7b358de0e75e8cabddf6fe28"),
+])
+def test_verify_report_is_pinned(n, d, defect_const, digest):
+    # SHA-256 of the report's JSON, from when each event's witness count had
+    # a loop of its own rather than a ``MaxPartLoad`` at the witness threshold.
+    # The first three have estimates strictly between 0 and 1; the last, none.
+    inst = build_light_partition_instance(random_regular_graph(n, d, 1), defect_const)
+    report = verify_resilience_1part(inst, relaxed_config(defect_const=defect_const),
+                                     trials=300, seed=2)
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest
 
 
 def test_verify_zero_witnesses_at_default_constants():

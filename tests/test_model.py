@@ -1,15 +1,19 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings, strategies as st
 
 from _families import small_instances
+from _reference_event_graphs import edge_list_graphs, pair_set_graphs
 from resilient_lll import model
-from resilient_lll.errors import CapacityError, InputError
-from resilient_lll.generators import ring_family, window_family
-from resilient_lll.graph import Graph
+from resilient_lll.defective import build_split_instance
+from resilient_lll.errors import CapacityError, ContractViolation, InputError
+from resilient_lll.generators import random_regular_graph, ring_family, window_family
+from resilient_lll.light_partition import build_light_partition_instance
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -25,7 +29,7 @@ from resilient_lll.model import (
 
 
 def fair_bits(n):
-    return [VariableSpec.fair_bit(i) for i in range(n)]
+    return [VariableSpec.fair_bit()] * n
 
 
 def all_ones_event(event_id, var_ids):
@@ -69,33 +73,15 @@ def test_dep_graph_matches_intersection_oracle():
             assert (b in inst.dep_graph.adjacency[a]) == expected
 
 
-def pair_set_builders(inst):
-    """Verbatim copies of the per-variable pair-set builders the instance
-    used before: (dependents, dep graph, alloc graph)."""
-    dependents = [[] for _ in inst.variables]
-    for ev in inst.events:
-        for v in ev.dependent_vars:
-            dependents[v].append(ev.event_id)
-    dep_edges = set()
-    for evs in dependents:
-        for i, a in enumerate(evs):
-            for b in evs[i + 1:]:
-                dep_edges.add((a, b) if a < b else (b, a))
-    alloc_edges = set()
-    for v in range(len(inst.variables)):
-        own = inst.owner[v]
-        for b in dependents[v]:
-            if b != own:
-                alloc_edges.add((own, b) if own < b else (b, own))
-    n = len(inst.events)
-    return dependents, Graph(n, dep_edges), Graph(n, alloc_edges)
-
-
 def assert_graphs_match_pair_set_builders(inst):
-    dependents, dep, alloc = pair_set_builders(inst)
+    dependents, dep, alloc = pair_set_graphs(inst)
     assert [list(evs) for evs in inst.dependents] == dependents
     assert inst.dep_graph.adjacency == dep.adjacency
     assert inst.alloc_graph.adjacency == alloc.adjacency
+    dep, alloc = edge_list_graphs(inst)
+    assert inst.dep_graph.adjacency == dep.adjacency
+    assert inst.alloc_graph.adjacency == alloc.adjacency
+    assert (inst.d, inst.d_vars) == (dep.max_degree, alloc.max_degree)
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,6 +93,57 @@ def test_graphs_match_pair_set_builders_on_random_instances(case):
 @pytest.mark.parametrize("seed", range(4))
 def test_graphs_match_pair_set_builders_on_larger_instances(seed):
     assert_graphs_match_pair_set_builders(random_instance(40, 30, 4, seed=seed))
+
+
+@st.composite
+def generated_instances(draw):
+    """A small instance of a generator family: ring, window, light
+    partition, or vertex or edge split of a random regular graph."""
+    kind = draw(st.sampled_from(("ring", "window", "light-partition", "vertex", "edge")))
+    seed = draw(st.integers(0, 100))
+    try:
+        if kind == "ring":
+            degree = draw(st.integers(0, 4))
+            n = draw(st.integers(2 * degree + 2, 40))
+            return ring_family(n + n * degree % 2, degree, draw(st.integers(0, 3)), seed)
+        if kind == "window":
+            return window_family(draw(st.integers(2, 40)), draw(st.integers(0, 4)), seed)
+        degree = draw(st.integers(4 if kind == "light-partition" else 2, 7))
+        n = draw(st.integers(2 * degree + 2, 30))
+        g = random_regular_graph(n + n * degree % 2, degree, seed)
+        if kind == "light-partition":
+            return build_light_partition_instance(g, draw(st.sampled_from((1.5, 2.0, 99.0))))
+        return build_split_instance(g, kind, draw(st.sampled_from((1.0, 1.5, 2.0))))
+    except ContractViolation:
+        reject()  # the degrees break the instance's own d < 2 * d_vars^2 rule
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_instances())
+def test_graphs_match_pair_set_builders_on_generator_families(inst):
+    assert_graphs_match_pair_set_builders(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_instances())
+def test_generated_and_loaded_family_instances_share_one_record(inst):
+    # Every variable of a family has one distribution, so one record.
+    back = instance_from_dict(instance_to_dict(inst))
+    for variables in (inst.variables, back.variables):
+        assert len({id(spec) for spec in variables}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_loaded_instances_share_one_record_per_distinct_distribution(case):
+    inst, _ = case
+    back = instance_from_dict(instance_to_dict(inst))
+    assert back.variables == inst.variables
+    record = {}
+    for spec in back.variables:
+        assert record.setdefault((spec.domain_size, spec.weights), spec) is spec
+    assert len({id(spec) for spec in back.variables}) == len(
+        {(spec.domain_size, spec.weights) for spec in inst.variables})
 
 
 def test_default_allocation_is_lowest_id_dependent_event():
@@ -218,7 +255,7 @@ def test_brute_force_capacity_guard():
 
 
 def test_max_part_load_and_count_threshold_eval():
-    vs = [VariableSpec.uniform(i, 3) for i in range(4)]
+    vs = [VariableSpec.uniform(3)] * 4
     ev = EventSpec(0, (0, 1, 2, 3), MaxPartLoad(counted=(0, 1, 2, 3), threshold=3))
     inst = build_instance(vs, [ev])
     assert inst.events[0].evaluate({0: 1, 1: 1, 2: 1, 3: 0})
@@ -245,17 +282,22 @@ def test_structurally_false_detection():
 
 def test_weight_validation():
     with pytest.raises(InputError):
-        VariableSpec(0, 2, (0.5, 0.6))
+        VariableSpec(2, (0.5, 0.6))
     with pytest.raises(InputError):
-        VariableSpec(0, 2, (1.2, -0.2))
-    VariableSpec(0, 3, (0.2, 0.3, 0.5))  # ok
+        VariableSpec(2, (1.2, -0.2))
+    VariableSpec(3, (0.2, 0.3, 0.5))  # ok
 
 
 @pytest.mark.parametrize("weights", [(math.nan, 0.5), (0.5, math.nan),
                                      (math.nan, math.nan)])
 def test_nan_weights_are_rejected_naming_the_variable(weights):
+    # A spec is a distribution without an id; the loader names the variable.
+    with pytest.raises(InputError, match="^weights sum to nan$"):
+        VariableSpec(2, weights)
+    data = instance_to_dict(window_family(3))
+    data["variables"][3]["weights"] = list(weights)
     with pytest.raises(InputError, match="variable 3: weights sum to nan"):
-        VariableSpec(3, 2, weights)
+        instance_from_dict(data)
 
 
 @pytest.mark.parametrize("domain, weights, message", [
@@ -268,24 +310,38 @@ def test_nan_weights_are_rejected_naming_the_variable(weights):
     (2, (0.0, 2.0), "weights sum to 2.0"),
 ])
 def test_a_bad_spec_raises_its_own_message_after_a_valid_one(domain, weights, message):
-    # The weight check is memoised per distinct (domain size, weights); a
-    # valid spec before it, or the same bad spec twice, changes no message.
-    VariableSpec.uniform(0, max(domain, 1))
-    for var_id in (5, 6):
+    # The loader builds each distinct distribution once; a valid spec before
+    # a bad one, or the same bad spec twice, changes no message, and the
+    # loader prefixes the id of the variable. It reads weights as floats.
+    VariableSpec.uniform(max(domain, 1))
+    for _ in range(2):
         with pytest.raises(InputError) as exc:
-            VariableSpec(var_id, domain, weights)
-        assert str(exc.value) == f"variable {var_id}: {message}"
+            VariableSpec(domain, weights)
+        assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        VariableSpec(domain, tuple(map(float, weights)))
+    loaded_message = str(exc.value)
+    for var_id in (5, 6):
+        data = instance_to_dict(window_family(3))
+        data["variables"][var_id].update(domain=domain, weights=list(weights))
+        with pytest.raises(InputError) as exc:
+            instance_from_dict(data)
+        assert str(exc.value) == (
+            f"instance variables: InputError: variable {var_id}: {loaded_message}")
 
 
-def test_a_ring_load_checks_its_one_distribution_once():
-    # 2,400 fair bits share one (domain size, weights) pair: the load runs
-    # the weight check once, and the other specs read its result.
+def test_a_ring_load_checks_its_one_distribution_once(monkeypatch):
+    # 2,400 fair bits share one (domain size, weights) pair: the load builds
+    # and checks one spec, and every variable holds that record.
     data = instance_to_dict(ring_family(400, 2, 5, 0))
-    model._checked_uniformity.cache_clear()
+    built = []
+    check = VariableSpec.__post_init__
+    monkeypatch.setattr(VariableSpec, "__post_init__",
+                        lambda spec: check(spec) or built.append(spec))
     inst = instance_from_dict(data)
-    info = model._checked_uniformity.cache_info()
     assert inst.var_count == 2400
-    assert (info.misses, info.hits) == (1, 2399)
+    assert len(built) == 1
+    assert all(spec is built[0] for spec in inst.variables)
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,6 +387,76 @@ def test_instance_from_dict_rejects_a_nan_weight():
     data["variables"][2]["weights"][0] = "nan"
     with pytest.raises(InputError, match="instance variables: .*variable 2: "):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize("field, entry, key, value", [
+    ("variables", 1, "id", 1.0),
+    ("variables", 1, "id", True),
+    ("variables", 2, "domain", 2.0),
+    ("events", 1, "id", 1.0),
+    ("events", 2, "vars", 0.0),
+])
+def test_instance_dicts_reject_non_int_ids_domains_and_dependencies(field, entry, key,
+                                                                    value):
+    data = instance_to_dict(ring_family(4, 2, 1, 0))
+    if key == "vars":
+        data[field][entry][key][0] = value
+    else:
+        data[field][entry][key] = value
+    with pytest.raises(InputError, match=f"^instance {field}: .* {value!r} is not an int$"):
+        instance_from_dict(data)
+
+
+def test_variable_ids_load_in_any_order_but_must_be_dense():
+    data = instance_to_dict(ring_family(4, 2, 1, 0))
+    data["variables"].reverse()
+    assert instance_to_dict(instance_from_dict(data)) == instance_to_dict(
+        ring_family(4, 2, 1, 0))
+    for v, new_id in ((1, 0), (7, 8), (0, -1)):  # a repeat, a gap, out of range
+        data = instance_to_dict(ring_family(4, 2, 1, 0))
+        data["variables"][v]["id"] = new_id
+        with pytest.raises(InputError, match="^instance variables: InputError: variable "
+                                             "ids must be dense 0..n-1$"):
+            instance_from_dict(data)
+
+
+SIGNED_ZERO_WEIGHTS = {
+    "variables": [{"id": 1, "domain": 2, "weights": [-0.0, 1.0]},
+                  {"id": 0, "domain": 2, "weights": [0.0, 1.0]},
+                  {"id": 2, "domain": 3, "weights": [0.5, -0.0, 0.5]}],
+    "events": [{"id": 0, "vars": [0, 1, 2], "predicate": {
+        "kind": "max_part_load", "params": {"counted": [0, 1, 2], "threshold": 2}}}],
+    "allocation": {"0": 0, "1": 0, "2": 0},
+}
+
+
+@pytest.mark.parametrize("name, make, digest", [
+    ("ring", lambda: instance_to_dict(ring_family(40, 2, 5, 3)),
+     "739ebc95460a5a496e46ca1c5a56ad8c031a5aabd70b8e5a8f442ce0ceb80a5d"),
+    ("window", lambda: instance_to_dict(window_family(30, 6, 2)),
+     "e2e092912bf0cdeec3bd5c86fda643175c90ebbdb4dc179bd52adc96fd738abb"),
+    ("vertex-split", lambda: instance_to_dict(
+        build_split_instance(random_regular_graph(12, 4, 0), "vertex", 1.0)),
+     "169079aaa19e7fdd584611f5bf14e732d7848ee118b6ab10223afe323e58de33"),
+    ("edge-split", lambda: instance_to_dict(
+        build_split_instance(random_regular_graph(12, 4, 0), "edge", 1.0)),
+     "5fe6e3f553d7ac325cbf3bdbdddfbdaa8296def8d7d4e99b59f5c0636b1aee6c"),
+    ("light-partition", lambda: instance_to_dict(
+        build_light_partition_instance(random_regular_graph(20, 6, 1), 2.0)),
+     "c1d712a68eb6e26ad76d03837e2b158ffb994d2f96b35c26774fddba2938d783"),
+    ("signed-zero", lambda: SIGNED_ZERO_WEIGHTS,
+     "ab597dcd44aec5e6815740fbd4455364510a2d660bb3c6bac16d65f9ad39ab27"),
+])
+def test_round_trip_json_is_pinned(name, make, digest):
+    # SHA-256 of the JSON of instance_to_dict(instance_from_dict(d)), as the
+    # model gave it while every variable held a spec of its own. A -0.0
+    # weight keeps its sign although it equals 0.0.
+    back = instance_to_dict(instance_from_dict(make()))
+    text = json.dumps(back)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    if name == "signed-zero":
+        signs = [[math.copysign(1.0, w) for w in d["weights"]] for d in back["variables"]]
+        assert signs == [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0, 1.0]]
 
 
 @pytest.mark.parametrize("value", [5, -1, 0.5, "x", None, True])

@@ -42,7 +42,7 @@ from _reference_probability import (
 
 
 def fair_bits(n):
-    return [VariableSpec.fair_bit(i) for i in range(n)]
+    return [VariableSpec.fair_bit()] * n
 
 
 def xor_instance():
@@ -73,8 +73,8 @@ def test_count_threshold_matches_binomial_oracle():
 def test_truth_table_probability_is_weight_sum():
     # Non-uniform weights: exact mode must equal the sum over satisfying rows.
     vs = [
-        VariableSpec(0, 2, (0.25, 0.75)),
-        VariableSpec(1, 3, (0.5, 0.3, 0.2)),
+        VariableSpec(2, (0.25, 0.75)),
+        VariableSpec(3, (0.5, 0.3, 0.2)),
     ]
     rows = frozenset({(0, 2), (1, 0), (1, 1)})
     ev = EventSpec(0, (0, 1), TruthTable(rows))
@@ -82,6 +82,52 @@ def test_truth_table_probability_is_weight_sum():
     expected = 0.25 * 0.2 + 0.75 * 0.5 + 0.75 * 0.3
     est = event_probability(inst, 0)
     assert est.exact and est.value == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def truth_table_queries(draw):
+    """(instance, event, fixed, free): a ``TruthTable`` event over one to
+    five uniform or weighted variables of domain 1-3 in a random dependency
+    order, whose rows may have the wrong length or hold values outside the
+    domains (1.0 and True equal 1), with some of its variables fixed and the
+    free ones in a random order."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    skewed = {1: (1.0,), 2: (0.25, 0.75), 3: (0.2, 0.3, 0.5)}
+    variables = [VariableSpec(size, skewed[size]) if draw(st.booleans())
+                 else VariableSpec.uniform(size) for size in sizes]
+    deps = tuple(draw(st.permutations(range(len(sizes)))))
+    support = list(itertools.product(*(range(sizes[v]) for v in deps)))
+    odd = st.lists(st.sampled_from((0, 1, 2, 3, -1, 1.0, True, 0.5)),
+                   min_size=max(len(deps) - 1, 0), max_size=len(deps) + 1).map(tuple)
+    rows = draw(st.sets(st.sampled_from(support) | odd, max_size=12))
+    ev = EventSpec(0, deps, TruthTable(frozenset(rows)))
+    inst = build_instance(variables, [ev])
+    free = [v for v in deps if draw(st.booleans())]
+    fixed = {v: draw(st.integers(0, sizes[v] - 1)) for v in deps if v not in free}
+    return inst, ev, fixed, draw(st.permutations(free))
+
+
+@settings(max_examples=400, deadline=None)
+@given(truth_table_queries())
+def test_truth_table_probability_counts_rows_as_enumeration_does(case):
+    # Uniform or weighted, the row count gives the float that enumerating
+    # every completion gives, at any support.
+    inst, ev, fixed, free = case
+    expected = probability._mass_over(inst, free, fixed, ev.evaluate, math.inf, 0, None)
+    est = probability._probability_over(inst, ev, fixed, free, 0, None)
+    assert est.exact
+    assert est.value == expected.value
+
+
+def test_truth_table_above_the_enumeration_cap_is_exact():
+    # 3^13 completions, above EXACT_ENUM_CAP, were sampled before rows were
+    # counted; a count over the support is exact.
+    k = 13
+    assert 3 ** k > EXACT_ENUM_CAP
+    rows = frozenset({(0,) * k, (1,) * k, (2,) + (0,) * (k - 1), (3,) * k, (0,) * (k - 1)})
+    ev = EventSpec(0, tuple(range(k)), TruthTable(rows))
+    inst = build_instance([VariableSpec.uniform(3)] * k, [ev])
+    assert event_probability(inst, 0) == ProbabilityEstimate(3 / 3 ** k, exact=True)
 
 
 def test_probability_invariant_under_row_permutation():
@@ -118,7 +164,7 @@ def test_monte_carlo_within_tolerance():
         if max(a, b, k - a - b) >= threshold
     ) / 3 ** k
     ev = EventSpec(0, tuple(range(k)), MaxPartLoad(tuple(range(k)), threshold))
-    inst = build_instance([VariableSpec.uniform(i, 3) for i in range(k)], [ev])
+    inst = build_instance([VariableSpec.uniform(3)] * k, [ev])
     mc = 10_000
     est = event_probability(inst, 0, mc_samples=mc, seed=123)
     assert not est.exact and est.samples == mc
@@ -148,14 +194,14 @@ def count_threshold_cases(draw):
     n = draw(st.integers(1, 8))
     weighted = draw(st.booleans())
     variables = []
-    for v in range(n):
+    for _ in range(n):
         size = draw(st.integers(1, 3))
         if weighted:
             raw = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)
                        .filter(any))
-            variables.append(VariableSpec(v, size, tuple(x / sum(raw) for x in raw)))
+            variables.append(VariableSpec(size, tuple(x / sum(raw) for x in raw)))
         else:
-            variables.append(VariableSpec.uniform(v, size))
+            variables.append(VariableSpec.uniform(size))
     var_ids = st.integers(0, n - 1)
     # Groups may overlap and may repeat a variable.
     groups = draw(st.lists(st.lists(var_ids, min_size=1, max_size=5).map(tuple),
@@ -510,13 +556,13 @@ def shared_oracle_cases(draw):
     n = draw(st.integers(2, 6))
     weighted = draw(st.booleans())
     variables = []
-    for v in range(n):
+    for _ in range(n):
         size = draw(st.integers(1, 3))
         if weighted and draw(st.booleans()):
             raw = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
-            variables.append(VariableSpec(v, size, tuple(x / sum(raw) for x in raw)))
+            variables.append(VariableSpec(size, tuple(x / sum(raw) for x in raw)))
         else:
-            variables.append(VariableSpec.uniform(v, size))
+            variables.append(VariableSpec.uniform(size))
     var_ids = st.integers(0, n - 1)
     layouts = []
     events = []
@@ -575,7 +621,7 @@ def shared_oracle_cases(draw):
 
 def oracle_case(domains, events, owner, c3, queries):
     """A case over uniform variables with every event in one part."""
-    inst = build_instance([VariableSpec.uniform(v, d) for v, d in enumerate(domains)],
+    inst = build_instance([VariableSpec.uniform(d) for d in domains],
                           events, owner)
     return inst, Partition.singleton(inst.event_count), relaxed_config(c3=c3), queries
 
@@ -676,11 +722,11 @@ def swap_search_cases(draw):
     variables, events, owner, keys = [], [], {}, []
     for t, count in enumerate(counts):
         ids = range(len(variables), len(variables) + count)
-        for v, (size, _) in zip(ids, typed):
+        for size, _ in typed[:count]:
             # Weights 1..size (scaled), never uniform at size >= 2.
-            variables.append(VariableSpec(v, size, tuple([(j + 1) / (size * (size + 1) / 2)
-                                                          for j in range(size)]))
-                             if kind == "weighted" else VariableSpec.uniform(v, size))
+            variables.append(VariableSpec(size, tuple([(j + 1) / (size * (size + 1) / 2)
+                                                       for j in range(size)]))
+                             if kind == "weighted" else VariableSpec.uniform(size))
         groups = tuple(tuple(ids[v] for v in range(count) for _ in range(typed[v][1][g]))
                        or (ids[0],) for g in range(n_groups))
         ref = ({"ref_var": ids[ref_var]} if ref_var is not None and ref_var < count
@@ -724,7 +770,7 @@ def twelve_member_case(**ref):
     groups = (tuple(range(8)), tuple(range(4, 12)) + (0,))
     hub = count_event(0, tuple(range(12)), groups, 8, **ref)
     leaves = [EventSpec(v + 1, (v,), TruthTable(frozenset())) for v in range(12)]
-    inst = build_instance([VariableSpec.uniform(v, d) for v, d in enumerate(sizes)],
+    inst = build_instance([VariableSpec.uniform(d) for d in sizes],
                           [hub] + leaves, [v + 1 for v in range(12)])
     keys = [(0,) * 12, (1, 2) * 6, (0, 1, 1, 0, 1, 2, 0, 0, 1, 1, 0, 2)]
     return ("shaped", EXACT_ENUM_CAP, inst, Partition.singleton(inst.event_count),
@@ -840,7 +886,7 @@ def test_packed_memo_keys_match_reference_keys(case, cap):
 
 
 def test_table_deterministic_across_orders():
-    vs = [VariableSpec.uniform(i, 5) for i in range(20)]
+    vs = [VariableSpec.uniform(5)] * 20
     order = list(range(20))
     random.Random(0).shuffle(order)
     vals1 = {v: first_row_value(42, v, vs[v]) for v in range(20)}
@@ -856,6 +902,6 @@ def test_table_cells_stable_once_materialized():
 
 
 def test_different_seeds_differ_somewhere():
-    vs = [VariableSpec.uniform(i, 1000) for i in range(8)]
+    vs = [VariableSpec.uniform(1000)] * 8
     assert any(first_row_value(1, v, vs[v]) != first_row_value(2, v, vs[v])
                for v in range(8))

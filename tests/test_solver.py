@@ -144,7 +144,7 @@ def test_truth_table_swap_probabilities_are_computed_once(fires, monkeypatch):
     # swaps all of them, so its swap probability depends on no revealed
     # value. Queried with nothing revealed, the oracle misses on each
     # completion, and only the first miss enumerates the 432-row support.
-    vs = [VariableSpec.uniform(v, 2 if v < 4 else 3) for v in range(7)]
+    vs = [VariableSpec.uniform(2 if v < 4 else 3) for v in range(7)]
     support = list(itertools.product(*(range(s.domain_size) for s in vs)))
     table = TruthTable(frozenset(filter(fires, support)))
     inst = build_instance(vs, [EventSpec(0, tuple(range(7)), table)])
@@ -371,7 +371,7 @@ def test_sampled_swap_probability_under_revealed_values_has_defined_slack():
     # support 4^11, above the exact enumeration cap, so it is sampled. With
     # a single part every value is revealed when the event is tested, so
     # the outer estimate itself is exact and draws no sample.
-    vs = [VariableSpec.uniform(i, 4) for i in range(11)]
+    vs = [VariableSpec.uniform(4)] * 11
     ev = EventSpec(0, tuple(range(11)), MaxPartLoad(tuple(range(11)), 6))
     inst = build_instance(vs, [ev])
     part = Partition.singleton(1)
