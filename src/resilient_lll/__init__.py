@@ -42,7 +42,7 @@ from .probability import (
     event_probability,
 )
 from .solver import run_first_stage, residual_instance, solve
-from .shattering import extract_components, solve_component
+from .shattering import solve_component
 from .light_partition import (
     build_light_partition_instance,
     compute_light_partition_detailed,

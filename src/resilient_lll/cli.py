@@ -84,11 +84,14 @@ def cmd_solve_resilient(args):
     inst = load_instance(args.instance)
     cfg = _config(args)
     if args.partition_file:
-        with open(args.partition_file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        part = Partition(data["part_count"],
-                         tuple(data["assignment"][str(a)]
-                               for a in range(inst.event_count)))
+        try:
+            with open(args.partition_file, encoding="utf-8") as fh:
+                data = json.load(fh)
+            part = Partition(data["part_count"],
+                             tuple(data["assignment"][str(a)]
+                                   for a in range(inst.event_count)))
+        except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            raise InputError(f"partition file: {type(exc).__name__}: {exc}") from None
     else:
         part = Partition.round_robin(inst.event_count, args.parts)
     result = solver.solve(inst, part, cfg, args.seed)

@@ -76,6 +76,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        for key in ("generator", "algorithm", "seeds"):
+            if key not in data:
+                raise InputError(f"experiment spec missing {key!r}")
         return cls(
             generator=data["generator"],
             algorithm=data["algorithm"],

@@ -115,8 +115,13 @@ class Partition:
     assignment: tuple
 
     def __post_init__(self):
+        if type(self.part_count) is not int:
+            raise InputError(f"part count {self.part_count!r} is not an int")
         if self.part_count < 1:
             raise InputError("partition needs at least one part")
+        if not {*map(type, self.assignment)} <= {int}:
+            i, p = next((i, p) for i, p in enumerate(self.assignment) if type(p) is not int)
+            raise InputError(f"item {i} assigned to part {p!r}, which is not an int")
         for i, p in enumerate(self.assignment):
             if not 0 <= p < self.part_count:
                 raise InputError(f"item {i} assigned to invalid part {p}")

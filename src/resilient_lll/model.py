@@ -336,6 +336,8 @@ def build_instance(variables, events, allocation=None) -> LllInstance:
     When ``allocation`` (a var id -> event id mapping) is omitted, each
     variable goes to its lowest-id dependent event.
     """
+    _require_ints([e.event_id for e in events], "event id")
+    _require_ints([v for e in events for v in e.dependent_vars], "dependency")
     events = sorted(events, key=lambda e: e.event_id)
     if [e.event_id for e in events] != list(range(len(events))):
         raise InputError("event ids must be dense 0..n-1")

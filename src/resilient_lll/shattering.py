@@ -1,10 +1,11 @@
 """Solve the residual instance left by the staged first phase.
 
-The residual splits into connected components over shared free variables;
-each component is solved independently, by exhaustive search when its free
-assignment space is small and otherwise by resampling: draw all free
-variables, then repeatedly pick the lowest-id satisfied event and redraw
-its free variables, up to a cap.
+A variable is free when the residual does not fix it. The residual splits
+into connected components over shared free variables, each given by its
+ascending event ids; each component is solved independently, by exhaustive
+search when its free assignment space is small and otherwise by
+resampling: draw all free variables, then repeatedly pick the lowest-id
+satisfied event and redraw its free variables, up to a cap.
 
 This stands in for the deterministic decomposition machinery the round
 bounds assume; the checkable contract (a valid assignment per component)
@@ -15,23 +16,12 @@ iterations, not communication rounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CapacityError, ComponentFailure, InputError
 from .seeds import derive_seed, rng_for
 
 EXHAUSTIVE_CAP = 1 << 16
 RESAMPLE_CAP_FACTOR = 100  # residual resamplings allowed per component event
-
-
-@dataclass(frozen=True)
-class ComponentJob:
-    """A maximal set of residual events connected through shared free
-    variables, plus the frozen first-row values on its boundary."""
-
-    events: tuple
-    free_vars: tuple
-    conditioning: dict
 
 
 class _UnionFind:
@@ -67,84 +57,71 @@ def group_by_free_vars(inst, free) -> list:
     return [tuple(sorted(groups[root])) for root in sorted(groups)]
 
 
-def extract_components(residual) -> list:
-    """One job per residual component (the live events connected through
-    free variables), ordered by smallest member event id."""
-    inst = residual.instance
-    free = residual.free_vars
-    jobs = []
-    for events in residual.components:
-        job_free = sorted(
-            {v for a in events for v in inst.events[a].dependent_vars if v in free}
-        )
-        conditioning = {
-            v: residual.fixed_values[v]
-            for a in events
-            for v in inst.events[a].dependent_vars
-            if v not in free
-        }
-        jobs.append(ComponentJob(events, tuple(job_free), conditioning))
-    return jobs
-
-
-def solve_component(residual, job: ComponentJob, seed: int,
-                    method: str = "auto"):
-    """Assign the component's free variables so no component event holds.
+def solve_component(residual, events, seed: int, method: str = "auto"):
+    """Assign the free variables of the component with ascending event ids
+    ``events`` so no component event holds; a variable is free when the
+    residual does not fix it.
 
     Returns (assignment over free vars, stats dict). Raises
     ComponentFailure when the resampling cap is exhausted (callers may
     retry under a new seed).
     """
     inst = residual.instance
-    support = inst.support(job.free_vars)
+    fixed = residual.fixed_values
+    values, free = {}, set()
+    for a in events:
+        for v in inst.events[a].dependent_vars:
+            if v in fixed:
+                values[v] = fixed[v]
+            else:
+                free.add(v)
+    free_vars = sorted(free)
+    support = inst.support(free_vars)
     if method == "auto":
         method = "exhaustive" if support <= EXHAUSTIVE_CAP else "resample"
     stats = {
-        "size": len(job.events),
-        "free_vars": len(job.free_vars),
+        "size": len(events),
+        "free_vars": len(free_vars),
         "method": method,
         "resamplings": 0,
     }
-
-    values = dict(job.conditioning)
-    events = [inst.events[a] for a in job.events]
+    evs = [inst.events[a] for a in events]
 
     if method == "exhaustive":
         if support > EXHAUSTIVE_CAP:
             raise CapacityError(
-                f"component at event {job.events[0]}: support {support} too "
+                f"component at event {events[0]}: support {support} too "
                 "large for exhaustive search"
             )
-        specs = [inst.variables[v] for v in job.free_vars]
+        specs = [inst.variables[v] for v in free_vars]
         for combo in itertools.product(*(range(s.domain_size) for s in specs)):
-            for v, val in zip(job.free_vars, combo):
+            for v, val in zip(free_vars, combo):
                 values[v] = val
-            if not any(ev.evaluate(values) for ev in events):
-                return {v: values[v] for v in job.free_vars}, stats
+            if not any(ev.evaluate(values) for ev in evs):
+                return {v: values[v] for v in free_vars}, stats
         raise ComponentFailure(
-            f"component at event {job.events[0]} has no valid assignment"
+            f"component at event {events[0]} has no valid assignment"
         )
 
     if method != "resample":
         raise InputError(f"unknown component method {method!r}")
-    rng = rng_for(seed, "component", job.events[0])
-    job_free = set(job.free_vars)
+    rng = rng_for(seed, "component", events[0])
     free_of = {
-        ev.event_id: [v for v in ev.dependent_vars if v in job_free]
-        for ev in events
+        ev.event_id: [v for v in ev.dependent_vars if v in free]
+        for ev in evs
     }
-    for v in job.free_vars:
+    for v in free_vars:
         values[v] = inst.variables[v].sample(rng)
-    cap = RESAMPLE_CAP_FACTOR * max(len(job.events), 1)
-    per_event = dict.fromkeys(job.events, 0)
+    cap = RESAMPLE_CAP_FACTOR * max(len(events), 1)
+    per_event = dict.fromkeys(events, 0)
     while True:
-        bad = next((ev for ev in events if ev.evaluate(values)), None)
+        bad = next((ev for ev in evs if ev.evaluate(values)), None)
         if bad is None:
             stats["per_event_resamplings"] = per_event
-            return {v: values[v] for v in job.free_vars}, stats
+            return {v: values[v] for v in free_vars}, stats
         if stats["resamplings"] >= cap:
             raise ComponentFailure(
-                f"component at event {job.events[0]}: resample cap {cap} exhausted"
+                f"component at event {events[0]}: resample cap {cap} exhausted"
             )
         for v in free_of[bad.event_id]:
             values[v] = inst.variables[v].sample(rng)
@@ -159,9 +136,9 @@ def solve_residual(residual, seed: int):
     smallest event id."""
     assignment = {}
     all_stats = []
-    for job in extract_components(residual):
+    for events in residual.components:
         part, stats = solve_component(
-            residual, job, derive_seed(seed, "comp", job.events[0])
+            residual, events, derive_seed(seed, "comp", events[0])
         )
         assignment.update(part)
         all_stats.append(stats)

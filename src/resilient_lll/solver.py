@@ -6,7 +6,9 @@ variables; any event whose vulnerability (conditioned on all currently
 committed values) crosses the danger threshold forces the just-sampled
 events within one hop to revert all their owned values, and everything
 within two hops in later parts to sit the rest of the phase out. Whatever
-is left unfixed afterwards is handed to the component solver.
+is left unfixed afterwards is handed to the component solver: the residual
+keeps only the fixed events' values, a variable is free when it holds none,
+and a component is its ascending event ids.
 
 Round accounting uses a fixed five-round schedule per iteration (sample;
 share values one hop; danger flags one hop; revert flags one hop; defer
@@ -45,8 +47,7 @@ class RunState:
     deferred: set
     history: list           # (F, R, D) frozensets after each iteration; [0] is initial
     sampled_row1: dict      # var id -> committed first-row value
-    free_vars: frozenset    # the variables owned by reverted and deferred events
-    components: list        # ``shattering.group_by_free_vars`` of free_vars
+    components: list        # events grouped over reverted and deferred events' variables
 
 
 @dataclass
@@ -169,10 +170,9 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         deferred=D,
         history=history,
         sampled_row1=sampled,
-        free_vars=free_vars,
         components=components,
     )
-    _validate_state(inst, part, state)
+    _validate_state(inst, state)
 
     residual_events = tuple(sorted(a for c in components for a in c))
     report = StageReport(
@@ -191,7 +191,7 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     return state, report
 
 
-def _validate_state(inst, part, state):
+def _validate_state(inst, state):
     F, R, D = state.fixed, state.reverted, state.deferred
     if F & R or F & D or R & D:
         raise ContractViolation("fixed/reverted/deferred sets overlap")
@@ -242,9 +242,8 @@ class Residual:
     """The conditioned sub-instance left for the component solver."""
 
     instance: LllInstance
-    fixed_values: dict
-    free_vars: frozenset
-    components: list        # events connected through free variables
+    fixed_values: dict      # the fixed events' variables; the rest are free
+    components: list        # ascending event ids connected through free variables
     satisfied_fixed: tuple
 
 
@@ -266,7 +265,6 @@ def residual_instance(inst: LllInstance, state: RunState) -> Residual:
     return Residual(
         instance=inst,
         fixed_values=fixed_values,
-        free_vars=state.free_vars,
         components=state.components,
         satisfied_fixed=tuple(satisfied_fixed),
     )

@@ -48,7 +48,7 @@ from resilient_lll.probability import (
     VulnerabilityOracle,
     event_probability,
 )
-from resilient_lll.shattering import extract_components, solve_component
+from resilient_lll.shattering import solve_component
 from resilient_lll.solver import Residual, run_first_stage, solve
 
 
@@ -292,18 +292,17 @@ def test_criterion_10_resampling_behavior():
         residual = Residual(
             instance=inst,
             fixed_values={},
-            free_vars=frozenset(range(inst.var_count)),
             components=[tuple(range(inst.event_count))],
             satisfied_fixed=(),
         )
-        job = extract_components(residual)[0]
+        events = residual.components[0]
         assignment, stats = solve_component(
-            residual, job, seed=trial, method="resample"
+            residual, events, seed=trial, method="resample"
         )
         assert not any(ev.evaluate(assignment) for ev in inst.events)
         solved += 1
         total_resamples += stats["resamplings"]
-        total_events += len(job.events)
+        total_events += len(events)
     mean = total_resamples / total_events
     assert solved == 100
     assert mean <= 11

@@ -196,6 +196,18 @@ def test_partition_helpers():
         Partition(2, (0, 2))
 
 
+@pytest.mark.parametrize("part_count, assignment, message", [
+    (True, (0, 0), "part count True is not an int"),
+    (2.0, (0, 1), "part count 2.0 is not an int"),
+    (2, (0, True), "item 1 assigned to part True, which is not an int"),
+    (2, (0, 1.0), "item 1 assigned to part 1.0, which is not an int"),
+    (2, ("0", 1), "item 0 assigned to part '0', which is not an int"),
+])
+def test_partition_rejects_a_part_that_is_not_an_int(part_count, assignment, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Partition(part_count, assignment)
+
+
 def test_graph_file_roundtrip(tmp_path):
     g = random_graph(20, 0.2, seed=9)
     path = tmp_path / "g.edges"

@@ -380,6 +380,63 @@ def test_cli_solve_resilient_and_experiment(tmp_path):
     assert len((tmp_path / "records.jsonl").read_text().splitlines()) == 3
 
 
+def ring_12_file(tmp_path):
+    """A 12-event ring instance written by ``rlll gen``."""
+    inst_path = tmp_path / "inst.json"
+    cli_main(["gen", "--kind", "instance", "--family", "ring",
+              "--params", "n=12,private_bits=4", "--seed", "1",
+              "--out", str(inst_path)])
+    return inst_path
+
+
+def round_robin_file(**changes):
+    data = {"part_count": 2, "assignment": {str(a): a % 2 for a in range(12)}}
+    data["assignment"].update(changes)
+    return data
+
+
+@pytest.mark.parametrize("partition, message", [
+    ({"part_count": 2, "assignment": {"0": 0, "1": 1}},
+     "partition file: KeyError: '2'"),
+    (round_robin_file(**{"1": 1.0}), "item 1 assigned to part 1.0, which is not an int"),
+    ([0, 1], "partition file: TypeError: list indices must be integers or slices, not str"),
+    (round_robin_file(**{"1": True}), "item 1 assigned to part True, which is not an int"),
+    ({"part_count": 2.0, "assignment": round_robin_file()["assignment"]},
+     "part count 2.0 is not an int"),
+])
+def test_cli_rejects_a_bad_partition_file(tmp_path, capsys, partition, message):
+    part_path = tmp_path / "part.json"
+    part_path.write_text(json.dumps(partition))
+    rc = cli_main(["solve-resilient", "--instance", str(ring_12_file(tmp_path)),
+                   "--partition-file", str(part_path),
+                   "--out-prefix", str(tmp_path / "res")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_solve_resilient_reads_a_partition_file(tmp_path):
+    part_path = tmp_path / "part.json"
+    part_path.write_text(json.dumps(round_robin_file()))
+    rc = cli_main(["solve-resilient", "--instance", str(ring_12_file(tmp_path)),
+                   "--partition-file", str(part_path),
+                   "--out-prefix", str(tmp_path / "res")])
+    assert rc == 0
+    report = json.loads((tmp_path / "res.report.json").read_text())
+    assert report["rounds_used"] == 5 * 2 + 2
+
+
+@pytest.mark.parametrize("key", ["generator", "algorithm", "seeds"])
+def test_cli_experiment_spec_missing_a_key_is_an_input_error(tmp_path, capsys, key):
+    spec = {"generator": {"kind": "instance", "family": "ring", "params": {"n": 12}},
+            "algorithm": "solve-general", "seeds": [0]}
+    del spec[key]
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = cli_main(["experiment", "--spec", str(spec_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: experiment spec missing {key!r}\n"
+
+
 def test_cli_rejects_unknown_family(tmp_path):
     rc = cli_main([
         "gen", "--kind", "graph", "--family", "nonsense",

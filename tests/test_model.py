@@ -407,6 +407,21 @@ def test_instance_dicts_reject_non_int_ids_domains_and_dependencies(field, entry
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize("event_id, deps, message", [
+    (0, (0.0, 1), "dependency 0.0 is not an int"),
+    (0, (0, True), "dependency True is not an int"),
+    (0, ("1",), "dependency '1' is not an int"),
+    (True, (0, 1), "event id True is not an int"),
+    (0.0, (0, 1), "event id 0.0 is not an int"),
+])
+def test_build_instance_rejects_ids_that_are_not_ints(event_id, deps, message):
+    # The library route shares the loader's check: a float or bool id would
+    # otherwise pass the range and dense-id tests.
+    event = EventSpec(event_id, deps, TruthTable(frozenset()))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build_instance([VariableSpec.fair_bit()] * 2, [event])
+
+
 def test_variable_ids_load_in_any_order_but_must_be_dense():
     data = instance_to_dict(ring_family(4, 2, 1, 0))
     data["variables"].reverse()

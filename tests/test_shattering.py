@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _families import fair_bits, ring_instance, small_instances
+import _reference_residual as reference
 from resilient_lll.errors import ComponentFailure, InputError
 from resilient_lll.model import (
     CountThreshold,
@@ -14,7 +15,6 @@ from resilient_lll.model import (
 )
 from resilient_lll.shattering import (
     _UnionFind,
-    extract_components,
     group_by_free_vars,
     solve_component,
     solve_residual,
@@ -22,15 +22,13 @@ from resilient_lll.shattering import (
 from resilient_lll.solver import Residual
 
 
-def make_residual(inst, free_vars=None, fixed_values=None):
+def make_residual(inst, free_vars=None):
+    """The residual that fixes every variable outside ``free_vars`` (all
+    variables by default) to 0."""
     free = frozenset(free_vars if free_vars is not None else range(inst.var_count))
-    fixed = fixed_values if fixed_values is not None else {
-        v: 0 for v in range(inst.var_count) if v not in free
-    }
     return Residual(
         instance=inst,
-        fixed_values=fixed,
-        free_vars=free,
+        fixed_values={v: 0 for v in range(inst.var_count) if v not in free},
         components=group_by_free_vars(inst, free),
         satisfied_fixed=(),
     )
@@ -39,7 +37,8 @@ def make_residual(inst, free_vars=None, fixed_values=None):
 def test_empty_residual_no_components():
     inst = ring_instance(6, privates=1)
     residual = make_residual(inst, free_vars=[])
-    assert extract_components(residual) == []
+    assert residual.components == []
+    assert solve_residual(residual, seed=0) == ({}, [])
 
 
 def test_disjoint_events_make_singleton_components():
@@ -48,9 +47,11 @@ def test_disjoint_events_make_singleton_components():
     e1 = EventSpec(1, (2, 3), TruthTable(frozenset({(1, 1)})))
     inst = build_instance(vs, [e0, e1])
     residual = make_residual(inst)
-    jobs = extract_components(residual)
-    assert [job.events for job in jobs] == [(0,), (1,)]
-    assert jobs[0].free_vars == (0, 1) and jobs[1].free_vars == (2, 3)
+    assert residual.components == [(0,), (1,)]
+    (a0, s0), (a1, s1) = (solve_component(residual, c, seed=0)
+                          for c in residual.components)
+    assert list(a0) == [0, 1] and list(a1) == [2, 3]
+    assert s0["free_vars"] == s1["free_vars"] == 2
 
 
 def union_find_oracle(inst, free):
@@ -87,10 +88,14 @@ def test_components_match_union_find_oracle():
     for trial in range(10):
         free = {v for v in range(inst.var_count) if rng.random() < 0.3}
         residual = make_residual(inst, free_vars=free)
-        jobs = extract_components(residual)
-        assert sorted(job.events for job in jobs) == union_find_oracle(inst, free)
-        seen_vars = [v for job in jobs for v in job.free_vars]
+        assert sorted(residual.components) == union_find_oracle(inst, free)
+        seen_vars = []
+        for events in residual.components:
+            assignment, stats = solve_component(residual, events, seed=trial)
+            assert stats["free_vars"] == len(assignment)
+            seen_vars += assignment
         assert len(seen_vars) == len(set(seen_vars)), "free vars must not overlap"
+        assert set(seen_vars) <= free
 
 
 def var_seen_grouping(inst, events, free):
@@ -126,8 +131,7 @@ def test_single_event_single_bit_component():
     ev = EventSpec(0, (0,), TruthTable(frozenset({(1,)})))
     inst = build_instance(vs, [ev])
     residual = make_residual(inst)
-    job = extract_components(residual)[0]
-    assignment, stats = solve_component(residual, job, seed=0)
+    assignment, stats = solve_component(residual, residual.components[0], seed=0)
     assert assignment == {0: 0}
     assert stats["method"] == "exhaustive"
 
@@ -135,11 +139,11 @@ def test_single_event_single_bit_component():
 def test_component_solution_passes_restricted_checker():
     inst = ring_instance(12, privates=2)
     residual = make_residual(inst)
-    for job in extract_components(residual):
-        assignment, _ = solve_component(residual, job, seed=3)
-        values = dict(job.conditioning)
+    for events in residual.components:
+        assignment, _ = solve_component(residual, events, seed=3)
+        values = dict(residual.fixed_values)
         values.update(assignment)
-        for a in job.events:
+        for a in events:
             assert not inst.events[a].evaluate(values)
 
 
@@ -148,9 +152,8 @@ def test_unsolvable_component_raises():
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
     inst = build_instance(vs, [taut])
     residual = make_residual(inst)
-    job = extract_components(residual)[0]
     with pytest.raises(ComponentFailure):
-        solve_component(residual, job, seed=0)
+        solve_component(residual, residual.components[0], seed=0)
 
 
 def chain_component(k, arity=4):
@@ -178,15 +181,15 @@ def test_resampling_solves_within_cap_and_expected_rate():
         p = 2 ** -5
         assert math.e * p * (inst.d + 1) <= 0.9
         residual = make_residual(inst)
-        job = extract_components(residual)[0]
+        events = residual.components[0]
         assignment, stats = solve_component(
-            residual, job, seed=trial, method="resample"
+            residual, events, seed=trial, method="resample"
         )
         values = dict(assignment)
         assert not any(ev.evaluate(values) for ev in inst.events)
         solved += 1
         total_resamples += stats["resamplings"]
-        total_events += len(job.events)
+        total_events += len(events)
     assert solved == 50
     assert total_resamples / total_events <= 11
 
@@ -194,9 +197,9 @@ def test_resampling_solves_within_cap_and_expected_rate():
 def test_resample_method_deterministic():
     inst = chain_component(4, arity=4)
     residual = make_residual(inst)
-    job = extract_components(residual)[0]
-    a1, s1 = solve_component(residual, job, seed=8, method="resample")
-    a2, s2 = solve_component(residual, job, seed=8, method="resample")
+    events = residual.components[0]
+    a1, s1 = solve_component(residual, events, seed=8, method="resample")
+    a2, s2 = solve_component(residual, events, seed=8, method="resample")
     assert a1 == a2 and s1["resamplings"] == s2["resamplings"]
 
 
@@ -205,16 +208,14 @@ def test_resample_cap_enforced():
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
     inst = build_instance(vs, [taut])
     residual = make_residual(inst)
-    job = extract_components(residual)[0]
     with pytest.raises(ComponentFailure, match="cap"):
-        solve_component(residual, job, seed=0, method="resample")
+        solve_component(residual, residual.components[0], seed=0, method="resample")
 
 
 def test_unknown_component_method_is_input_error():
     residual = make_residual(chain_component(3))
-    job = extract_components(residual)[0]
     with pytest.raises(InputError, match="'bogus'"):
-        solve_component(residual, job, seed=0, method="bogus")
+        solve_component(residual, residual.components[0], seed=0, method="bogus")
 
 
 def test_solve_residual_merges_disjoint_components():
@@ -235,11 +236,61 @@ def test_conditioning_respected():
     residual = Residual(
         instance=inst,
         fixed_values={0: 1, 1: 1},
-        free_vars=frozenset({2}),
         components=[(0,)],
         satisfied_fixed=(),
     )
-    job = extract_components(residual)[0]
-    assert job.conditioning == {0: 1, 1: 1}
-    assignment, _ = solve_component(residual, job, seed=1)
-    assert assignment == {2: 0}
+    assignment, stats = solve_component(residual, (0,), seed=1)
+    assert assignment == {2: 0} and stats["free_vars"] == 1
+    # The event fires on (1, 1, 0) instead: with 0 and 1 pinned to 1, only
+    # var2 = 1 avoids it.
+    ev = EventSpec(0, (0, 1, 2), TruthTable(frozenset({(1, 1, 0)})))
+    inst = build_instance(vs, [ev], allocation={0: 0, 1: 0, 2: 0})
+    residual = Residual(inst, {0: 1, 1: 1}, [(0,)], ())
+    assert solve_component(residual, (0,), seed=1) == (
+        {2: 1}, {"size": 1, "free_vars": 1, "method": "exhaustive", "resamplings": 0})
+
+
+def both_routes(residual, free, seed, method):
+    """Each component's outcome by the reference route (a job per
+    component, from the free set) and by ``solve_component``: the
+    assignment and stats as ordered items, or the failure's message."""
+    jobs = reference.extract_components(residual, free)
+    assert [job.events for job in jobs] == residual.components
+    for job in jobs:
+        outcomes = []
+        for solve, component in ((reference.solve_component, job),
+                                 (solve_component, job.events)):
+            try:
+                assignment, stats = solve(residual, component, seed, method=method)
+                outcomes.append((list(assignment.items()), list(stats.items())))
+            except ComponentFailure as exc:
+                outcomes.append(str(exc))
+        yield outcomes
+
+
+def random_residual(inst, data):
+    """A residual over a drawn free set, every other variable fixed to a
+    drawn value in its domain."""
+    free = frozenset(data.draw(st.sets(st.integers(0, inst.var_count - 1))))
+    fixed = {v: data.draw(st.integers(0, spec.domain_size - 1))
+             for v, spec in enumerate(inst.variables) if v not in free}
+    return Residual(inst, fixed, group_by_free_vars(inst, free), ()), free
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "resample"])
+@settings(max_examples=150, deadline=None)
+@given(case=small_instances(), data=st.data(), seed=st.integers(0, 1 << 30))
+def test_component_solve_matches_reference_on_small_instances(method, case, data, seed):
+    residual, free = random_residual(case[0], data)
+    for reference_outcome, outcome in both_routes(residual, free, seed, method):
+        assert outcome == reference_outcome
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "resample"])
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), arity=st.integers(2, 4), data=st.data(),
+       seed=st.integers(0, 1 << 30))
+def test_component_solve_matches_reference_on_chains(method, k, arity, data, seed):
+    residual, free = random_residual(chain_component(k, arity), data)
+    for reference_outcome, outcome in both_routes(residual, free, seed, method):
+        assert outcome == reference_outcome

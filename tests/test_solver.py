@@ -326,7 +326,7 @@ def test_residual_of_clean_run_is_empty():
     state, _ = run_first_stage(inst, part, cfg, seed=0)
     residual = residual_instance(inst, state)
     assert residual.components == []
-    assert not residual.free_vars
+    assert all(v in residual.fixed_values for v in range(inst.var_count))
     assert len(residual.fixed_values) == 4
 
 
@@ -341,7 +341,7 @@ def test_residual_keeps_reverted_event_with_free_vars():
     for a in state.reverted:
         assert a in live
         for v in inst.allocated[a]:
-            assert v in residual.free_vars
+            assert v not in residual.fixed_values
 
 
 def test_residual_conditional_probabilities_bounded():
@@ -411,7 +411,6 @@ def test_satisfied_fixed_event_is_fatal_at_guarantee_grade(monkeypatch):
         history=[(frozenset(), frozenset(), frozenset()),
                  (frozenset({0}), frozenset(), frozenset())],
         sampled_row1={0: 1},
-        free_vars=frozenset(),
         components=[],
     )
     assert residual_instance(inst, state).satisfied_fixed == (0,)
