@@ -276,6 +276,9 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # an input file
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (CapacityError, ComponentFailure, ContractViolation,
             ReductionViolation) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

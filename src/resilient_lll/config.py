@@ -1,4 +1,4 @@
-"""Threshold constants and estimation knobs.
+"""Threshold constants and the Monte Carlo sample count.
 
 The exponents c1 > c3 drive the per-iteration danger test and the residual
 bound; c2 is the resilience target the certificate checks against. The
@@ -8,15 +8,12 @@ provided for functional runs (it voids the formal guarantees, and the
 solver downgrades some hard failures to recorded warnings under it).
 
 ``ThresholdConfig`` holds the paper's constants (c1, c2, c3, gamma and the
-defect constant) plus the two estimation knobs the presets and the CLI set,
-``mc_samples`` and ``subset_cap``. ``subset_cap`` bounds the vulnerability
-oracle's swap search at 2^subset_cap - 1 reachable swapped count vectors
-per part, for every event; an event keyed per event reaches one vector per
-subset of its swap neighbors. Implementation caps with
-one value in use are module constants next to the code they bound:
-``EXACT_ENUM_CAP`` and ``EXACT_OUTER_CAP`` in ``probability``,
-``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in ``shattering``,
-``BRUTE_FORCE_CAP`` in ``model``.
+defect constant), each a finite positive number, plus the one estimation
+knob the presets and the CLI set, ``mc_samples``, a positive int.
+Implementation caps with one value in use are module constants next to the
+code they bound: ``EXACT_ENUM_CAP``, ``EXACT_OUTER_CAP`` and ``SUBSET_CAP``
+in ``probability``, ``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in
+``shattering``, ``BRUTE_FORCE_CAP`` in ``model``.
 """
 
 from __future__ import annotations
@@ -37,13 +34,17 @@ class ThresholdConfig:
     gamma: float = 99.0  # per-part load constant for light partitions
     defect_const: float = 99.0  # light-partition per-part neighbor constant
     mc_samples: int = 10_000
-    subset_cap: int = 12        # per part: at most 2^cap - 1 swapped count vectors
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3, self.gamma, self.defect_const) <= 0:
-            raise InputError("all exponent constants must be positive")
-        if self.mc_samples < 1 or self.subset_cap < 0:
-            raise InputError("sampling/capacity knobs must be positive")
+        for name in ("c1", "c2", "c3", "gamma", "defect_const"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):
+                raise InputError(f"config {name} = {value!r} is not a finite "
+                                 "positive number")
+        if type(self.mc_samples) is not int or self.mc_samples < 1:
+            raise InputError(f"config mc_samples = {self.mc_samples!r} is not a "
+                             "positive int")
 
     @property
     def guarantee_grade(self) -> bool:

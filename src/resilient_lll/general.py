@@ -88,18 +88,16 @@ def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
 
 
 def criterion_check(inst: LllInstance, r: int, c: float, *,
-                    estimates=None) -> CriterionReport:
+                    estimates) -> CriterionReport:
     """Whether max event probability p satisfies p <= 2^(-c*d_vars/r).
 
-    The bound is inclusive. ``estimates`` supplies precomputed per-event
-    estimates (see ``event_estimates``) in place of computing them here."""
+    The bound is inclusive. ``estimates`` holds the per-event estimates,
+    indexed by event id (see ``event_estimates``)."""
     if not 1 <= r <= max_parts(inst.d_vars):
         raise InputError(
             f"r = {r} outside [1, {max_parts(inst.d_vars)}] for "
             f"d_vars = {inst.d_vars}"
         )
-    if estimates is None:
-        estimates = event_estimates(inst)
     worst = max(range(len(estimates)), key=lambda a: estimates[a].value,
                 default=None)
     p = 0.0 if worst is None else estimates[worst].value
@@ -126,7 +124,7 @@ class CertificateReport:
 
 def resilience_certificate(inst: LllInstance, part: Partition,
                            cfg: ThresholdConfig, *,
-                           estimates=None) -> CertificateReport:
+                           estimates) -> CertificateReport:
     """Union bound on the vulnerability probability of any event.
 
     For each event: count every nonempty same-part subset of its inclusive
@@ -137,15 +135,13 @@ def resilience_certificate(inst: LllInstance, part: Partition,
 
     Passing means the maximum over events is at most d^-c2. De-duplicating
     the empty set keeps the bound monotone under partition refinement.
-    ``estimates`` acts as in ``criterion_check``.
+    ``estimates`` is as in ``criterion_check``.
 
     ``uniform_bound`` is the envelope r * 2^(gamma*d_vars/r) * p * d^c3
     with p the largest estimate. It is infinite once 2^(gamma*d_vars/r) is
     past the float range, unless p is zero."""
     if part.size != inst.event_count:
         raise InputError("partition must cover all events")
-    if estimates is None:
-        estimates = event_estimates(inst)
     d_eff = max(inst.d, 1)
     amp = d_eff ** cfg.c3
     threshold = cfg.resilience_threshold(inst.d)
@@ -203,14 +199,15 @@ class GeneralResult:
 
 
 def solve_general(inst: LllInstance, r: int | None, cfg: ThresholdConfig,
-                  seed: int, *, c: float | None = None,
-                  mode: str | None = None) -> GeneralResult:
+                  seed: int, *, mode: str | None = None) -> GeneralResult:
     """Light partition of the allocation graph, certificate, staged solve.
 
-    One exact-or-sampled estimate per event (``event_estimates``) serves
-    the criterion and the certificate. With ``r=None`` the part count is
-    ``choose_parts`` of the largest of those estimates: the smallest
-    admissible r whose criterion it meets, or the largest admissible r.
+    One exact-or-sampled estimate per event (``event_estimates``, with
+    ``cfg.mc_samples`` draws) serves the criterion, at exponent
+    ``cfg.criterion_c``, and the certificate. With ``r=None`` the part
+    count is ``choose_parts`` of the largest of those estimates: the
+    smallest admissible r whose criterion it meets, or the largest
+    admissible r.
 
     In strict mode a failed criterion or certificate is a precondition
     error; in relaxed mode both downgrade to recorded warnings (the
@@ -219,7 +216,7 @@ def solve_general(inst: LllInstance, r: int | None, cfg: ThresholdConfig,
     mode = mode or ("strict" if cfg.guarantee_grade else "relaxed")
     if mode not in ("strict", "relaxed"):
         raise InputError(f"unknown mode {mode!r}")
-    c = cfg.criterion_c if c is None else c
+    c = cfg.criterion_c
     warnings = []
 
     estimates = event_estimates(inst, mc_samples=cfg.mc_samples,

@@ -14,10 +14,12 @@ Each vertex keeps a row indexed by color that holds the edge of that
 color there, so a vertex's smallest free color is the first empty slot
 of its row.
 
-An endpoint outside 0..n-1, a degree list of another length, a self-loop,
-a palette below max degree + 1, parallel edges that block a rotation and
-a degree list that leaves a vertex no free color are InputErrors; parallel
-edges and wrong degrees are looked for only on those failures.
+The palette is always 0..Δ, Δ the largest given degree: a vertex's
+smallest free color is never above Δ, so a wider palette would color
+alike. An endpoint outside 0..n-1, a degree list of another length, a
+self-loop, parallel edges that block a rotation and a degree list that
+leaves a vertex no free color are InputErrors; parallel edges and wrong
+degrees are looked for only on those failures.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from itertools import chain
 from .errors import ContractViolation, InputError
 
 
-def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
-    """Color ``edges`` (pairs over 0..n-1) properly with colors
-    0..palette_size-1; ``degree`` holds each vertex's degree in ``edges``,
-    and the palette defaults to max degree + 1."""
+def misra_gries_edge_coloring(n: int, edges, degree):
+    """Color ``edges`` (pairs over 0..n-1) properly with colors 0..Δ, Δ the
+    largest entry of ``degree``, which holds each vertex's degree in
+    ``edges``."""
     if len(degree) != n:
         raise InputError(f"degree has {len(degree)} entries for {n} vertices")
     if not set(range(n)).issuperset(chain.from_iterable(edges)):
@@ -39,10 +41,7 @@ def misra_gries_edge_coloring(n: int, edges, degree, palette_size=None):
     xor = [u ^ v for u, v in edges]  # the far endpoint of e from v is xor[e] ^ v
     if 0 in xor:
         raise InputError("self-loops cannot be edge colored")
-    delta = max(degree, default=0)
-    palette = palette_size if palette_size is not None else delta + 1
-    if palette < delta + 1:
-        raise InputError(f"palette {palette} below max degree + 1 = {delta + 1}")
+    palette = max(degree, default=0) + 1
 
     color = [None] * len(edges)
     # at[v][c]: the edge of color c at vertex v, or None if c is free at v

@@ -24,7 +24,7 @@ each (class, value class) are swapped and fixed, so the oracle searches
 swap subsets as reachable count vectors, one engine call per distinct
 vector, shared by the events of one shape. Every other event takes one
 class per dependency position, so each of its swap subsets is a vector of
-its own. ``subset_cap`` bounds the search at 2^subset_cap - 1 vectors per
+its own. ``SUBSET_CAP`` bounds the search at 2^SUBSET_CAP - 1 vectors per
 part for every event.
 """
 
@@ -43,6 +43,7 @@ from .seeds import rng_for
 
 EXACT_ENUM_CAP = 1 << 20
 EXACT_OUTER_CAP = 4096  # vulnerability: enumerate outer completions up to this support
+SUBSET_CAP = 12  # vulnerability: at most 2^cap - 1 swapped count vectors per part
 _INT = {int}
 _domain_size = attrgetter("domain_size")
 
@@ -335,8 +336,8 @@ class VulnerabilityOracle:
 
     A memo miss evaluates one swap probability per reachable swapped count
     vector of each part (``_any_vector_over``), kept under a swap key with
-    the same prefix. ``subset_cap`` bounds that search at 2^subset_cap - 1
-    vectors per part, the mask count of ``subset_cap`` swap neighbors, for
+    the same prefix. ``SUBSET_CAP`` bounds that search at 2^SUBSET_CAP - 1
+    vectors per part, the mask count of ``SUBSET_CAP`` swap neighbors, for
     every event. ``swap_counts`` counts the swap probabilities the engine
     computed and those the memo reused.
     """
@@ -503,13 +504,13 @@ class VulnerabilityOracle:
         is evaluated once, under the key (prefix, fixed ints, swapped class
         ids). Under one class per position every subset is its own vector,
         met in mask order. Raises CapacityError, before any evaluation,
-        when a part reaches more than 2^subset_cap - 1 vectors."""
+        when a part reaches more than 2^SUBSET_CAP - 1 vectors."""
         prefix, ref, stride, bases, parts, _ = layout
         base = self._base
         ints = _packed(ref, bases, key)
         codes = [base ** x for x in ints]
         class_codes = [base ** (x // stride) for x in ints]
-        budget = (1 << self.cfg.subset_cap) - 1
+        budget = (1 << SUBSET_CAP) - 1
         searches = []
         for part_idx, members in parts:
             reach = {0: ((), 0)}
@@ -522,7 +523,7 @@ class VulnerabilityOracle:
                     raise CapacityError(
                         f"event {ev.event_id}: at least {len(reach) - 1} reachable swap "
                         f"vectors in part {part_idx} exceed {budget} "
-                        f"(2^subset_cap - 1, subset cap {self.cfg.subset_cap})")
+                        f"(2^subset_cap - 1, subset cap {SUBSET_CAP})")
             del reach[0]
             searches.append(reach)
         total = sum(codes)

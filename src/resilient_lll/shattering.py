@@ -3,9 +3,10 @@
 A variable is free when the residual does not fix it. The residual splits
 into connected components over shared free variables, each given by its
 ascending event ids; each component is solved independently, by exhaustive
-search when its free assignment space is small and otherwise by
-resampling: draw all free variables, then repeatedly pick the lowest-id
-satisfied event and redraw its free variables, up to a cap.
+search when its free assignment space is at most ``EXHAUSTIVE_CAP`` and
+otherwise by resampling: draw all free variables, then repeatedly pick the
+lowest-id satisfied event and redraw its free variables, up to
+``RESAMPLE_CAP_FACTOR`` redraws per component event.
 
 This stands in for the deterministic decomposition machinery the round
 bounds assume; the checkable contract (a valid assignment per component)
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapacityError, ComponentFailure, InputError
+from .errors import ComponentFailure
 from .seeds import derive_seed, rng_for
 
 EXHAUSTIVE_CAP = 1 << 16
@@ -57,14 +58,15 @@ def group_by_free_vars(inst, free) -> list:
     return [tuple(sorted(groups[root])) for root in sorted(groups)]
 
 
-def solve_component(residual, events, seed: int, method: str = "auto"):
+def solve_component(residual, events, seed: int):
     """Assign the free variables of the component with ascending event ids
     ``events`` so no component event holds; a variable is free when the
-    residual does not fix it.
+    residual does not fix it. The search is exhaustive when the free
+    support is at most ``EXHAUSTIVE_CAP``, and resampling otherwise.
 
     Returns (assignment over free vars, stats dict). Raises
-    ComponentFailure when the resampling cap is exhausted (callers may
-    retry under a new seed).
+    ComponentFailure when no assignment exists or the resampling cap is
+    exhausted (callers may retry under a new seed).
     """
     inst = residual.instance
     fixed = residual.fixed_values
@@ -76,23 +78,16 @@ def solve_component(residual, events, seed: int, method: str = "auto"):
             else:
                 free.add(v)
     free_vars = sorted(free)
-    support = inst.support(free_vars)
-    if method == "auto":
-        method = "exhaustive" if support <= EXHAUSTIVE_CAP else "resample"
+    exhaustive = inst.support(free_vars) <= EXHAUSTIVE_CAP
     stats = {
         "size": len(events),
         "free_vars": len(free_vars),
-        "method": method,
+        "method": "exhaustive" if exhaustive else "resample",
         "resamplings": 0,
     }
     evs = [inst.events[a] for a in events]
 
-    if method == "exhaustive":
-        if support > EXHAUSTIVE_CAP:
-            raise CapacityError(
-                f"component at event {events[0]}: support {support} too "
-                "large for exhaustive search"
-            )
+    if exhaustive:
         specs = [inst.variables[v] for v in free_vars]
         for combo in itertools.product(*(range(s.domain_size) for s in specs)):
             for v, val in zip(free_vars, combo):
@@ -103,8 +98,6 @@ def solve_component(residual, events, seed: int, method: str = "auto"):
             f"component at event {events[0]} has no valid assignment"
         )
 
-    if method != "resample":
-        raise InputError(f"unknown component method {method!r}")
     rng = rng_for(seed, "component", events[0])
     free_of = {
         ev.event_id: [v for v in ev.dependent_vars if v in free]

@@ -5,8 +5,11 @@ not-yet-deferred events of part i draw first-row values for their owned
 variables; any event whose vulnerability (conditioned on all currently
 committed values) crosses the danger threshold forces the just-sampled
 events within one hop to revert all their owned values, and everything
-within two hops in later parts to sit the rest of the phase out. Whatever
-is left unfixed afterwards is handed to the component solver: the residual
+within two hops in later parts to sit the rest of the phase out. A danger
+verdict reads only the event's projection of the committed values (and,
+when sampled, the oracle's seed stream), and a revert only the verdicts
+one hop away. Whatever is left unfixed afterwards is handed to the
+component solver: the residual
 keeps only the fixed events' values, a variable is free when it holds none,
 and a component is its ascending event ids.
 
@@ -81,7 +84,7 @@ class StageReport:
 
 
 def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
-                    seed: int, debug: bool = False):
+                    seed: int):
     """Execute the staged phase; deterministic given (inst, part, cfg, seed).
 
     Returns (RunState, StageReport). A CapacityError from the vulnerability
@@ -153,9 +156,6 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
                         D.add(b)
                         fate[b] = (DEFERRED, i)
         history.append((frozenset(F), frozenset(R), frozenset(D)))
-        if debug:
-            _assert_local_decisions(inst, part, cfg, i, active, committed,
-                                    dangerous, set(newly_reverted), seed)
         touched = set()
         for a in newly_reverted:
             for v in inst.allocated[a]:
@@ -207,34 +207,6 @@ def _validate_state(inst, state):
         raise ContractViolation(
             "materialized first-row values do not match fixed+reverted owners"
         )
-
-
-def _assert_local_decisions(inst, part, cfg, iteration, active, committed,
-                            dangerous, reverted_now, seed):
-    """Debug layer: re-derive each decision from the event's bounded view
-    with a fresh oracle, confirming nothing leaked beyond the declared
-    radius. Exact-mode verdicts must reproduce bit-for-bit."""
-    dep = inst.dep_graph
-    debug_seed = derive_seed(seed, "debug", iteration)
-    for a in active:
-        deps = inst.events[a].dependent_vars
-        projection = {v: committed[v] for v in deps if v in committed}
-        est = VulnerabilityOracle(inst, part, cfg, seed=debug_seed).probability(a, projection)
-        if est.exact:
-            locally_dangerous = est.value >= cfg.danger_threshold(inst.d)
-            if locally_dangerous != (a in dangerous):
-                raise ContractViolation(
-                    f"debug: danger verdict for event {a} not reproducible from "
-                    f"its own dependency view at iteration {iteration}"
-                )
-        should_revert = a in dangerous or any(
-            b in dangerous for b in dep.neighbors(a)
-        )
-        if should_revert != (a in reverted_now):
-            raise ContractViolation(
-                f"debug: revert decision for event {a} inconsistent with "
-                f"1-hop danger view at iteration {iteration}"
-            )
 
 
 @dataclass(frozen=True)

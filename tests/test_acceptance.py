@@ -8,6 +8,7 @@ independent oracle in this file or checked as a stated inequality.
 import json
 import math
 import time
+from unittest import mock
 
 import pytest
 
@@ -25,7 +26,7 @@ from resilient_lll.defective import (
 )
 from resilient_lll.edge_coloring import color_edges, minimal_epsilon
 from resilient_lll.errors import CapacityError, ComponentFailure
-from resilient_lll.general import resilience_certificate, solve_general
+from resilient_lll.general import event_estimates, resilience_certificate, solve_general
 from resilient_lll.generators import (
     circulant_graph,
     gnp_graph,
@@ -48,6 +49,7 @@ from resilient_lll.probability import (
     VulnerabilityOracle,
     event_probability,
 )
+from resilient_lll import shattering
 from resilient_lll.shattering import solve_component
 from resilient_lll.solver import Residual, run_first_stage, solve
 
@@ -132,7 +134,7 @@ def test_criterion_4_certificate_soundness():
     for trial in range(20):
         inst = window_family(10, private_bits=6, seed=trial)
         part = Partition.singleton(inst.event_count)
-        cert = resilience_certificate(inst, part, cfg)
+        cert = resilience_certificate(inst, part, cfg, estimates=event_estimates(inst))
         assert cert.passes, "instance must be constructed to pass the bound"
         oracle = VulnerabilityOracle(inst, part, cfg, seed=trial)
         worst = 0.0
@@ -296,9 +298,8 @@ def test_criterion_10_resampling_behavior():
             satisfied_fixed=(),
         )
         events = residual.components[0]
-        assignment, stats = solve_component(
-            residual, events, seed=trial, method="resample"
-        )
+        with mock.patch.object(shattering, "EXHAUSTIVE_CAP", 0):  # resample
+            assignment, stats = solve_component(residual, events, seed=trial)
         assert not any(ev.evaluate(assignment) for ev in inst.events)
         solved += 1
         total_resamples += stats["resamplings"]

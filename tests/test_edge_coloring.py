@@ -173,12 +173,14 @@ def with_benchmark_buckets(test):
 @with_benchmark_buckets
 @given(edge_lists(), st.integers(1, 3))
 def test_fan_rotation_matches_reference_colorer(case, extra):
+    # A wider palette colors alike: the smallest free color is never
+    # above the largest degree.
     n, edges = case
     degree = degrees(n, edges)
-    assert misra_gries_edge_coloring(n, edges, degree) == reference_colorer(n, edges)
+    colors = misra_gries_edge_coloring(n, edges, degree)
+    assert colors == reference_colorer(n, edges)
     palette = max(degree, default=0) + 1 + extra
-    assert misra_gries_edge_coloring(n, edges, degree, palette) == reference_colorer(
-        n, edges, palette)
+    assert colors == reference_colorer(n, edges, palette)
 
 
 @pytest.mark.parametrize("make, args", [
@@ -258,34 +260,28 @@ def colorer_raising_on_a_broken_link():
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(edge_lists(), multigraph_edge_lists()), st.integers(0, 2))
-def test_no_fan_link_breaks_before_the_first_vertex_with_d_free(case, extra):
+@given(st.one_of(edge_lists(), multigraph_edge_lists()))
+def test_no_fan_link_breaks_before_the_first_vertex_with_d_free(case):
     # The argument above the library's scan: the inversion leaves every fan
     # link up to the first vertex with d free intact, so the scan needs no
     # broken-link check. The probe checks each of those links on every
     # example and otherwise colors exactly as the library.
     n, edges = case
     degree = degrees(n, edges)
-    palette = max(degree, default=0) + 1 + extra
     probe = colorer_raising_on_a_broken_link()
     try:
-        colors = probe(n, edges, degree, palette)
+        colors = probe(n, edges, degree)
     except InputError:  # a multigraph's repeated pair, as in the library
         with pytest.raises(InputError):
-            misra_gries_edge_coloring(n, edges, degree, palette)
+            misra_gries_edge_coloring(n, edges, degree)
     else:
-        assert colors == misra_gries_edge_coloring(n, edges, degree, palette)
+        assert colors == misra_gries_edge_coloring(n, edges, degree)
 
 
 def test_an_understated_degree_is_an_input_error_naming_the_vertex():
     # Degree 1 everywhere gives a 2-color palette, but vertex 1 has 3 edges.
     with pytest.raises(InputError, match=r"degree\[1\] = 1, but vertex 1 has 3 edges"):
         misra_gries_edge_coloring(4, [(0, 1), (1, 2), (1, 3)], [1, 1, 1, 1])
-
-
-def test_palette_floor_validated():
-    with pytest.raises(InputError):
-        misra_gries_edge_coloring(3, [(0, 1), (1, 2)], [1, 2, 1], palette_size=2)
 
 
 def test_self_loop_rejected():

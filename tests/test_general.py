@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from _families import fair_bits, never_event, ring_instance
-from resilient_lll.config import relaxed_config
+from resilient_lll.config import relaxed_config, strict_config
 from resilient_lll.defective import build_split_instance
 from resilient_lll.errors import InputError
 from resilient_lll.graph import Partition
@@ -33,7 +33,7 @@ from resilient_lll import general, generators, model, solver
 def test_criterion_zero_probability_instance():
     vs = fair_bits(4)
     inst = build_instance(vs, [never_event(i, (i, (i + 1) % 4)) for i in range(4)])
-    report = criterion_check(inst, 1, c=1.0)
+    report = criterion_check(inst, 1, c=1.0, estimates=event_estimates(inst))
     assert report.ok and report.margin == math.inf and report.exact
 
 
@@ -42,7 +42,7 @@ def test_criterion_boundary_is_inclusive():
     # the bound is exactly p.
     inst = ring_instance(6, privates=0)
     assert inst.d_vars == 2
-    report = criterion_check(inst, 1, c=1.5)
+    report = criterion_check(inst, 1, c=1.5, estimates=event_estimates(inst))
     assert report.p == pytest.approx(2 ** -3)
     assert report.bound == pytest.approx(2 ** -3)
     assert report.ok
@@ -50,7 +50,7 @@ def test_criterion_boundary_is_inclusive():
 
 def test_criterion_p_matches_per_event_maximum():
     inst = ring_instance(10, privates=2)
-    report = criterion_check(inst, 1, c=0.5)
+    report = criterion_check(inst, 1, c=0.5, estimates=event_estimates(inst))
     brute_max = max(
         event_probability(inst, a).value for a in range(inst.event_count)
     )
@@ -59,10 +59,11 @@ def test_criterion_p_matches_per_event_maximum():
 
 def test_criterion_r_range_validated():
     inst = ring_instance(8, privates=1)
+    estimates = event_estimates(inst)
     with pytest.raises(InputError):
-        criterion_check(inst, 0, c=1.0)
+        criterion_check(inst, 0, c=1.0, estimates=estimates)
     with pytest.raises(InputError):
-        criterion_check(inst, max_parts(inst.d_vars) + 1, c=1.0)
+        criterion_check(inst, max_parts(inst.d_vars) + 1, c=1.0, estimates=estimates)
 
 
 def test_part_helpers():
@@ -78,7 +79,8 @@ def test_part_helpers():
 def test_certificate_zero_probability_passes():
     vs = fair_bits(4)
     inst = build_instance(vs, [never_event(i, (i, (i + 1) % 4)) for i in range(4)])
-    cert = resilience_certificate(inst, Partition.singleton(4), relaxed_config())
+    cert = resilience_certificate(inst, Partition.singleton(4), relaxed_config(),
+                                  estimates=event_estimates(inst))
     assert cert.value == 0.0 and cert.passes
 
 
@@ -107,7 +109,7 @@ def test_certificate_matches_subset_count_oracle():
     p_by_event = {
         a: event_probability(inst, a).value for a in range(inst.event_count)
     }
-    cert = resilience_certificate(inst, part, cfg)
+    cert = resilience_certificate(inst, part, cfg, estimates=event_estimates(inst))
     oracle = subset_count_oracle(inst, part, cfg, p_by_event)
     assert cert.value == pytest.approx(oracle, rel=1e-12)
 
@@ -117,17 +119,19 @@ def test_certificate_below_uniform_envelope():
     # gamma = 99 on small instances) the exact certificate is dominated.
     inst = ring_instance(12, privates=2)
     cfg = relaxed_config()
+    estimates = event_estimates(inst)
     rng = random.Random(7)
     for r in (1, 2, 3):
         part = Partition(r, tuple(rng.randrange(r) for _ in range(12)))
-        cert = resilience_certificate(inst, part, cfg)
+        cert = resilience_certificate(inst, part, cfg, estimates=estimates)
         assert cert.value <= cert.uniform_bound + 1e-12
 
 
 def test_certificate_uniform_envelope_past_float_range_is_infinite():
     # gamma * d_vars / r = 99 * 16 at one part: 2^1584 is no float.
     inst = generators.ring_family(200, 16, 20)
-    cert = resilience_certificate(inst, Partition.singleton(200), relaxed_config())
+    cert = resilience_certificate(inst, Partition.singleton(200), relaxed_config(),
+                                  estimates=event_estimates(inst))
     assert cert.uniform_bound == math.inf
     assert math.isfinite(cert.value) and cert.p_used > 0
 
@@ -151,14 +155,15 @@ def refine_partition(part, rng):
 def test_certificate_monotone_under_refinement():
     inst = ring_instance(12, privates=2)
     cfg = relaxed_config()
+    estimates = event_estimates(inst)
     rng = random.Random(11)
     part = Partition.singleton(12)
     for _ in range(6):
         refined = refine_partition(part, rng)
         if refined is None:
             break
-        before = resilience_certificate(inst, part, cfg).value
-        after = resilience_certificate(inst, refined, cfg).value
+        before = resilience_certificate(inst, part, cfg, estimates=estimates).value
+        after = resilience_certificate(inst, refined, cfg, estimates=estimates).value
         assert after <= before + 1e-12
         part = refined
 
@@ -197,15 +202,15 @@ def test_solve_general_small_instance_brute_checked():
 
 def test_solve_general_strict_mode_rejects_weak_criterion():
     inst = ring_instance(8, privates=0)  # p = 1/8, far above strict bound
-    cfg = relaxed_config()
+    cfg = strict_config()
     with pytest.raises(InputError):
-        solve_general(inst, 1, cfg, seed=0, mode="strict", c=40.0)
+        solve_general(inst, 1, cfg, seed=0, mode="strict")
 
 
 def test_solve_general_relaxed_mode_records_warnings():
     inst = ring_instance(8, privates=0)
-    cfg = relaxed_config()
-    res = solve_general(inst, 1, cfg, seed=1, c=40.0)
+    cfg = strict_config()
+    res = solve_general(inst, 1, cfg, seed=1, mode="relaxed")
     assert res.warnings
     assert check_assignment(inst, res.assignment).valid
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 
@@ -6,7 +8,13 @@ import pytest
 from _families import hub_instance
 from resilient_lll import experiment
 from resilient_lll.cli import main as cli_main
-from resilient_lll.config import config_from_file, relaxed_config, strict_config
+from resilient_lll import defective, edge_coloring, general, misra_gries, shattering, solver
+from resilient_lll.config import (
+    ThresholdConfig,
+    config_from_file,
+    relaxed_config,
+    strict_config,
+)
 from resilient_lll.defective import build_split_instance
 from resilient_lll.errors import InputError
 from resilient_lll.experiment import (
@@ -26,7 +34,7 @@ from resilient_lll.generators import (
 )
 from resilient_lll.general import solve_general
 from resilient_lll.model import instance_to_dict, load_instance, save_instance
-from resilient_lll.probability import event_probability
+from resilient_lll.probability import VulnerabilityOracle, event_probability
 
 
 # --- generators -------------------------------------------------------------
@@ -456,7 +464,7 @@ def test_config_round_trips_through_a_file(tmp_path, preset):
     assert config_from_file(path) == cfg
 
 
-@pytest.mark.parametrize("key", ["bogus", "profile", "exact_outer_cap"])
+@pytest.mark.parametrize("key", ["bogus", "profile", "exact_outer_cap", "subset_cap"])
 def test_config_file_with_unknown_key_rejected(tmp_path, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"c1": 2.0, key: 1}))
@@ -464,15 +472,58 @@ def test_config_file_with_unknown_key_rejected(tmp_path, key):
         config_from_file(path)
 
 
-def test_spec_constants_with_unknown_key_recorded_as_input_error():
+@pytest.mark.parametrize("key", ["bogus", "subset_cap"])
+def test_spec_constants_with_unknown_key_recorded_as_input_error(key):
     spec = ExperimentSpec(
         generator={"kind": "instance", "family": "ring", "params": {"n": 12}},
-        algorithm="solve-general", seeds=[0], constants={"bogus": 1},
+        algorithm="solve-general", seeds=[0], constants={key: 1},
     )
     record = run_one(spec, 0)
     assert not record.valid
-    assert record.error.startswith("InputError: ")
+    assert record.error.startswith("InputError: ") and key in record.error
     assert aggregate([record])["error_classes"]["input"] == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c1", math.nan), ("c2", math.inf), ("c3", -math.inf), ("gamma", math.nan),
+    ("defect_const", math.inf), ("c1", 0.0), ("c3", True), ("gamma", "99"),
+    ("mc_samples", 2.5), ("mc_samples", True), ("mc_samples", "10"), ("mc_samples", 0),
+])
+def test_config_rejects_a_constant_that_is_not_finite_or_a_count_that_is_not_an_int(
+        tmp_path, field, value):
+    with pytest.raises(InputError, match=f"config {field} = "):
+        relaxed_config(**{field: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(InputError, match=f"config {field} = "):
+        config_from_file(path)
+
+
+def test_option_inventory():
+    # Every knob a caller can set, pinned: a new option shows up here.
+    params = {
+        fn.__qualname__: list(inspect.signature(fn).parameters)
+        for fn in (solver.solve, solver.run_first_stage, general.solve_general,
+                   general.criterion_check, general.resilience_certificate,
+                   shattering.solve_component, misra_gries.misra_gries_edge_coloring,
+                   edge_coloring.color_edges, defective.iterate_halving,
+                   VulnerabilityOracle.probability)
+    }
+    assert [f.name for f in dataclasses.fields(ThresholdConfig)] == [
+        "c1", "c2", "c3", "gamma", "defect_const", "mc_samples"]
+    assert params == {
+        "solve": ["inst", "part", "cfg", "seed"],
+        "run_first_stage": ["inst", "part", "cfg", "seed"],
+        "solve_general": ["inst", "r", "cfg", "seed", "mode"],
+        "criterion_check": ["inst", "r", "c", "estimates"],
+        "resilience_certificate": ["inst", "part", "cfg", "estimates"],
+        "solve_component": ["residual", "events", "seed"],
+        "misra_gries_edge_coloring": ["n", "edges", "degree"],
+        "color_edges": ["g", "eps", "cfg", "seed", "plan"],
+        "iterate_halving": ["g", "kind", "q", "cfg", "seed", "method"],
+        "VulnerabilityOracle.probability": ["self", "a", "fixed", "mc_samples",
+                                            "force_mc"],
+    }
 
 
 def test_cli_rejects_zero_mc_samples(tmp_path):
@@ -533,6 +584,45 @@ def test_cli_check_bad_assignment_is_input_error(tmp_path, capsys, assignment,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    "solve-resilient --instance {bad} --out-prefix {out}",
+    "solve-resilient --instance {ring} --partition-file {bad} --out-prefix {out}",
+    "solve-resilient --instance {ring} --constants file:{bad} --out-prefix {out}",
+    "solve-general --instance {bad} --out-prefix {out}",
+    "solve-general --instance {ring} --constants file:{bad} --out-prefix {out}",
+    "partition --graph {bad} --out {out}",
+    "partition --graph {graph} --constants file:{bad} --out {out}",
+    "defective --kind vertex --q 2 --graph {bad} --out {out}",
+    "edgecolor --graph {bad} --epsilon 0.5 --out {out}",
+    "check --instance {bad} --assignment {bad}",
+    "check --instance {ring} --assignment {bad}",
+    "experiment --spec {bad}",
+], ids=["solve-resilient-instance", "solve-resilient-partition",
+        "solve-resilient-constants", "solve-general-instance",
+        "solve-general-constants", "partition-graph", "partition-constants",
+        "defective-graph", "edgecolor-graph", "check-instance",
+        "check-assignment", "experiment-spec"])
+@pytest.mark.parametrize("content", [None, b'{"part_count": ', b"\xff\xfe"],
+                         ids=["missing", "truncated", "not-utf8"])
+def test_cli_reports_an_unreadable_input_file_as_an_error(tmp_path, capsys, argv, content):
+    # A missing file, one cut off mid-JSON (a graph file then lacks its
+    # header) or one that is not UTF-8, in each place a command reads one:
+    # one error line, exit 2.
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    graph = tmp_path / "g.edges"
+    graph.write_text("n 3\n0 1\n1 2\n")
+    paths = {"bad": bad, "ring": ring_12_file(tmp_path), "graph": graph,
+             "out": tmp_path / "out"}
+    rc = cli_main([arg.format(**paths) for arg in argv.split()])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if content is None:
+        assert f"No such file or directory: '{bad}'" in err
 
 
 def test_cli_bad_graph_file_is_input_error(tmp_path, capsys):

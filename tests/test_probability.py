@@ -362,7 +362,7 @@ def expected_swap_groups(inst, part, a):
 @pytest.mark.parametrize("family", sorted(SWAP_FAMILIES))
 def test_swap_groups_are_dependencies_grouped_by_owner(family):
     rng = random.Random(family)
-    cfg = relaxed_config(subset_cap=64)
+    cfg = relaxed_config()
     for seed in range(3):
         inst = SWAP_FAMILIES[family](seed)
         r = rng.randint(1, 3)
@@ -395,9 +395,8 @@ def test_vulnerability_capacity_error_names_offender():
     # the cap.
     inst = hub_instance(shaped=False)
     part = Partition.singleton(inst.event_count)
-    cfg = relaxed_config(subset_cap=12)
     with pytest.raises(CapacityError, match="event 0"):
-        VulnerabilityOracle(inst, part, cfg).probability(0)
+        VulnerabilityOracle(inst, part, relaxed_config()).probability(0)
 
 
 @pytest.mark.parametrize("key", [(3, 0, 1), (0, -1, 1), (0, 1), (0, 1, 1, 0),
@@ -459,8 +458,9 @@ def test_satisfied_indicator_precedes_subset_cap():
     # search stops at the 13th neighbor, whose subsets bring the count to
     # 2^13 - 1 vectors, one per subset.
     inst = hub_instance(shaped=False)
+    assert probability.SUBSET_CAP == 12
     oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
-                                 relaxed_config(subset_cap=12))
+                                 relaxed_config())
     assert oracle.indicator(0, (1,) * 15) is True
     with pytest.raises(CapacityError) as info:
         oracle.indicator(0, (0,) + (1,) * 14)
@@ -478,8 +478,8 @@ def test_shaped_hub_answers_as_the_mask_loop_beyond_the_member_cap():
     # 1/2, above 15^-1; eight zero bits all redraw to 1 with probability 2^-8.
     inst = hub_instance()
     part = Partition.singleton(inst.event_count)
-    oracle = VulnerabilityOracle(inst, part, relaxed_config(subset_cap=12))
-    reference = VulnerabilityOracle(inst, part, relaxed_config(subset_cap=15))
+    oracle = VulnerabilityOracle(inst, part, relaxed_config())
+    reference = VulnerabilityOracle(inst, part, relaxed_config())
     keys = [(0,) + (1,) * 14, (0, 1) * 7 + (0,), (0,) * 15]
     answers = [oracle.indicator(0, key) for key in keys]
     assert answers == [True, False, False]
@@ -496,9 +496,10 @@ def test_reachable_vector_budget_names_event_part_and_count():
     # member and stops at the eighth.
     inst = hub_instance()
     oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
-                                 relaxed_config(subset_cap=3))
+                                 relaxed_config())
     assert oracle.indicator(0, (1,) * 15) is True
-    with pytest.raises(CapacityError) as info:
+    with mock.patch.object(probability, "SUBSET_CAP", 3), \
+            pytest.raises(CapacityError) as info:
         oracle.indicator(0, (0,) * 15)
     assert str(info.value) == ("event 0: at least 8 reachable swap vectors in part 0 "
                                "exceed 7 (2^subset_cap - 1, subset cap 3)")
@@ -753,7 +754,7 @@ def swap_search_cases(draw):
     parts = draw(st.integers(1, 3))
     part = Partition(parts, tuple(draw(st.integers(0, parts - 1))
                                   for _ in range(inst.event_count)))
-    cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])), subset_cap=12,
+    cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])),
                          mc_samples=32 if kind == "sampled" else 2000)
     queries = [(t, k) for t, key in enumerate(keys)
                for k in draw(st.lists(key, min_size=1, max_size=6))]

@@ -1,12 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _families import fair_bits, ring_instance, small_instances
 import _reference_residual as reference
-from resilient_lll.errors import ComponentFailure, InputError
+from resilient_lll import shattering
+from resilient_lll.errors import ComponentFailure
 from resilient_lll.model import (
     CountThreshold,
     EventSpec,
@@ -20,6 +22,13 @@ from resilient_lll.shattering import (
     solve_residual,
 )
 from resilient_lll.solver import Residual
+
+
+def route(method):
+    """Keep ``solve_component`` on the exhaustive route's cap, or send
+    every component to resampling: no support is at most 0."""
+    cap = shattering.EXHAUSTIVE_CAP if method == "exhaustive" else 0
+    return mock.patch.object(shattering, "EXHAUSTIVE_CAP", cap)
 
 
 def make_residual(inst, free_vars=None):
@@ -182,9 +191,8 @@ def test_resampling_solves_within_cap_and_expected_rate():
         assert math.e * p * (inst.d + 1) <= 0.9
         residual = make_residual(inst)
         events = residual.components[0]
-        assignment, stats = solve_component(
-            residual, events, seed=trial, method="resample"
-        )
+        with route("resample"):
+            assignment, stats = solve_component(residual, events, seed=trial)
         values = dict(assignment)
         assert not any(ev.evaluate(values) for ev in inst.events)
         solved += 1
@@ -198,8 +206,10 @@ def test_resample_method_deterministic():
     inst = chain_component(4, arity=4)
     residual = make_residual(inst)
     events = residual.components[0]
-    a1, s1 = solve_component(residual, events, seed=8, method="resample")
-    a2, s2 = solve_component(residual, events, seed=8, method="resample")
+    with route("resample"):
+        a1, s1 = solve_component(residual, events, seed=8)
+        a2, s2 = solve_component(residual, events, seed=8)
+    assert s1["method"] == "resample"
     assert a1 == a2 and s1["resamplings"] == s2["resamplings"]
 
 
@@ -208,14 +218,21 @@ def test_resample_cap_enforced():
     taut = EventSpec(0, (0,), TruthTable(frozenset({(0,), (1,)})))
     inst = build_instance(vs, [taut])
     residual = make_residual(inst)
-    with pytest.raises(ComponentFailure, match="cap"):
-        solve_component(residual, residual.components[0], seed=0, method="resample")
+    with route("resample"), pytest.raises(ComponentFailure, match="cap"):
+        solve_component(residual, residual.components[0], seed=0)
 
 
-def test_unknown_component_method_is_input_error():
+@pytest.mark.parametrize("cap, method", [(1 << 10, "exhaustive"),
+                                         ((1 << 10) - 1, "resample")])
+def test_component_route_is_exhaustive_exactly_up_to_the_cap(cap, method):
+    # Three 4-bit events in a chain have 10 free bits: a support of 2^10,
+    # at the patched cap and one above it.
     residual = make_residual(chain_component(3))
-    with pytest.raises(InputError, match="'bogus'"):
-        solve_component(residual, residual.components[0], seed=0, method="bogus")
+    events = residual.components[0]
+    with mock.patch.object(shattering, "EXHAUSTIVE_CAP", cap):
+        assignment, stats = solve_component(residual, events, seed=0)
+    assert (stats["free_vars"], stats["method"]) == (10, method)
+    assert not any(residual.instance.events[a].evaluate(assignment) for a in events)
 
 
 def test_solve_residual_merges_disjoint_components():
@@ -252,16 +269,18 @@ def test_conditioning_respected():
 
 def both_routes(residual, free, seed, method):
     """Each component's outcome by the reference route (a job per
-    component, from the free set) and by ``solve_component``: the
-    assignment and stats as ordered items, or the failure's message."""
+    component, from the free set, told ``method``) and by
+    ``solve_component`` under ``route(method)``: the assignment and stats
+    as ordered items, or the failure's message."""
     jobs = reference.extract_components(residual, free)
     assert [job.events for job in jobs] == residual.components
     for job in jobs:
         outcomes = []
-        for solve, component in ((reference.solve_component, job),
-                                 (solve_component, job.events)):
+        for solve in (lambda: reference.solve_component(residual, job, seed, method=method),
+                      lambda: solve_component(residual, job.events, seed)):
             try:
-                assignment, stats = solve(residual, component, seed, method=method)
+                with route(method):
+                    assignment, stats = solve()
                 outcomes.append((list(assignment.items()), list(stats.items())))
             except ComponentFailure as exc:
                 outcomes.append(str(exc))

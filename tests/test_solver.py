@@ -187,7 +187,7 @@ def test_reference_agreement_with_nontrivial_dynamics():
 def test_reference_agreement_on_random_exact_instances(case, seed):
     inst, part = case
     cfg = relaxed_config()
-    _, report = run_first_stage(inst, part, cfg, seed, debug=True)
+    _, report = run_first_stage(inst, part, cfg, seed)
     if report.danger_estimate_modes["sampled"]:
         reject()  # the reference runs the exact path only
     assert report.per_event_fate == straight_line_reference(inst, part, cfg, seed)
@@ -239,10 +239,15 @@ def test_stage_queries_only_events_whose_projection_changed():
     assert dynamics, "no seed produced reverts and deferrals"
 
 
-def test_debug_locality_layer_accepts_honest_run():
+def test_reference_agreement_on_a_path():
+    # Every verdict re-derived by a fresh oracle from the event's own
+    # projection, and every revert from its one-hop neighbors.
     inst = path_instance(12)
     part = Partition.round_robin(12, 3)
-    run_first_stage(inst, part, relaxed_config(), seed=9, debug=True)
+    cfg = relaxed_config()
+    _, report = run_first_stage(inst, part, cfg, seed=9)
+    assert report.danger_estimate_modes["sampled"] == 0
+    assert report.per_event_fate == straight_line_reference(inst, part, cfg, seed=9)
 
 
 def test_monotone_status_and_revert_freeze_properties():
@@ -286,8 +291,9 @@ def test_capacity_error_names_event_and_iteration():
     # A per-event-keyed hub with 15 swap neighbors in one part.
     inst = hub_instance(shaped=False)
     part = Partition.singleton(inst.event_count)
-    with pytest.raises(CapacityError, match="event 0 in iteration 0"):
-        run_first_stage(inst, part, relaxed_config(subset_cap=8), seed=2)
+    with mock.patch("resilient_lll.probability.SUBSET_CAP", 8), \
+            pytest.raises(CapacityError, match="event 0 in iteration 0"):
+        run_first_stage(inst, part, relaxed_config(), seed=2)
 
 
 def truth_table_ring(n_events=24, privates=5):
