@@ -9,7 +9,7 @@ import sys
 from .config import lg, resolve_config
 from .edge_coloring import color_edges, minimal_epsilon
 from .errors import (CapacityError, ComponentFailure, ContractViolation,
-                     InputError, ReductionViolation)
+                     InputError, ReductionViolation, read_json)
 from .experiment import ExperimentSpec, run_experiment
 from .defective import defect_violations, iterate_halving
 from .general import solve_general
@@ -84,13 +84,12 @@ def cmd_solve_resilient(args):
     inst = load_instance(args.instance)
     cfg = _config(args)
     if args.partition_file:
+        data = read_json(args.partition_file)
         try:
-            with open(args.partition_file, encoding="utf-8") as fh:
-                data = json.load(fh)
             part = Partition(data["part_count"],
                              tuple(data["assignment"][str(a)]
                                    for a in range(inst.event_count)))
-        except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise InputError(f"partition file: {type(exc).__name__}: {exc}") from None
     else:
         part = Partition.round_robin(inst.event_count, args.parts)
@@ -188,8 +187,7 @@ def cmd_check(args):
 
 
 def cmd_experiment(args):
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = ExperimentSpec.from_dict(json.load(fh))
+    spec = ExperimentSpec.from_dict(read_json(args.spec))
     if args.out:
         spec.output_path = args.out
     records, summary = run_experiment(spec, workers=args.workers,
@@ -276,7 +274,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # an input file
+    except OSError as exc:  # an input file that cannot be opened
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, ComponentFailure, ContractViolation,

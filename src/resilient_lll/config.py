@@ -19,11 +19,10 @@ in ``probability``, ``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, read_json
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,7 @@ def config_from_dict(data, source: str) -> ThresholdConfig:
 
 
 def config_from_file(path) -> ThresholdConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return config_from_dict(data, f"file {path}")
+    return config_from_dict(read_json(path), f"file {path}")
 
 
 def resolve_config(spec: str) -> ThresholdConfig:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of JSON input
+files, which reports a malformed one as an ``InputError`` naming it."""
+
+import json
 
 
 class InputError(ValueError):
@@ -24,3 +27,13 @@ class ComponentFailure(RuntimeError):
 class ReductionViolation(RuntimeError):
     """A bucket produced by the edge-coloring reduction breaks its degree or
     palette guarantee."""
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``. A file that is not UTF-8 JSON
+    is an InputError naming the file; a missing one stays an OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InputError(f"{path}: {type(exc).__name__}: {exc}") from None

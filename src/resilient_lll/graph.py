@@ -183,7 +183,11 @@ def load_graph(path) -> Graph:
     edges = []
     node_count = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: UnicodeDecodeError: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
-from .errors import CapacityError, ContractViolation, InputError
+from .errors import CapacityError, ContractViolation, InputError, read_json
 from .graph import Graph
 
 WEIGHT_TOL = 1e-12
 _INT = {int}
+_domain_size = attrgetter("domain_size")
 TRUTH_TABLE_MAX_ARITY = 20
 BRUTE_FORCE_CAP = 1 << 24
 
@@ -217,12 +219,13 @@ class EventShape:
 def event_shapes(variables, events):
     """Each event's ``EventShape``, or None if it has none. Events with the
     same threshold, reference value and classes share one record."""
-    stride = 1 + max((spec.domain_size for spec in variables), default=0)
+    sizes = list(map(_domain_size, variables))
+    uniform = list(map(attrgetter("is_uniform"), variables))
+    stride = 1 + max(sizes, default=0)
     ids, made, shapes = {}, {}, []
     for ev in events:
         pred, deps = ev.predicate, ev.dependent_vars
-        if not isinstance(pred, CountThreshold) or not all(
-                variables[v].is_uniform for v in deps):
+        if not isinstance(pred, CountThreshold) or not all(map(uniform.__getitem__, deps)):
             shapes.append(None)
             continue
         # Each group counts its members in a dict in dependency order;
@@ -231,7 +234,7 @@ def event_shapes(variables, events):
         for count, group in zip(counts, pred.groups):
             for v in group:
                 count[v] += 1
-        classes = tuple([(variables[v].domain_size, occ, v == pred.ref_var)
+        classes = tuple([(sizes[v], occ, v == pred.ref_var)
                          for v, occ in zip(deps, zip(*[c.values() for c in counts]))])
         shape = made.get((pred.threshold, pred.ref_value, classes))
         if shape is None:
@@ -252,6 +255,8 @@ class LllInstance:
 
     def __init__(self, variables, events, owner):
         self.variables = tuple(variables)
+        # var id -> domain size, for checks that read every variable's.
+        self.domain_sizes = tuple(map(_domain_size, self.variables))
         self.events = tuple(events)
         self.owner = owner = tuple(owner)  # var id -> owning event id
         self._validate_owners()
@@ -381,8 +386,9 @@ class ViolationReport:
 def check_assignment(inst: LllInstance, assignment) -> ViolationReport:
     """Evaluate every event; an empty violation list means a valid solution.
     A value missing or not an int in its variable's domain is an InputError."""
-    bad = [v for v, spec in enumerate(inst.variables)
-           if type(x := assignment.get(v)) is not int or not 0 <= x < spec.domain_size]
+    get = assignment.get
+    bad = [v for v, size in enumerate(inst.domain_sizes)
+           if type(x := get(v)) is not int or not 0 <= x < size]
     if bad:
         raise InputError(f"variables {bad[:10]} have no value in their domain")
     violated = [ev.event_id for ev in inst.events if ev.evaluate(assignment)]
@@ -474,10 +480,17 @@ def _require_ints(values, what):
                          "is not an int")
 
 
+def _weights_key(domain, weights):
+    """A dict key for an entry's domain and weights. -0.0 == 0.0, so a zero
+    weight adds the weights' repr, which keeps the sign."""
+    return domain, weights, 0 in weights and repr(weights)
+
+
 def instance_from_dict(data: dict) -> LllInstance:
     """Inverse of instance_to_dict; bad input is an InputError naming its
-    field. Each distinct distribution is built and checked once, and its
-    variables share the record."""
+    field. Each distinct variable entry is converted to floats once, and
+    each distinct distribution built and checked once; its variables share
+    the record."""
     field = "variables"
     try:
         entries = data["variables"]
@@ -486,17 +499,21 @@ def instance_from_dict(data: dict) -> LllInstance:
         _require_ints([d["domain"] for d in entries], "domain")
         if sorted(ids) != list(range(len(ids))):
             raise InputError("variable ids must be dense 0..n-1")
-        variables, specs = [None] * len(ids), {}
+        variables, converted, specs = [None] * len(ids), {}, {}
         for v, d in zip(ids, entries):
-            domain, weights = d["domain"], tuple(map(float, d["weights"]))
-            # -0.0 == 0.0, so a zero weight adds its repr, which keeps the sign.
-            key = (domain, weights, 0.0 in weights and repr(weights))
-            spec = specs.get(key)
+            raw = tuple(d["weights"])
+            key = _weights_key(d["domain"], raw)
+            spec = converted.get(key)
             if spec is None:
-                try:
-                    spec = specs[key] = VariableSpec(domain, weights)
-                except InputError as exc:
-                    raise InputError(f"variable {v}: {exc}") from None
+                weights = tuple(map(float, raw))
+                spec_key = _weights_key(d["domain"], weights)
+                spec = specs.get(spec_key)
+                if spec is None:
+                    try:
+                        spec = specs[spec_key] = VariableSpec(d["domain"], weights)
+                    except InputError as exc:
+                        raise InputError(f"variable {v}: {exc}") from None
+                converted[key] = spec
             variables[v] = spec
         field = "events"
         events = [
@@ -518,8 +535,7 @@ def save_instance(inst: LllInstance, path) -> None:
 
 
 def load_instance(path) -> LllInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(read_json(path))
 
 
 def save_assignment(assignment: dict, path) -> None:

@@ -17,8 +17,10 @@ count of completions over the support, so it depends on the variables
 only through their classes and on the fixed values only through how they
 compare with the reference. One ``EventShape`` per event holds them
 (``LllInstance.shapes``), and events of the same shape share one
-result: exact event estimates in ``general.event_estimates``, and
-vulnerability indicators, under keys of packed ints, in the oracle's memo.
+result: exact event estimates in ``general.event_estimates``,
+vulnerability indicators, under keys of packed ints, in the oracle's memo,
+and exact vulnerability estimates under partial reveals, under the same
+keys with a free class for each unrevealed position, in its outer memo.
 A shaped event's swap probability likewise depends only on how many of
 each (class, value class) are swapped and fixed, so the oracle searches
 swap subsets as reachable count vectors, one engine call per distinct
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, attrgetter, eq, gt
+from operator import add, eq, gt
 
 from .config import ThresholdConfig
 from .errors import CapacityError, InputError
@@ -45,7 +47,6 @@ EXACT_ENUM_CAP = 1 << 20
 EXACT_OUTER_CAP = 4096  # vulnerability: enumerate outer completions up to this support
 SUBSET_CAP = 12  # vulnerability: at most 2^cap - 1 swapped count vectors per part
 _INT = {int}
-_domain_size = attrgetter("domain_size")
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,12 @@ EXACT_ONE = ProbabilityEstimate(1.0, exact=True)
 
 
 def _validate_fixed(inst, fixed):
-    variables = inst.variables
-    n = len(variables)
+    sizes = inst.domain_sizes
+    n = len(sizes)
     for v, val in fixed.items():
         if not 0 <= v < n:
             raise InputError(f"fixed value for unknown variable {v}")
-        if type(val) is not int or not 0 <= val < variables[v].domain_size:
+        if type(val) is not int or not 0 <= val < sizes[v]:
             raise InputError(f"value {val!r} out of domain for variable {v}")
 
 
@@ -315,6 +316,16 @@ def _packed(ref, bases, key):
     return list(map(add, bases, key))
 
 
+def _grouped(parts, ints):
+    """``ints`` (one per dependency position) as the per-member sorted
+    tuples of ``parts``, the members of a part sorted and the parts sorted:
+    the order-free part of a memo key."""
+    get = ints.__getitem__
+    return tuple(sorted([
+        tuple(sorted([tuple(sorted(map(get, positions))) for _, positions in members]))
+        for _, members in parts]))
+
+
 class VulnerabilityOracle:
     """Evaluates, per event, whether some same-part subset of its swap
     neighbors re-drawing their owned values would push the event's
@@ -333,6 +344,16 @@ class VulnerabilityOracle:
     computed and stored (misses), and those decided without it (shortcuts:
     a structurally false event, or one the empty swap already satisfies);
     the three sum to the calls.
+
+    ``probability`` under a partial reveal sums the indicator over the
+    completions of the unrevealed values. For an event with a shared
+    prefix, it keeps the exact sum in an outer memo under ``_outer_key``:
+    the memo key with each unrevealed position packed as a class of its
+    own. A query that the outer memo answers calls no indicator, so
+    ``memo_counts`` counts only the indicator calls that outer misses and
+    fully revealed queries make. Sampled outer estimates (``force_mc``, or
+    a support above ``EXACT_OUTER_CAP``) draw from the oracle's rng and are
+    never kept.
 
     A memo miss evaluates one swap probability per reachable swapped count
     vector of each part (``_any_vector_over``), kept under a swap key with
@@ -355,6 +376,7 @@ class VulnerabilityOracle:
         self._base = 1 + max((len(ev.dependent_vars) for ev in inst.events), default=0)
         self._layouts = {}
         self._indicator_memo = {}
+        self._outer_memo = {}
         self._swap_memo = {}
         self._inner_mc_events = set()
         self.memo_counts = {"hits": 0, "misses": 0, "shortcuts": 0}
@@ -396,8 +418,7 @@ class VulnerabilityOracle:
                 prefix, ref = (pred.threshold, pred.ref_value), pred.ref_value
                 stride, classes, sizes = shape.stride, shape.classes, shape.sizes
             else:
-                sizes = tuple(map(_domain_size, map(self.inst.variables.__getitem__,
-                                                    ev.dependent_vars)))
+                sizes = tuple(map(self.inst.domain_sizes.__getitem__, ev.dependent_vars))
                 prefix, ref = a, None
                 stride, classes = 1 + max(sizes, default=0), range(len(sizes))
             layout = self._layouts[a] = (prefix, ref, stride, [c * stride for c in classes],
@@ -431,10 +452,24 @@ class VulnerabilityOracle:
         determines every swap probability: an integer count for a shaped
         event, and for any other the values themselves."""
         prefix, ref, _, bases, parts, _ = self._layout(a)
-        get = _packed(ref, bases, key).__getitem__
-        return (prefix, tuple(sorted([
-            tuple(sorted([tuple(sorted(map(get, positions))) for _, positions in members]))
-            for _, members in parts])))
+        return prefix, _grouped(parts, _packed(ref, bases, key))
+
+    def _outer_key(self, layout, deps, fixed):
+        """The outer memo key of a shaped event under the partial reveal
+        ``fixed``: as ``_memo_key``, with each unrevealed position packed as
+        ``~(class id * stride)``, its class with a value class of its own.
+        That int is negative, so no revealed value produces it. Two
+        reveals with one key have completions that pair up, class for
+        class within each member, with equal indicator memo keys, and the
+        same support, so they have one outer probability."""
+        prefix, ref, _, bases, parts, _ = layout
+        get = fixed.get
+        ints = []
+        for base, v in zip(bases, deps):
+            val = get(v)
+            ints.append(~base if val is None
+                        else base + (val if ref is None else val == ref))
+        return prefix, _grouped(parts, ints)
 
     def _swap_probability(self, event, values, swap_vars, swap_key):
         """Probability of ``event`` when ``swap_vars`` are drawn fresh and
@@ -550,12 +585,22 @@ class VulnerabilityOracle:
             est = (EXACT_ONE if self.indicator(a, _CheckedKey(map(fixed.__getitem__, deps)))
                    else EXACT_ZERO)
         else:
+            layout = self._layout(a)
+            outer_key = None
+            if layout[0] != a and not force_mc:
+                # A shared prefix: a shaped event whose swaps are never sampled.
+                outer_key = self._outer_key(layout, deps, fixed)
+                est = self._outer_memo.get(outer_key)
+                if est is not None:
+                    return est
             est = _mass_over(
                 self.inst, free, fixed,
                 lambda values: self.indicator(a, _CheckedKey(map(values.__getitem__, deps))),
                 0 if force_mc else EXACT_OUTER_CAP,
                 mc_samples or self.cfg.mc_samples, lambda: self._rng,
             )
+            if outer_key is not None and est.exact:
+                self._outer_memo[outer_key] = est
         if a not in self._inner_mc_events:
             return est
         # Some swap probability under the indicator was sampled, so the

@@ -30,6 +30,21 @@ def first_row_value(seed: int, var_id: int, spec) -> int:
 
     A pure function of (seed, var_id): a str-seeded ``random.Random`` hashes
     its seed with SHA-512, so the value is stable across platforms and does
-    not depend on the order in which variables are drawn.
+    not depend on the order in which variables are drawn. Re-seeding an
+    existing generator with the same string resets its whole state, so it
+    gives the same draw (see ``first_row_sampler``).
     """
     return spec.sample(random.Random(f"{seed}/{var_id}/1"))
+
+
+def first_row_sampler(seed: int):
+    """``first_row_value`` under table seed ``seed`` as a function of
+    (var_id, spec) that re-seeds one generator per draw, instead of
+    constructing one."""
+    rng = random.Random()
+
+    def draw(var_id: int, spec) -> int:
+        rng.seed(f"{seed}/{var_id}/1")
+        return spec.sample(rng)
+
+    return draw

@@ -30,7 +30,7 @@ from .errors import ContractViolation
 from .graph import Partition, neighbors_within
 from .model import LllInstance, check_assignment
 from .probability import VulnerabilityOracle
-from .seeds import derive_seed, first_row_value
+from .seeds import derive_seed, first_row_sampler
 from . import shattering
 
 ROUNDS_PER_ITERATION = 5
@@ -91,7 +91,7 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     oracle aborts the run, naming the offending event and iteration.
     """
     n = inst.event_count
-    table_seed = derive_seed(seed, "table")
+    draw = first_row_sampler(derive_seed(seed, "table"))
     oracle = VulnerabilityOracle(inst, part, cfg, seed=derive_seed(seed, "danger"))
     danger_thr = cfg.danger_threshold(inst.d)
     dep = inst.dep_graph
@@ -116,9 +116,9 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         active = [a for a in members if a not in D]
         for a in active:
             for v in inst.allocated[a]:
-                committed[v] = sampled[v] = first_row_value(
-                    table_seed, v, inst.variables[v])
-                touched.update(inst.dependents[v])
+                committed[v] = sampled[v] = draw(v, inst.variables[v])
+                if i:  # iteration 0 already queues every event
+                    touched.update(inst.dependents[v])
 
         for a in sorted(touched):
             deps = inst.events[a].dependent_vars

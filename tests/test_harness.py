@@ -592,6 +592,7 @@ def test_cli_check_bad_assignment_is_input_error(tmp_path, capsys, assignment,
     "solve-resilient --instance {ring} --constants file:{bad} --out-prefix {out}",
     "solve-general --instance {bad} --out-prefix {out}",
     "solve-general --instance {ring} --constants file:{bad} --out-prefix {out}",
+    "solve-general --instance {bad} --constants file:{cfg} --out-prefix {out}",
     "partition --graph {bad} --out {out}",
     "partition --graph {graph} --constants file:{bad} --out {out}",
     "defective --kind vertex --q 2 --graph {bad} --out {out}",
@@ -601,7 +602,8 @@ def test_cli_check_bad_assignment_is_input_error(tmp_path, capsys, assignment,
     "experiment --spec {bad}",
 ], ids=["solve-resilient-instance", "solve-resilient-partition",
         "solve-resilient-constants", "solve-general-instance",
-        "solve-general-constants", "partition-graph", "partition-constants",
+        "solve-general-constants", "solve-general-instance-of-two",
+        "partition-graph", "partition-constants",
         "defective-graph", "edgecolor-graph", "check-instance",
         "check-assignment", "experiment-spec"])
 @pytest.mark.parametrize("content", [None, b'{"part_count": ', b"\xff\xfe"],
@@ -609,13 +611,15 @@ def test_cli_check_bad_assignment_is_input_error(tmp_path, capsys, assignment,
 def test_cli_reports_an_unreadable_input_file_as_an_error(tmp_path, capsys, argv, content):
     # A missing file, one cut off mid-JSON (a graph file then lacks its
     # header) or one that is not UTF-8, in each place a command reads one:
-    # one error line, exit 2.
+    # one error line naming that file and no other, exit 2.
     bad = tmp_path / "bad.json"
     if content is not None:
         bad.write_bytes(content)
     graph = tmp_path / "g.edges"
     graph.write_text("n 3\n0 1\n1 2\n")
-    paths = {"bad": bad, "ring": ring_12_file(tmp_path), "graph": graph,
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c1": 1.5}))
+    paths = {"bad": bad, "ring": ring_12_file(tmp_path), "graph": graph, "cfg": cfg,
              "out": tmp_path / "out"}
     rc = cli_main([arg.format(**paths) for arg in argv.split()])
     assert rc == 2
@@ -623,6 +627,8 @@ def test_cli_reports_an_unreadable_input_file_as_an_error(tmp_path, capsys, argv
     assert err.startswith("error: ") and err.count("\n") == 1
     if content is None:
         assert f"No such file or directory: '{bad}'" in err
+    assert str(bad) in err
+    assert not any(str(paths[good]) in err for good in ("ring", "graph", "cfg"))
 
 
 def test_cli_bad_graph_file_is_input_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -30,7 +31,8 @@ from resilient_lll.probability import (
     VulnerabilityOracle,
     event_probability,
 )
-from resilient_lll.seeds import first_row_value
+from resilient_lll.seeds import derive_seed, first_row_sampler, first_row_value
+from resilient_lll.solver import run_first_stage
 
 from _families import hub_instance
 from _reference_probability import (
@@ -551,9 +553,10 @@ def test_per_event_swap_search_counts_are_pinned():
 
 
 @st.composite
-def shared_oracle_cases(draw):
+def shared_oracle_cases(draw, full_reveals=True):
     """Small instances of count-threshold events (and a few others) with a
-    stream of oracle queries over full and partial reveals."""
+    stream of oracle queries over full and partial reveals, or with
+    ``full_reveals`` False over 1 to 16 partial ones."""
     n = draw(st.integers(2, 6))
     weighted = draw(st.booleans())
     variables = []
@@ -605,13 +608,14 @@ def shared_oracle_cases(draw):
     part = Partition(parts, tuple(draw(st.integers(0, parts - 1))
                                   for _ in range(inst.event_count)))
     cfg = relaxed_config(c3=draw(st.sampled_from([0.5, 1.0, 2.0])))
-    # Every full reveal of every event, and some partial ones, in random order.
+    # Every full reveal of every event (unless ``full_reveals`` is False), and
+    # some partial ones, in random order.
     queries = []
-    for ev in inst.events:
+    for ev in inst.events if full_reveals else ():
         deps = ev.dependent_vars
         for key in itertools.product(*(range(variables[v].domain_size) for v in deps)):
             queries.append((ev.event_id, dict(zip(deps, key))))
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 6) if full_reveals else st.integers(1, 16))):
         ev = draw(st.sampled_from(inst.events))
         queries.append((ev.event_id, {
             v: draw(st.integers(0, variables[v].domain_size - 1))
@@ -685,6 +689,134 @@ def test_shared_oracle_matches_fresh_oracle_per_query(case):
     # Exact event estimates are shared by shape as well.
     assert event_estimates(inst) == [event_probability(inst, ev.event_id)
                                      for ev in inst.events]
+
+
+# Partial reveals of GROUPING_CASE's event 0 that the outer memo must keep
+# apart: at c3 = 2, one 1 and two 0s grouped (1, 0), (0) give 0 and grouped
+# (0, 0), (1) give 1/2; at c3 = 1, variables 1 to 3 free give 3/8 and
+# variable 1 revealed as 0 gives 0.
+_GROUPING_EVENTS = GROUPING_CASE[0].events
+OUTER_GROUPING_CASE = oracle_case(
+    (2, 2, 2, 2), _GROUPING_EVENTS, (1, 1, 2, 0), 2.0,
+    [(0, {0: 1, 1: 0, 2: 0}), (0, {0: 0, 1: 0, 2: 1})])
+OUTER_FREE_CASE = oracle_case(
+    (2, 2, 2, 2), _GROUPING_EVENTS, (1, 1, 2, 0), 1.0,
+    [(0, {0: 1}), (0, {0: 1, 1: 0})])
+
+
+@settings(max_examples=300, deadline=None)
+@example(OUTER_GROUPING_CASE)
+@example(OUTER_FREE_CASE)
+@given(shared_oracle_cases(full_reveals=False))
+def test_outer_memo_matches_fresh_oracle_under_partial_reveals(case):
+    # The outer memo shares a shaped event's estimate under a partial reveal
+    # with every reveal of the same key; each estimate must equal, in value,
+    # exactness and sample count, the one an oracle that has seen nothing
+    # else gives.
+    inst, part, cfg, queries = case
+    shared = VulnerabilityOracle(inst, part, cfg, seed=5)
+    for a, fixed in queries:
+        assert shared.probability(a, fixed) == VulnerabilityOracle(
+            inst, part, cfg, seed=5).probability(a, fixed)
+
+
+def test_outer_memo_shares_one_entry_across_members():
+    # Two all-ones events of one shape. Event 0's free variable 1 sits at
+    # position 1 and belongs to leaf 2; event 1's free variable 2 sits at
+    # position 0 and belongs to leaf 3. Member for member, the two reveals
+    # are the same, so the second query is answered by the first's entry
+    # without an indicator call.
+    events = [count_event(0, (0, 1), ((0, 1),), 2, ref_value=1),
+              count_event(1, (2, 3), ((2, 3),), 2, ref_value=1),
+              EventSpec(2, (1,), TruthTable(frozenset())),
+              EventSpec(3, (2,), TruthTable(frozenset()))]
+    inst = build_instance(fair_bits(4), events, (0, 2, 3, 1))
+    part, cfg = Partition.singleton(inst.event_count), relaxed_config()
+    oracle = VulnerabilityOracle(inst, part, cfg)
+    first = oracle.probability(0, {0: 1})
+    counts = dict(oracle.memo_counts)
+    assert oracle.probability(1, {3: 1}) == first
+    assert oracle.memo_counts == counts and len(oracle._outer_memo) == 1
+    assert first == VulnerabilityOracle(inst, part, cfg).probability(1, {3: 1})
+
+
+def revealable_ints(oracle, a):
+    """Every int that a revealed value of event ``a``'s dependencies packs
+    to in its outer key: each position's base plus each value class."""
+    _, ref, _, bases, _, sizes = oracle._layout(a)
+    return {base + (x if ref is None else x == ref)
+            for base, size in zip(bases, sizes) for x in range(size)}
+
+
+@pytest.mark.parametrize("domains, ref", [
+    ((3, 3, 3), {"ref_var": 0}),   # raw values up to one below the stride
+    ((1, 1, 1), {"ref_value": 0}),  # stride 2, both value classes in use
+    ((1, 1, 1), {"ref_value": 1}),
+], ids=["ref-var", "domain-1-match", "domain-1-no-match"])
+def test_outer_key_free_class_never_aliases_a_revealed_value(domains, ref):
+    # An unrevealed position packs to an int that no revealed value of any
+    # position produces, and every partial reveal answers as a fresh oracle.
+    events = [count_event(0, (0, 1, 2), ((0, 1, 2),), 2, **ref)]
+    events += [EventSpec(v, (v,), TruthTable(frozenset())) for v in (1, 2)]
+    inst = build_instance([VariableSpec.uniform(d) for d in domains], events, (0, 1, 2))
+    part, cfg = Partition.singleton(inst.event_count), relaxed_config()
+    oracle = VulnerabilityOracle(inst, part, cfg)
+    layout, deps = oracle._layout(0), inst.events[0].dependent_vars
+    assert isinstance(layout[0], tuple)  # a shared prefix: the outer memo applies
+    revealable = revealable_ints(oracle, 0)
+    reveals = itertools.product(*([None, *range(d)] for d in domains))
+    for values in sorted(reveals, key=lambda r: random.Random(str(r)).random()):
+        fixed = {v: x for v, x in zip(deps, values) if x is not None}
+        if len(fixed) == len(deps):
+            continue
+        _, grouped = oracle._outer_key(layout, deps, fixed)
+        free = Counter(x for members in grouped for ints in members for x in ints)
+        free.subtract(_packed_ints(oracle, 0, fixed))
+        free = +free
+        assert sum(free.values()) == len(deps) - len(fixed)
+        assert not set(free) & revealable
+        assert oracle.probability(0, fixed) == VulnerabilityOracle(
+            inst, part, cfg).probability(0, fixed)
+
+
+def _packed_ints(oracle, a, fixed):
+    """The ints of the revealed positions of event ``a`` under ``fixed``."""
+    _, ref, _, bases, _, _ = oracle._layout(a)
+    return [base + (fixed[v] if ref is None else fixed[v] == ref)
+            for base, v in zip(bases, oracle.inst.events[a].dependent_vars) if v in fixed]
+
+
+def test_outer_memo_never_stores_a_sampled_estimate():
+    # force_mc, and a support above EXACT_OUTER_CAP, give sampled outer
+    # estimates, which draw from the oracle's rng and are never shared.
+    inst = hub_instance(4)
+    part, cfg = Partition.singleton(inst.event_count), relaxed_config(mc_samples=64)
+    oracle = VulnerabilityOracle(inst, part, cfg)
+    assert isinstance(oracle._layout(0)[0], tuple)
+    assert not oracle.probability(0, {0: 1}, force_mc=True).exact
+    with mock.patch.object(probability, "EXACT_OUTER_CAP", 4):
+        assert not oracle.probability(0, {0: 1}).exact  # 8 completions
+        assert oracle.probability(0, {0: 1, 1: 1}).exact
+    assert len(oracle._outer_memo) == 1
+
+
+@pytest.mark.parametrize("kind", ["truth-table", "max-load", "weighted"])
+def test_outer_memo_keeps_nothing_for_per_event_layouts(kind):
+    # Events keyed per event (a TruthTable, a MaxPartLoad, weighted
+    # variables) read values the classes do not hold: nothing is stored.
+    predicate = {"truth-table": TruthTable(frozenset({(1, 1, 1), (0, 1, 1)})),
+                 "max-load": MaxPartLoad((0, 1, 2), 2),
+                 "weighted": CountThreshold(((0, 1, 2),), 2, ref_value=1)}[kind]
+    weights = (0.25, 0.75) if kind == "weighted" else (0.5, 0.5)
+    events = [EventSpec(0, (0, 1, 2), predicate)]
+    events += [EventSpec(v, (v,), TruthTable(frozenset())) for v in (1, 2)]
+    inst = build_instance([VariableSpec(2, weights)] * 3, events, (0, 1, 2))
+    oracle = VulnerabilityOracle(inst, Partition.singleton(inst.event_count),
+                                 relaxed_config())
+    assert oracle._layout(0)[0] == 0
+    for fixed in ({}, {0: 1}, {1: 0}, {0: 1}, {0: 0, 2: 1}):
+        assert oracle.probability(0, fixed).exact
+    assert not oracle._outer_memo
 
 
 SWAP_SEARCH_KINDS = ("shaped", "truth-table", "max-load", "weighted", "sampled")
@@ -900,6 +1032,45 @@ def test_table_cells_stable_once_materialized():
     before = first_row_value(1, 2, vs[2])
     for _ in range(5):
         assert first_row_value(1, 2, vs[2]) == before
+
+
+first_row_specs = st.lists(st.one_of(
+    st.integers(1, 7).map(VariableSpec.uniform),
+    st.lists(st.integers(0, 5), min_size=1, max_size=7).filter(any).map(
+        lambda raw: VariableSpec(len(raw), tuple(x / sum(raw) for x in raw)))),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first_row_specs, st.integers(0, 2 ** 63 - 1), st.randoms(use_true_random=False))
+def test_reseeded_draws_equal_first_row_values_in_any_order(specs, seed, rnd):
+    # One generator re-seeded per variable draws what a fresh one does.
+    order = list(range(len(specs)))
+    rnd.shuffle(order)
+    draw = first_row_sampler(seed)
+    assert {v: draw(v, specs[v]) for v in order} == {
+        v: first_row_value(seed, v, spec) for v, spec in enumerate(specs)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(first_row_specs, st.data())
+def test_staged_phase_draws_equal_first_row_values(specs, data):
+    # Never-events that own random blocks of the variables, in random parts:
+    # every event is fixed, so the staged phase draws every variable, in
+    # part order, and each value is its first_row_value.
+    n = len(specs)
+    owner = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    events = [EventSpec(a, tuple(v for v in range(n) if owner[v] == a),
+                        TruthTable(frozenset())) for a in range(n)]
+    inst = build_instance(specs, events, owner)
+    parts = data.draw(st.integers(1, 3))
+    part = Partition(parts, tuple(data.draw(st.lists(st.integers(0, parts - 1),
+                                                     min_size=n, max_size=n))))
+    seed = data.draw(st.integers(0, 1000))
+    state, _ = run_first_stage(inst, part, relaxed_config(), seed)
+    table_seed = derive_seed(seed, "table")
+    assert state.sampled_row1 == {v: first_row_value(table_seed, v, spec)
+                                  for v, spec in enumerate(specs)}
 
 
 def test_different_seeds_differ_somewhere():
