@@ -32,7 +32,6 @@ from .model import (
     MaxPartLoad,
     TruthTable,
     VariableSpec,
-    brute_force_solve,
     build_instance,
     check_assignment,
 )
@@ -46,7 +45,6 @@ from .shattering import solve_component
 from .light_partition import (
     build_light_partition_instance,
     compute_light_partition_detailed,
-    verify_resilience_1part,
 )
 from .general import criterion_check, resilience_certificate, solve_general
 from .defective import (

@@ -13,7 +13,8 @@ knob the presets and the CLI set, ``mc_samples``, a positive int.
 Implementation caps with one value in use are module constants next to the
 code they bound: ``EXACT_ENUM_CAP``, ``EXACT_OUTER_CAP`` and ``SUBSET_CAP``
 in ``probability``, ``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in
-``shattering``, ``BRUTE_FORCE_CAP`` in ``model``.
+``shattering``, and ``BRUTE_FORCE_CAP`` in ``model``, where
+``LllInstance.support`` saturates above it.
 """
 
 from __future__ import annotations

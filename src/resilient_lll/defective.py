@@ -83,16 +83,6 @@ def inductive_bound(delta: int, q: float, i: int) -> float:
     return delta / 2 ** i + delta * i / (2 ** i * q * L)
 
 
-def vertex_split_p_bound(delta: float, q: float) -> float:
-    """Tail bound on one vertex collecting threshold many same-color
-    neighbors under a uniform two-way split."""
-    return math.exp(-delta / (24 * (q * _lg_clamped(delta)) ** 2))
-
-
-def edge_split_p_bound(delta: float, q: float) -> float:
-    return 2 * math.exp(-delta / (38 * (q * _lg_clamped(delta)) ** 2))
-
-
 # --- result type ------------------------------------------------------------
 
 @dataclass

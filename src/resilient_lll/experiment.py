@@ -112,12 +112,6 @@ class RunRecord:
             str(getattr(self, col)) for col in CSV_COLUMNS
         )
 
-    def stable_key(self) -> dict:
-        """Everything except wall time, for reproducibility comparisons."""
-        data = asdict(self)
-        data.pop("wall_ms")
-        return data
-
 
 def _config(spec: ExperimentSpec) -> ThresholdConfig:
     if isinstance(spec.constants, dict):

@@ -17,7 +17,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Optional
 
-from .errors import CapacityError, ContractViolation, InputError, read_json
+from .errors import ContractViolation, InputError, read_json
 from .graph import Graph
 
 WEIGHT_TOL = 1e-12
@@ -341,8 +341,9 @@ def build_instance(variables, events, allocation=None) -> LllInstance:
     When ``allocation`` (a var id -> event id mapping) is omitted, each
     variable goes to its lowest-id dependent event.
     """
-    _require_ints([e.event_id for e in events], "event id")
-    _require_ints([v for e in events for v in e.dependent_vars], "dependency")
+    _require_ints([e.event_id for e in events], "event id", _NonIntEventId)
+    _require_ints([v for e in events for v in e.dependent_vars], "dependency",
+                  _NonIntEventId)
     events = sorted(events, key=lambda e: e.event_id)
     if [e.event_id for e in events] != list(range(len(events))):
         raise InputError("event ids must be dense 0..n-1")
@@ -395,44 +396,6 @@ def check_assignment(inst: LllInstance, assignment) -> ViolationReport:
     return ViolationReport(violated)
 
 
-def brute_force_solve(inst: LllInstance):
-    """Exhaustively search for an assignment avoiding every event.
-
-    Returns an assignment dict, or None when the instance is unsatisfiable.
-    Ground-truth oracle only: refuses instances with more than 2^24 total
-    assignments.
-    """
-    if inst.support(range(inst.var_count)) > BRUTE_FORCE_CAP:
-        raise CapacityError("instance too large for exhaustive search")
-    # Depth-first over variables, pruning events as soon as all their
-    # dependencies are decided.
-    events_by_last_var = [[] for _ in range(inst.var_count)]
-    constant_events = []
-    for ev in inst.events:
-        if ev.dependent_vars:
-            events_by_last_var[max(ev.dependent_vars)].append(ev)
-        else:
-            constant_events.append(ev)
-    if any(ev.evaluate({}) for ev in constant_events):
-        return None
-    assignment = {}
-
-    def descend(v):
-        if v == inst.var_count:
-            return True
-        for value in range(inst.variables[v].domain_size):
-            assignment[v] = value
-            if not any(ev.evaluate(assignment) for ev in events_by_last_var[v]):
-                if descend(v + 1):
-                    return True
-        del assignment[v]
-        return False
-
-    if descend(0):
-        return dict(assignment)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Serialization: structured-text instance files.
 
@@ -473,11 +436,16 @@ def instance_to_dict(inst: LllInstance) -> dict:
     }
 
 
-def _require_ints(values, what):
-    """An InputError names the first of ``values`` that is not an int (nor a bool)."""
+class _NonIntEventId(InputError):
+    """An event or dependency id that is not an int: ``build_instance``
+    checks them, and ``instance_from_dict`` names the field they came from."""
+
+
+def _require_ints(values, what, error=InputError):
+    """An ``error`` names the first of ``values`` that is not an int (nor a bool)."""
     if not {*map(type, values)} <= _INT:
-        raise InputError(f"{what} {next(x for x in values if type(x) is not int)!r} "
-                         "is not an int")
+        raise error(f"{what} {next(x for x in values if type(x) is not int)!r} "
+                    "is not an int")
 
 
 def _weights_key(domain, weights):
@@ -520,13 +488,14 @@ def instance_from_dict(data: dict) -> LllInstance:
             EventSpec(d["id"], tuple(d["vars"]), _predicate_from_dict(d["predicate"]))
             for d in data["events"]
         ]
-        _require_ints([ev.event_id for ev in events], "event id")
-        _require_ints([v for ev in events for v in ev.dependent_vars], "dependency")
         field = "allocation"
         allocation = {int(k): v for k, v in (data.get("allocation") or {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"instance {field}: {type(exc).__name__}: {exc}") from None
-    return build_instance(variables, events, allocation or None)
+    try:
+        return build_instance(variables, events, allocation or None)
+    except _NonIntEventId as exc:
+        raise InputError(f"instance events: InputError: {exc}") from None
 
 
 def save_instance(inst: LllInstance, path) -> None:

@@ -25,22 +25,14 @@ def rng_for(base: int, *tags) -> random.Random:
     return random.Random(derive_seed(base, *tags))
 
 
-def first_row_value(seed: int, var_id: int, spec) -> int:
-    """The first-row value of variable ``var_id`` under table seed ``seed``.
-
-    A pure function of (seed, var_id): a str-seeded ``random.Random`` hashes
-    its seed with SHA-512, so the value is stable across platforms and does
-    not depend on the order in which variables are drawn. Re-seeding an
-    existing generator with the same string resets its whole state, so it
-    gives the same draw (see ``first_row_sampler``).
-    """
-    return spec.sample(random.Random(f"{seed}/{var_id}/1"))
-
-
 def first_row_sampler(seed: int):
-    """``first_row_value`` under table seed ``seed`` as a function of
-    (var_id, spec) that re-seeds one generator per draw, instead of
-    constructing one."""
+    """The first-row draw under table seed ``seed``, as a function of
+    (var_id, spec): a pure function of (seed, var_id), in any order.
+
+    Each draw re-seeds one generator with ``f"{seed}/{var_id}/1"``; a
+    str-seeded ``random.Random`` hashes that string with SHA-512 and resets
+    its whole state, so the value is stable across platforms.
+    """
     rng = random.Random()
 
     def draw(var_id: int, spec) -> int:

@@ -23,6 +23,7 @@ counts are comparable across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ThresholdConfig
@@ -43,13 +44,12 @@ DEFERRED = "deferred"
 
 @dataclass
 class RunState:
-    """Mutable bookkeeping for one staged run."""
+    """What one staged run leaves behind: each event's one fate, the
+    first-row values drawn, and the fixed events' values among them."""
 
-    fixed: set
-    reverted: set
-    deferred: set
-    history: list           # (F, R, D) frozensets after each iteration; [0] is initial
-    sampled_row1: dict      # var id -> committed first-row value
+    fate: dict              # event id -> (status, iteration index of the decision)
+    sampled_row1: dict      # var id -> first-row value, fixed and reverted owners
+    fixed_values: dict      # var id -> first-row value, fixed owners only
     components: list        # events grouped over reverted and deferred events' variables
 
 
@@ -96,13 +96,14 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
     danger_thr = cfg.danger_threshold(inst.d)
     dep = inst.dep_graph
 
-    F, R, D = set(), set(), set()
-    history = [(frozenset(), frozenset(), frozenset())]
     sampled = {}
     # Conditioning: values of fixed events plus the active part's fresh
     # samples. A reverted event's values stay in ``sampled`` but leave
-    # ``committed`` once its iteration is decided.
+    # ``committed`` once its iteration is decided, so after the last
+    # iteration ``committed`` holds exactly the fixed events' values.
     committed = {}
+    # The one record of each event's status: an event is undecided, and
+    # active in its part's iteration, until it has a fate.
     fate = {}  # event id -> (status, iteration index of the decision)
     dangerous = set()  # events whose latest verdict is dangerous
     ever_dangerous = set()
@@ -113,7 +114,7 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
 
     parts = part.parts()
     for i, members in enumerate(parts):
-        active = [a for a in members if a not in D]
+        active = [a for a in members if a not in fate]
         for a in active:
             for v in inst.allocated[a]:
                 committed[v] = sampled[v] = draw(v, inst.variables[v])
@@ -144,35 +145,31 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         for a in active:
             if a in dangerous or not dangerous.isdisjoint(dep.neighbors(a)):
                 newly_reverted.append(a)
-                R.add(a)
                 fate[a] = (REVERTED, i)
             else:
-                F.add(a)
                 fate[a] = (FIXED, i)
         if i + 1 < part.part_count:  # the last part has no later one to defer
             for a in newly_reverted:
                 for b in neighbors_within(dep, a, 2):
-                    if part.part_of(b) > i and b not in D:
-                        D.add(b)
+                    if part.part_of(b) > i and b not in fate:
                         fate[b] = (DEFERRED, i)
-        history.append((frozenset(F), frozenset(R), frozenset(D)))
         touched = set()
         for a in newly_reverted:
             for v in inst.allocated[a]:
                 del committed[v]
                 touched.update(inst.dependents[v])
 
-    free_vars = frozenset(v for a in R | D for v in inst.allocated[a])
+    free_vars = frozenset(v for a, (status, _) in fate.items() if status != FIXED
+                          for v in inst.allocated[a])
     components = shattering.group_by_free_vars(inst, free_vars)
     state = RunState(
-        fixed=F,
-        reverted=R,
-        deferred=D,
-        history=history,
+        fate=fate,
         sampled_row1=sampled,
+        fixed_values=committed,
         components=components,
     )
     _validate_state(inst, state)
+    counts = Counter(status for status, _ in fate.values())
 
     residual_events = tuple(sorted(a for c in components for a in c))
     report = StageReport(
@@ -181,9 +178,9 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
         residual_events=residual_events,
         residual_component_sizes=tuple(sorted(map(len, components), reverse=True)),
         per_event_fate={a: fate[a] for a in range(n)},
-        fixed_count=len(F),
-        reverted_count=len(R),
-        deferred_count=len(D),
+        fixed_count=counts[FIXED],
+        reverted_count=counts[REVERTED],
+        deferred_count=counts[DEFERRED],
         residual_variable_count=len(free_vars),
         danger_estimate_modes=estimate_modes,
         indicator_memo=dict(oracle.memo_counts),
@@ -192,21 +189,21 @@ def run_first_stage(inst: LllInstance, part: Partition, cfg: ThresholdConfig,
 
 
 def _validate_state(inst, state):
-    F, R, D = state.fixed, state.reverted, state.deferred
-    if F & R or F & D or R & D:
-        raise ContractViolation("fixed/reverted/deferred sets overlap")
-    if len(F) + len(R) + len(D) != inst.event_count:
+    fate = state.fate
+    if len(fate) != inst.event_count:
         raise ContractViolation("some event has no terminal fate")
-    for prev, cur in zip(state.history, state.history[1:]):
-        if not (prev[0] <= cur[0] and prev[1] <= cur[1] and prev[2] <= cur[2]):
-            raise ContractViolation("fate sets shrank between iterations")
-    expected_sampled = set()
-    for a in F | R:
-        expected_sampled.update(inst.allocated[a])
-    if expected_sampled != set(state.sampled_row1):
+    fixed_vars, drawn_vars = set(), set()
+    for a, (status, _) in fate.items():
+        if status == FIXED:
+            fixed_vars.update(inst.allocated[a])
+        if status != DEFERRED:
+            drawn_vars.update(inst.allocated[a])
+    if drawn_vars != state.sampled_row1.keys():
         raise ContractViolation(
             "materialized first-row values do not match fixed+reverted owners"
         )
+    if fixed_vars != state.fixed_values.keys():
+        raise ContractViolation("fixed values do not match the fixed owners")
 
 
 @dataclass(frozen=True)
@@ -220,17 +217,14 @@ class Residual:
 
 
 def residual_instance(inst: LllInstance, state: RunState) -> Residual:
-    """Restrict to unfixed variables, conditioning events on committed values.
+    """Restrict to unfixed variables, conditioning events on the run's
+    fixed values.
 
     The live events are the run's components; fully-decided events that are
     unsatisfied are dropped, and satisfied ones, which break the stage's
     guarantee, are recorded in ``satisfied_fixed``.
     """
-    fixed_values = {
-        v: state.sampled_row1[v]
-        for a in state.fixed
-        for v in inst.allocated[a]
-    }
+    fixed_values = state.fixed_values
     live = {a for c in state.components for a in c}
     satisfied_fixed = [ev.event_id for ev in inst.events
                        if ev.event_id not in live and ev.evaluate(fixed_values)]

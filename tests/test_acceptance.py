@@ -18,11 +18,9 @@ from resilient_lll.defective import (
     VERTEX,
     build_split_instance,
     defect_violations,
-    edge_split_p_bound,
     halving_iterations,
     inductive_bound,
     iterate_halving,
-    vertex_split_p_bound,
 )
 from resilient_lll.edge_coloring import color_edges, minimal_epsilon
 from resilient_lll.errors import CapacityError, ComponentFailure
@@ -38,7 +36,6 @@ from resilient_lll.graph import Partition, per_part_neighbor_counts
 from resilient_lll.light_partition import compute_light_partition_detailed
 from resilient_lll.misra_gries import proper_coloring_violations
 from resilient_lll.model import (
-    brute_force_solve,
     check_assignment,
     CountThreshold,
     EventSpec,
@@ -52,6 +49,9 @@ from resilient_lll.probability import (
 from resilient_lll import shattering
 from resilient_lll.shattering import solve_component
 from resilient_lll.solver import Residual, run_first_stage, solve
+
+from _reference_bounds import edge_split_p_bound, vertex_split_p_bound
+from _reference_solve import brute_force_solve
 
 
 def announce(number, name, detail):

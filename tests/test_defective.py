@@ -15,14 +15,12 @@ from resilient_lll.defective import (
     balanced_vertex_split,
     build_split_instance,
     defect_violations,
-    edge_split_p_bound,
     halving_iterations,
     inductive_bound,
     iterate_halving,
     iteration_floor,
     split_once,
     split_threshold,
-    vertex_split_p_bound,
 )
 from resilient_lll.errors import ContractViolation, InputError
 from resilient_lll.generators import circulant_graph, gnp_graph, random_regular_graph
@@ -30,6 +28,7 @@ from resilient_lll.graph import Graph
 from resilient_lll.model import instance_to_dict
 
 from _families import cycle_sum_graph, degrees, edge_lists, halving_graphs
+from _reference_bounds import edge_split_p_bound, vertex_split_p_bound
 from _reference_edge_loops import balanced_edge_split as reference_edge_split
 from _reference_edge_loops import build_split_instance as reference_split_instance
 from _reference_edge_loops import iterate_halving as reference_halving

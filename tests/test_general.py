@@ -20,14 +20,11 @@ from resilient_lll.general import (
     resilience_certificate,
     solve_general,
 )
-from resilient_lll.model import (
-    brute_force_solve,
-    build_instance,
-    check_assignment,
-)
+from resilient_lll.model import build_instance, check_assignment
 from resilient_lll.probability import VulnerabilityOracle, event_probability
 from resilient_lll.seeds import derive_seed
 from resilient_lll import general, generators, model, solver
+from _reference_solve import brute_force_solve
 
 
 def test_criterion_zero_probability_instance():
@@ -322,7 +319,7 @@ def result_digest(result) -> str:
     (0, "b4cb03d8b71d62f1a620fa57eccd07e61910ef350c58b70d52e7440f6e64c5dd"),
     (1, "ff7afb5196f3ed92c580316d35b5da812baf6c497d0e7a5944f007a9c59854ac"),
     (2, "cb511d6e1dbcd2f94d78da5316bcafd7938a4c0e10df5d148283256d1fd6cc94"),
-])
+], ids=["seed0", "seed1", "seed2"])
 def test_ring_general_result_is_pinned(seed, digest):
     # The whole result of the benchmark's ring-general op, not just its
     # assignment: fates, dangerous events, estimate modes and memo counts.
@@ -335,7 +332,7 @@ def test_ring_general_result_is_pinned(seed, digest):
     (0, "9e471811feb23d82e12aaae1ff1300492538579222b6c5bc89db6523d43811a6"),
     (1, "8534384164b92863a0d2e2aed29c45c7ed849bb2c2fb153a5cd459d4f3e8af50"),
     (2, "8562a911b6d5d05141b14969801165026ff610f81e634f577ce4abc6595040df"),
-])
+], ids=["seed0", "seed1", "seed2"])
 def test_ring_four_part_stage_report_is_pinned(seed, digest):
     # The staged phase under partial reveals, where most danger queries are
     # outer memo hits between events of the same shape.

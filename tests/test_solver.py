@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,12 +22,11 @@ from resilient_lll.model import (
     MaxPartLoad,
     TruthTable,
     VariableSpec,
-    brute_force_solve,
     build_instance,
     check_assignment,
 )
 from resilient_lll.probability import ProbabilityEstimate, VulnerabilityOracle
-from resilient_lll.seeds import derive_seed, first_row_value
+from resilient_lll.seeds import derive_seed
 from resilient_lll import shattering
 from resilient_lll.solver import (
     DEFERRED,
@@ -35,6 +35,7 @@ from resilient_lll.solver import (
     ROUNDS_PER_ITERATION,
     ROUNDS_TAIL,
     RunState,
+    _validate_state,
     residual_instance,
     run_first_stage,
     solve,
@@ -50,6 +51,12 @@ from _families import (
     small_instances,
 )
 from _reference_probability import conditional_event_probability
+from _reference_solve import brute_force_solve, first_row_value
+
+
+def with_fate(state, status):
+    """The events whose fate in the run is ``status``."""
+    return {a for a, (s, _) in state.fate.items() if s == status}
 
 
 def test_no_danger_means_everything_fixed():
@@ -58,8 +65,8 @@ def test_no_danger_means_everything_fixed():
     inst = build_instance(vs, events)
     part = Partition.round_robin(6, 3)
     state, report = run_first_stage(inst, part, relaxed_config(), seed=5)
-    assert state.fixed == set(range(6))
-    assert not state.reverted and not state.deferred
+    assert with_fate(state, FIXED) == set(range(6))
+    assert not with_fate(state, REVERTED) and not with_fate(state, DEFERRED)
     assert report.residual_events == ()
     assert report.rounds_used == ROUNDS_PER_ITERATION * 3 + ROUNDS_TAIL
 
@@ -74,8 +81,8 @@ def test_tautology_forces_reverts_single_part():
     part = Partition.singleton(3)
     state, report = run_first_stage(inst, part, relaxed_config(), seed=1)
     assert 0 in report.dangerous_events
-    assert state.reverted == {0, 1, 2}   # all within one hop of the tautology
-    assert not state.deferred
+    assert with_fate(state, REVERTED) == {0, 1, 2}   # all within one hop of the tautology
+    assert not with_fate(state, DEFERRED)
 
 
 def test_rounds_accounting_is_linear_in_parts():
@@ -174,7 +181,7 @@ def test_reference_agreement_with_nontrivial_dynamics():
     hit = False
     for seed in range(40):
         state, report = run_first_stage(inst, part, cfg, seed=seed)
-        if state.reverted and state.deferred:
+        if with_fate(state, REVERTED) and with_fate(state, DEFERRED):
             reference = straight_line_reference(inst, part, cfg, seed=seed)
             assert report.per_event_fate == reference
             hit = True
@@ -235,7 +242,7 @@ def test_stage_queries_only_events_whose_projection_changed():
             # Calls come iteration by iteration, each in ascending order,
             # and a projection fixes the iteration it was taken in.
             assert calls == [q for queries in expected for q in queries]
-            dynamics += bool(state.reverted and state.deferred)
+            dynamics += bool(with_fate(state, REVERTED) and with_fate(state, DEFERRED))
     assert dynamics, "no seed produced reverts and deferrals"
 
 
@@ -255,9 +262,10 @@ def test_monotone_status_and_revert_freeze_properties():
     part = Partition.round_robin(30, 5)
     state, report = run_first_stage(inst, part, relaxed_config(), seed=13)
     # Terminal states partition the events.
-    assert state.fixed | state.reverted | state.deferred == set(range(30))
+    assert with_fate(state, FIXED) | with_fate(state, REVERTED) | with_fate(state, DEFERRED) \
+        == set(range(30))
     # Deferral soundness: no deferred event ever materialized its owned vars.
-    for a in state.deferred:
+    for a in with_fate(state, DEFERRED):
         for v in inst.allocated[a]:
             assert v not in state.sampled_row1
     # Revert-freeze: once an event has a reverted dependent variable, no
@@ -315,7 +323,7 @@ def truth_table_ring(n_events=24, privates=5):
 @pytest.mark.parametrize("r, digest", [
     (2, "da0b83ea74620576a0f1df9fc1e45f4b42f567c42e2cc075b560b23e60ddcc17"),
     (3, "d7b447c61ed3b0d6ef83f0a69987d55ae72b75d59b23f4379043828d41b02596"),
-])
+], ids=["r2", "r3"])
 def test_truth_table_ring_result_is_pinned(r, digest):
     # The whole result over per-event-keyed events: fates (15 and 17 fixed),
     # memo counts and the residual solve.
@@ -342,9 +350,9 @@ def test_residual_keeps_reverted_event_with_free_vars():
     part = Partition.round_robin(30, 3)
     state, _ = run_first_stage(inst, part, cfg, seed=77)
     residual = residual_instance(inst, state)
-    assert state.reverted, "seed must produce at least one reverted event"
+    assert with_fate(state, REVERTED), "seed must produce at least one reverted event"
     live = {a for c in residual.components for a in c}
-    for a in state.reverted:
+    for a in with_fate(state, REVERTED):
         assert a in live
         for v in inst.allocated[a]:
             assert v not in residual.fixed_values
@@ -365,7 +373,7 @@ def test_residual_conditional_probabilities_bounded():
         for a in range(inst.event_count):
             est = conditional_event_probability(
                 inst, a,
-                swap_events=sorted(state.reverted),
+                swap_events=sorted(with_fate(state, REVERTED)),
                 row1_fixed=residual.fixed_values,
             )
             assert est.exact
@@ -411,12 +419,9 @@ def one_bit_tautology():
 def test_satisfied_fixed_event_is_fatal_at_guarantee_grade(monkeypatch):
     inst = one_bit_tautology()
     state = RunState(
-        fixed={0},
-        reverted=set(),
-        deferred=set(),
-        history=[(frozenset(), frozenset(), frozenset()),
-                 (frozenset({0}), frozenset(), frozenset())],
+        fate={0: (FIXED, 0)},
         sampled_row1={0: 1},
+        fixed_values={0: 1},
         components=[],
     )
     assert residual_instance(inst, state).satisfied_fixed == (0,)
@@ -427,6 +432,30 @@ def test_satisfied_fixed_event_is_fatal_at_guarantee_grade(monkeypatch):
     for cfg in (relaxed_config(), strict_config()):
         with pytest.raises(ContractViolation, match="committed in a satisfied state"):
             solve(inst, Partition.singleton(1), cfg, seed=0)
+
+
+def test_validate_state_rejects_a_corrupted_run():
+    # A run's state holds each event's fate, the values drawn for fixed and
+    # reverted owners, and the fixed owners' values; each corrupted copy
+    # breaks one of those facts.
+    inst = ring_instance(30)
+    state, _ = run_first_stage(inst, Partition.round_robin(30, 3), relaxed_config(), seed=13)
+    _validate_state(inst, state)
+    fixed = min(with_fate(state, FIXED))
+    reverted = min(with_fate(state, REVERTED))
+    corrupted = {
+        "no terminal fate": dataclasses.replace(
+            state, fate={a: f for a, f in state.fate.items() if a != fixed}),
+        "fixed values do not match": dataclasses.replace(
+            state, fixed_values={**state.fixed_values,
+                                 **{v: state.sampled_row1[v] for v in inst.allocated[reverted]}}),
+        "first-row values do not match": dataclasses.replace(
+            state, sampled_row1={v: x for v, x in state.sampled_row1.items()
+                                 if v != inst.allocated[fixed][0]}),
+    }
+    for message, bad in corrupted.items():
+        with pytest.raises(ContractViolation, match=message):
+            _validate_state(inst, bad)
 
 
 def test_stage_rejects_a_partition_of_another_size():
