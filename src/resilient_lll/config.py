@@ -11,10 +11,12 @@ solver downgrades some hard failures to recorded warnings under it).
 defect constant), each a finite positive number, plus the one estimation
 knob the presets and the CLI set, ``mc_samples``, a positive int.
 Implementation caps with one value in use are module constants next to the
-code they bound: ``EXACT_ENUM_CAP``, ``EXACT_OUTER_CAP`` and ``SUBSET_CAP``
-in ``probability``, ``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in
-``shattering``, and ``BRUTE_FORCE_CAP`` in ``model``, where
-``LllInstance.support`` saturates above it.
+code they bound: ``EXACT_ENUM_CAP`` (the free support up to which a
+``MaxPartLoad`` event probability is enumerated rather than sampled),
+``EXACT_OUTER_CAP`` and ``SUBSET_CAP`` in ``probability``,
+``EXHAUSTIVE_CAP`` and ``RESAMPLE_CAP_FACTOR`` in ``shattering``, and
+``BRUTE_FORCE_CAP`` in ``model``, where ``LllInstance.support`` saturates
+above it.
 """
 
 from __future__ import annotations

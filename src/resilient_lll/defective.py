@@ -375,8 +375,9 @@ def _odd_regular_component(g: Graph) -> bool:
 def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                     seed: int, method: str = "balanced") -> DefectiveColoring:
     """Repeatedly split every color class in two, asserting the inductive
-    class-degree bound after each iteration; classes within an iteration are
-    disjoint and solved independently under class-keyed seeds. A class is
+    class-degree bound after each iteration and the strict defect bound,
+    which the last one equals, after the last; classes within an iteration
+    are disjoint and solved independently under class-keyed seeds. A class is
     (label, ascending objects, local), with ``local`` each vertex's class
     degree (edge kind) or each member's class neighbors by member index
     (vertex kind); its nonempty halves become labels 2L and 2L + 1.
@@ -400,6 +401,9 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
     if k < 1:
         return DefectiveColoring(kind, tuple([0] * n_objects), 1, float(max(delta, 1)),
                                  q, float(delta + 2), edges=edges, classes=tuple(classes))
+    x = delta / 2 ** k
+    q_out = q * _lg_clamped(delta) / k
+    defect_bound = x + x / q_out
     floor_val = iteration_floor(q)
     for i in range(1, k + 1):
         if inductive_bound(delta, q, i - 1) < 2 * floor_val:  # entering iteration i
@@ -442,6 +446,11 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
                 f"iteration {i}: measured class degree {measured} exceeds "
                 f"inductive bound {bound:.3f}"
             )
+        if i == k and measured >= defect_bound:
+            raise ContractViolation(
+                f"iteration {i}: measured class degree {measured} reaches the strict "
+                f"defect bound {defect_bound:.3f}"
+            )
         history.append({
             "iteration": i,
             "classes": len(classes),
@@ -455,16 +464,13 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
     for label, objs, _ in classes:
         for obj in objs:
             labels[obj] = label
-    x = delta / 2 ** k
-    L = _lg_clamped(delta)
-    q_out = q * L / k
     return DefectiveColoring(
         kind=kind,
         colors=tuple(labels),
         color_count=2 ** k,
         x=x,
         q=q_out,
-        defect_bound=x + x / q_out,
+        defect_bound=defect_bound,
         edges=edges,
         history=tuple(history),
         classes=tuple(classes),

@@ -73,16 +73,15 @@ class CriterionReport:
 def event_estimates(inst: LllInstance, *, mc_samples: int = 10_000,
                     seed: int = 0) -> list:
     """Probability estimate of every event, indexed by event id. Events
-    with one ``EventShape.estimate_key`` share one exact estimate; a
-    sampled estimate stays per event, as its seed names the event."""
+    with one ``EventShape.estimate_key`` share one estimate, which is
+    exact; any other event's estimate is its own (a sampled one's seed
+    names the event)."""
     shared, estimates = {}, []
-    for ev in inst.events:
-        shape = inst.shapes[ev.event_id]
-        est = None if shape is None else shared.get(shape.estimate_key)
+    for a, shape in enumerate(inst.shapes):
+        key = a if shape is None else shape.estimate_key
+        est = shared.get(key)
         if est is None:
-            est = event_probability(inst, ev.event_id, mc_samples=mc_samples, seed=seed)
-            if shape is not None and est.exact:
-                shared[shape.estimate_key] = est
+            est = shared[key] = event_probability(inst, a, mc_samples=mc_samples, seed=seed)
         estimates.append(est)
     return estimates
 

@@ -95,7 +95,9 @@ class CountThreshold:
     constant).
 
     Multiple groups cover per-endpoint counting: the event fires if any one
-    group reaches the threshold.
+    group reaches the threshold. The groups count each variable once: only
+    ``ref_var`` may occur more than once across them, so the groups are
+    independent given the reference value.
     """
 
     groups: tuple          # tuple of tuples of var ids
@@ -110,6 +112,11 @@ class CountThreshold:
             raise InputError("exactly one of ref_var/ref_value must be set")
         if not self.groups or any(len(g) == 0 for g in self.groups):
             raise InputError("count groups must be nonempty")
+        counted = [v for g in self.groups for v in g if v != self.ref_var]
+        if len(set(counted)) != len(counted):
+            repeated = next(v for v in counted if counted.count(v) > 1)
+            raise InputError(f"count groups repeat variable {repeated}: only the "
+                             "reference variable may occur more than once")
 
     def referenced(self, dependent_vars):
         refs = set()
@@ -206,12 +213,10 @@ class EventShape:
     layers see it, through each variable's class (domain size, occurrences
     per group, whether it is the reference). Per dependency position:
     ``classes``, the class id (one small int per class of the instance),
-    ``conditioned``, whether the variable occurs more than once across the
-    groups and is not the reference, and ``sizes``, its domain size."""
+    and ``sizes``, its domain size."""
 
     classes: tuple
     estimate_key: tuple  # (threshold, reference value, sorted class ids)
-    conditioned: tuple
     stride: int  # above every domain size: id * stride + value is one int
     sizes: tuple
 
@@ -241,8 +246,7 @@ def event_shapes(variables, events):
             class_ids = tuple([ids.setdefault(cls, len(ids)) for cls in classes])
             shape = made[pred.threshold, pred.ref_value, classes] = EventShape(
                 class_ids, (pred.threshold, pred.ref_value, tuple(sorted(class_ids))),
-                tuple([sum(occ) > 1 and not is_ref for _, occ, is_ref in classes]), stride,
-                tuple([size for size, _, _ in classes]))
+                stride, tuple([size for size, _, _ in classes]))
         shapes.append(shape)
     return tuple(shapes)
 

@@ -1,10 +1,9 @@
 """Probability oracles over instances and their first-row values.
 
 ``CountThreshold`` event probabilities are exact at any support: the
-engine conditions on the reference value and on the free variables that
-occur in more than one group position, then counts each group's matches
-with a Poisson-binomial DP. It falls back to seeded Monte Carlo only when
-that conditioning would enumerate more than 2^20 cases. ``TruthTable``
+engine conditions on the reference value, and since no other variable
+occurs twice across the groups, the groups are then independent and each
+one's matches are counted with a Poisson-binomial DP. ``TruthTable``
 probabilities are exact at any support too, counted from the rows that
 agree with the fixed values. ``MaxPartLoad`` probabilities are exact by
 full weighted enumeration while the free support is at most 2^20
@@ -35,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from operator import add, eq, gt
 
 from .config import ThresholdConfig
@@ -43,7 +43,7 @@ from .graph import Partition
 from .model import CountThreshold, LllInstance, TruthTable
 from .seeds import rng_for
 
-EXACT_ENUM_CAP = 1 << 20
+EXACT_ENUM_CAP = 1 << 20  # MaxPartLoad: enumerate free supports up to this size
 EXACT_OUTER_CAP = 4096  # vulnerability: enumerate outer completions up to this support
 SUBSET_CAP = 12  # vulnerability: at most 2^cap - 1 swapped count vectors per part
 _INT = {int}
@@ -95,13 +95,10 @@ def _probability_over(inst, event, fixed, free_vars, mc_samples, make_rng):
         return EXACT_ONE if event.evaluate(fixed) else EXACT_ZERO
     if isinstance(event.predicate, TruthTable):
         return _truth_table_probability(inst, event, fixed, free_vars)
-    cap = EXACT_ENUM_CAP
     if isinstance(event.predicate, CountThreshold):
         value = _count_threshold_probability(inst, event.predicate, fixed, free_vars)
-        if value is not None:
-            return ProbabilityEstimate(value, exact=True)
-        cap = 0
-    return _mass_over(inst, free_vars, fixed, event.evaluate, cap, mc_samples,
+        return ProbabilityEstimate(value, exact=True)
+    return _mass_over(inst, free_vars, fixed, event.evaluate, EXACT_ENUM_CAP, mc_samples,
                       make_rng)
 
 
@@ -174,14 +171,11 @@ def _truth_table_probability(inst, event, fixed, free_vars):
 
 
 def _count_threshold_probability(inst, pred, fixed, free_vars):
-    """Exact probability that some group of ``pred`` reaches its threshold,
-    or None when the conditioning below would enumerate more than
-    EXACT_ENUM_CAP cases.
+    """Exact probability that some group of ``pred`` reaches its threshold.
 
-    Conditions on the reference value, then on the match/no-match outcome
-    of each free variable that occurs more than once across the groups.
-    Every other free group variable occurs in exactly one group, so the
-    groups are then independent, and each group's mass of fewer than
+    Conditions on the reference value. Every other group variable occurs
+    once across the groups (``CountThreshold`` requires it), so the groups
+    are then independent, and each group's mass of fewer than
     ceil(threshold) matches comes from a Poisson-binomial DP. With every
     free variable uniform the masses are integer completion counts and the
     result is ``hits / support``, the same float full enumeration gives;
@@ -202,10 +196,6 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
             m = 1 if uniform else spec.weights[ref]
         return m, total(v) - m
 
-    conditioning = _conditioning(variables, pred, free)
-    if conditioning is None:
-        return None
-    occurrences, shared = conditioning
     ref_var = pred.ref_var
     if ref_var is None:
         refs = [pred.ref_value]
@@ -213,13 +203,13 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
         refs = range(variables[ref_var].domain_size)
     else:
         refs = [fixed[ref_var]]
-    slot = {v: i for i, v in enumerate(shared)}
-    # Mass of the free variables left unconditioned, and of those in no group.
+    grouped = {v for group in pred.groups for v in group}
+    # Mass of the free variables other than the reference, and of those in no group.
     rest = irrelevant = 1
     for v in free:
-        if v != ref_var and v not in slot:
+        if v != ref_var:
             rest *= total(v)
-            if v not in occurrences:
+            if v not in grouped:
                 irrelevant *= total(v)
 
     # Counts are integers, so reaching the threshold means reaching its ceiling.
@@ -229,13 +219,11 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
         ref_mass = split(ref_var, ref)[0] if ref_var in free else 1
         if not ref_mass:
             continue
-        # Per group: how far conditioned matches fall short of ``need``,
-        # occurrences of each shared variable, and miss[t], the mass of
-        # fewer than t matches among its once-occurring free variables.
-        groups = []
+        missed = irrelevant
         for group in pred.groups:
+            # How far fixed matches fall short of ``need``, and dist[t], the
+            # mass of t matches among the group's free variables.
             short = need
-            counts = [0] * len(shared)
             dist = [1] + [0] * (need - 1)
             top = 0
             for v in group:
@@ -243,50 +231,18 @@ def _count_threshold_probability(inst, pred, fixed, free_vars):
                     short -= 1
                 elif v not in free:
                     short -= fixed[v] == ref
-                elif v in slot:
-                    counts[slot[v]] += 1
                 else:
                     m, u = split(v, ref)
                     top = min(top + 1, need - 1)
                     for k in range(top, 0, -1):
                         dist[k] = dist[k] * u + dist[k - 1] * m
                     dist[0] *= u
-            miss = [0]
-            for x in dist:
-                miss.append(miss[-1] + x)
-            groups.append((short, counts, miss))
-        outcomes = [split(v, ref) for v in shared]
-        for pattern in itertools.product((True, False), repeat=len(shared)):
-            weight = ref_mass
-            for (m, u), hit in zip(outcomes, pattern):
-                weight *= m if hit else u
-            if not weight:
-                continue
-            missed = irrelevant
-            for short, counts, miss in groups:
-                short -= sum(c for c, hit in zip(counts, pattern) if hit)
-                missed *= miss[max(short, 0)]
-            hits += weight * (rest - missed)
+            # The mass of fewer than ``short`` matches, summed left to right.
+            missed *= reduce(add, dist[:max(short, 0)], 0)
+        hits += ref_mass * (rest - missed)
     if not uniform:
         return float(hits)
     return hits / math.prod(variables[v].domain_size for v in free)
-
-
-def _conditioning(variables, pred, free):
-    """The occurrences of each free non-reference group variable, and those
-    occurring more than once, which ``_count_threshold_probability``
-    conditions on. None, and the probability is sampled, when that takes
-    more than EXACT_ENUM_CAP cases."""
-    occurrences = {}
-    for group in pred.groups:
-        for v in group:
-            if v in free and v != pred.ref_var:
-                occurrences[v] = occurrences.get(v, 0) + 1
-    shared = [v for v, n in occurrences.items() if n > 1]
-    refs = variables[pred.ref_var].domain_size if pred.ref_var in free else 1
-    if refs << len(shared) > EXACT_ENUM_CAP:
-        return None
-    return occurrences, shared
 
 
 def event_probability(inst: LllInstance, event_id: int, *, mc_samples: int = 10_000,
@@ -334,12 +290,12 @@ class VulnerabilityOracle:
 
     Each event's layout (``_layout``) gives every dependency position a
     class and a key prefix. A ``CountThreshold`` event over uniform
-    variables whose swap probabilities are never sampled takes its shape's
-    classes under a prefix that all events of the shape share; any other
-    event takes one class per position under its own id. Indicator results
-    are memoized under the prefix and the revealed (class, value class)
-    ints (see ``_memo_key``), so the staged solver can re-query cheaply as
-    conditioning grows, and events of one shape share one result.
+    variables takes its shape's classes under a prefix that all events of
+    the shape share, and its swap probabilities are always exact; any
+    other event takes one class per position under its own id. Indicator
+    results are memoized under the prefix and the revealed (class, value
+    class) ints (see ``_memo_key``), so the staged solver can re-query
+    cheaply as conditioning grows, and events of one shape share one result.
     ``memo_counts`` counts the calls the memo answered (hits), those it
     computed and stored (misses), and those decided without it (shortcuts:
     a structurally false event, or one the empty swap already satisfies);
@@ -402,18 +358,18 @@ class VulnerabilityOracle:
         ``class id * stride`` per dependency position, ``_members`` and
         the domain size of each dependency, built once.
 
-        A shaped event (see ``EventShape``) whose swap probabilities are
-        never sampled takes its shape's classes and stride under the
-        prefix (threshold, reference value). Any other event takes class i
-        at position i, a stride above its largest domain and its raw
-        values, under the prefix ``a``: its predicate reads the values
-        themselves, or a sampled swap value is never shared."""
+        A shaped event (see ``EventShape``) takes its shape's classes and
+        stride under the prefix (threshold, reference value), so its layout
+        depends on the instance alone. Any other event takes class i at
+        position i, a stride above its largest domain and its raw values,
+        under the prefix ``a``: its predicate reads the values themselves,
+        and a sampled swap value is never shared."""
         layout = self._layouts.get(a)
         if layout is None:
             ev = self.inst.events[a]
             shape = self.inst.shapes[a]
             members = self._members(a)
-            if shape is not None and not self._samples(ev, shape, members):
+            if shape is not None:
                 pred = ev.predicate
                 prefix, ref = (pred.threshold, pred.ref_value), pred.ref_value
                 stride, classes, sizes = shape.stride, shape.classes, shape.sizes
@@ -424,23 +380,6 @@ class VulnerabilityOracle:
             layout = self._layouts[a] = (prefix, ref, stride, [c * stride for c in classes],
                                          members, sizes)
         return layout
-
-    def _samples(self, ev, shape, members) -> bool:
-        """``_conditioning``'s sampling rule on each part's full swap set,
-        read off the shape: the reference's domain size if it is swapped,
-        times two per swapped conditioned variable, above EXACT_ENUM_CAP.
-        No part can sample when the whole event stays within the cap."""
-        ref_var = ev.predicate.ref_var
-        refs = 1 if ref_var is None else self.inst.variables[ref_var].domain_size
-        if refs << sum(shape.conditioned) <= EXACT_ENUM_CAP:
-            return False
-        for _, part_members in members:
-            swapped = [i for _, positions in part_members for i in positions]
-            refs = (self.inst.variables[ref_var].domain_size
-                    if ref_var in [ev.dependent_vars[i] for i in swapped] else 1)
-            if refs << sum([shape.conditioned[i] for i in swapped]) > EXACT_ENUM_CAP:
-                return True
-        return False
 
     def _memo_key(self, a: int, key: tuple):
         """The indicator memo key of event ``a`` under the revealed values
@@ -474,10 +413,11 @@ class VulnerabilityOracle:
     def _swap_probability(self, event, values, swap_vars, swap_key):
         """Probability of ``event`` when ``swap_vars`` are drawn fresh and
         its other dependencies keep ``values``, kept in the swap memo under
-        ``swap_key`` if exact. A sampled value draws from the oracle's rng
-        and is never kept; whether it is sampled depends on the swap set
-        alone, so a kept key never skips a draw and the rng stream is the
-        one drawn without the memo."""
+        ``swap_key`` if exact. A sampled value (only a ``MaxPartLoad``
+        event's can be) draws from the oracle's rng and is never kept;
+        whether it is sampled depends on the swap set alone, so a kept key
+        never skips a draw and the rng stream is the one drawn without the
+        memo."""
         value = self._swap_memo.get(swap_key)
         if value is not None:
             self.swap_counts["reused"] += 1
@@ -587,8 +527,7 @@ class VulnerabilityOracle:
         else:
             layout = self._layout(a)
             outer_key = None
-            if layout[0] != a and not force_mc:
-                # A shared prefix: a shaped event whose swaps are never sampled.
+            if layout[0] != a and not force_mc:  # a shared prefix: a shaped event
                 outer_key = self._outer_key(layout, deps, fixed)
                 est = self._outer_memo.get(outer_key)
                 if est is not None:

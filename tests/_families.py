@@ -178,15 +178,21 @@ def small_instances(draw):
                 *(range(variables[v].domain_size) for v in dep)))
             predicate = TruthTable(frozenset(draw(st.sets(st.sampled_from(rows)))))
         elif kind == "count_threshold":
-            groups = tuple(tuple(draw(sublists(dep)))
-                           for _ in range(draw(st.integers(1, 2))))
-            threshold = draw(st.integers(1, max(map(len, groups)) + 1))
+            # One or two disjoint groups, split from one sublist; a reference
+            # variable may be counted in both.
+            members = draw(sublists(dep))
+            cut = draw(st.integers(0, len(members) - 1))
+            groups = [members[:cut], members[cut:]] if cut else [members]
             if draw(st.booleans()):
-                predicate = CountThreshold(groups, threshold,
-                                           ref_var=draw(st.sampled_from(dep)))
+                ref = {"ref_var": draw(st.sampled_from(dep))}
+                if draw(st.booleans()):
+                    groups = [g if ref["ref_var"] in g else g + [ref["ref_var"]]
+                              for g in groups]
             else:
-                predicate = CountThreshold(groups, threshold,
-                                           ref_value=draw(st.integers(0, 2)))
+                ref = {"ref_value": draw(st.integers(0, 2))}
+            groups = tuple(map(tuple, groups))
+            threshold = draw(st.integers(1, max(map(len, groups)) + 1))
+            predicate = CountThreshold(groups, threshold, **ref)
         else:
             counted = tuple(draw(sublists(dep)))
             predicate = MaxPartLoad(counted, draw(st.integers(2, len(counted) + 1)))

@@ -15,13 +15,15 @@ per kind), kept verbatim so that the differential tests can require the
 library's loops to give the same bits, labels, history, colors and
 instances, edge for edge. The copied loops call the library's edge split,
 imported as ``library_edge_split`` since this module keeps the older walk
-under its own name. The halving loop has two later changes. On its
+under its own name. The halving loop has three later changes. On its
 failure path, a first-iteration overshoot on a graph with an
 odd-edge-count regular component of even degree, the split contract's
 stated exception, raises the library's ``InputError`` rather than a
 ``ContractViolation``. Its bound check reads the library's
 ``inductive_bound`` at ``i - 1``, the value of the deleted
-``inductive_degree`` at ``i``.
+``inductive_degree`` at ``i``. After the last iteration, a class degree
+that reaches the strict defect bound raises ``ContractViolation`` rather
+than returning a coloring that breaks its own bound.
 """
 
 from resilient_lll import general
@@ -414,6 +416,13 @@ def iterate_halving(g: Graph, kind: str, q: float, cfg: ThresholdConfig,
             raise ContractViolation(
                 f"iteration {i}: measured class degree {measured} exceeds "
                 f"inductive bound {bound:.3f}"
+            )
+        x = delta / 2 ** k
+        q_out = q * _lg_clamped(delta) / k
+        if i == k and measured >= x + x / q_out:
+            raise ContractViolation(
+                f"iteration {i}: measured class degree {measured} reaches the strict "
+                f"defect bound {x + x / q_out:.3f}"
             )
         history.append({
             "iteration": i,

@@ -19,7 +19,7 @@ import functools
 import random
 
 from resilient_lll.model import CountThreshold
-from resilient_lll.probability import _conditioning, _probability_over, _validate_fixed
+from resilient_lll.probability import _probability_over, _validate_fixed
 from resilient_lll.seeds import rng_for
 
 
@@ -140,19 +140,13 @@ class ReferenceMemoKeys:
         owner is a swap member, so the members cover every position.
 
         None when the event keeps the per-event memo key: any event but a
-        ``CountThreshold`` one over uniform variables, and such an event
-        whose swap probabilities could be sampled, since a sampled value
-        draws from the oracle's rng and is never shared."""
+        ``CountThreshold`` one over uniform variables."""
         if a in self._layouts:
             return self._layouts[a]
         ev = self.inst.events[a]
         classes = count_classes(self.inst.variables, ev)
         layout = None
-        # A part's full swap set conditions on the most variables.
-        if classes is not None and all(
-                _conditioning(self.inst.variables, ev.predicate,
-                              {v for _, sv in members for v in sv}) is not None
-                for _, members in self.swap_groups(a)):
+        if classes is not None:
             position = {v: i for i, v in enumerate(ev.dependent_vars)}
             layout = (ev.predicate, classes,
                       tuple(tuple(tuple(position[v] for v in sv) for _, sv in members)

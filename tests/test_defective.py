@@ -339,7 +339,10 @@ def test_edge_load_counts_match_dict_recount(seed, label_count, bound):
         # 21 edges exceed two colors of at most 3 edges per vertex.
         assert "split contract's one exception" in str(exc)
     except ContractViolation as exc:
-        assert "exceeds inductive bound" in str(exc)
+        # An overshoot, or a last class degree that reaches the strict
+        # defect bound, which equals the last inductive bound.
+        assert ("exceeds inductive bound" in str(exc)
+                or "reaches the strict defect bound" in str(exc))
     else:
         if halved.history:
             counts = dict_loads(edges, halved.colors)
@@ -518,6 +521,19 @@ def test_iterate_halving_single_iteration_reduces_to_one_split():
     assert coloring.color_count == 2
     assert coloring.defect_bound >= split_threshold(8, 2)
     assert defect_violations(g, coloring) == []
+
+
+def test_iterate_halving_raises_rather_than_break_its_own_defect_bound():
+    # Degree 8 at q = 1: three iterations, and the last inductive bound is
+    # the defect bound, 2.0. A class degree of 2 passes the inclusive
+    # per-iteration check but reaches the strict defect bound, so the
+    # halving raises rather than return a coloring with violations.
+    g = random_regular_graph(60, 8, 0)
+    message = "iteration 3: measured class degree 2 reaches the strict defect bound 2.000"
+    assert halving_outcome(iterate_halving, g, EDGE, 1, 0) == (
+        "ContractViolation", message)
+    assert halving_outcome(reference_halving, g, EDGE, 1, 0) == (
+        "ContractViolation", message)
 
 
 def test_iterate_halving_small_q_trivial_cases():

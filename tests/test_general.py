@@ -332,10 +332,12 @@ def test_ring_general_result_is_pinned(seed, digest):
     (0, "9e471811feb23d82e12aaae1ff1300492538579222b6c5bc89db6523d43811a6"),
     (1, "8534384164b92863a0d2e2aed29c45c7ed849bb2c2fb153a5cd459d4f3e8af50"),
     (2, "8562a911b6d5d05141b14969801165026ff610f81e634f577ce4abc6595040df"),
-], ids=["seed0", "seed1", "seed2"])
+    (12, "04a1b156fd3c225e6ca39c036c750c9dfb1c0cc5daeaf220564ad6c0bdc33ec9"),
+], ids=["seed0", "seed1", "seed2", "seed12"])
 def test_ring_four_part_stage_report_is_pinned(seed, digest):
     # The staged phase under partial reveals, where most danger queries are
-    # outer memo hits between events of the same shape.
+    # outer memo hits between events of the same shape. Seeds 0-2 fix every
+    # event; seed 12 fixes 14, reverts 2 and defers 8.
     _, report = solver.run_first_stage(generators.ring_family(24, 2, 5, seed),
                                        Partition.round_robin(24, 4), relaxed_config(), seed)
     assert result_digest(report) == digest
@@ -345,6 +347,7 @@ def test_ring_four_part_stage_report_is_pinned(seed, digest):
     (0, (1153, 56, 5), 71),
     (1, (1402, 67, 5), 71),
     (2, (1681, 87, 6), 65),
+    pytest.param(12, (1248, 67, 7), 55, id="seed12"),  # reverts and defers
 ])
 def test_ring_four_part_work_counters_are_pinned(seed, memo, queries, monkeypatch):
     # Deterministic work of the same staged phase. The memo counts are the
@@ -366,5 +369,8 @@ def test_ring_four_part_work_counters_are_pinned(seed, memo, queries, monkeypatc
     assert report.indicator_memo == dict(zip(("hits", "misses", "shortcuts"), memo))
     assert len(asked) == queries
     assert len(made) == 2  # the oracle's generator and the first-row one
+    # Each event owns six variables; a deferred event's are never drawn.
     draws = [args for args in seeded if args and isinstance(args[0], str)]
-    assert len(draws) == len(set(draws)) == len(state.sampled_row1) == 144
+    assert len(draws) == len(set(draws)) == len(state.sampled_row1) == 6 * (
+        report.fixed_count + report.reverted_count)
+    assert report.deferred_count == (8 if seed == 12 else 0)

@@ -587,6 +587,12 @@ def _dependency(data):
     data["events"][1]["vars"][0] = 0.0
 
 
+def _repeated_count_variable(data):
+    # Variable 9 is counted twice by event 1's one group; its reference is
+    # the constant 1.
+    data["events"][1]["predicate"]["params"]["groups"][0].append(9)
+
+
 @pytest.mark.parametrize("field, corrupt", [
     ("allocation", _allocation_key),
     ("variables", _weight),
@@ -594,8 +600,9 @@ def _dependency(data):
     ("events", _event_vars),
     ("events", _event_id),
     ("events", _dependency),
+    ("events: InputError: count groups repeat variable 9", _repeated_count_variable),
 ], ids=["allocation-key", "weight", "nan-weight", "event-vars", "event-id",
-        "dependency"])
+        "dependency", "repeated-count-variable"])
 def test_cli_malformed_instance_is_input_error(tmp_path, capsys, field, corrupt):
     data = instance_to_dict(window_family(4))
     corrupt(data)

@@ -195,6 +195,18 @@ def test_predicate_reference_outside_deps_rejected():
         EventSpec(0, (0,), CountThreshold(groups=((0, 1),), threshold=1, ref_value=1))
 
 
+@pytest.mark.parametrize("groups, ref, repeated", [
+    (((0, 1, 0),), {"ref_value": 1}, 0),
+    (((2, 0), (1, 3, 1)), {"ref_var": 0}, 1),
+    (((0, 1), (2, 1)), {"ref_var": 0}, 1),
+    (((0, 1), (2, 1)), {"ref_var": 2}, 1),
+], ids=["in-one-group", "in-one-of-two-groups", "across-groups", "across-groups-ref-var"])
+def test_count_groups_repeating_a_variable_other_than_the_reference_are_rejected(
+        groups, ref, repeated):
+    with pytest.raises(InputError, match=f"count groups repeat variable {repeated}: "):
+        CountThreshold(groups, 2, **ref)
+
+
 def test_check_assignment_trivia():
     vs = fair_bits(2)
     never = EventSpec(0, (0, 1), TruthTable(frozenset()))
@@ -373,8 +385,6 @@ def test_round_trip_keeps_uniformity_classes_and_graphs(case):
             assert class_of_id.setdefault(class_id, cls) == cls
         assert shape.estimate_key == (pred.threshold, pred.ref_value,
                                       tuple(sorted(shape.classes)))
-        assert shape.conditioned == tuple(sum(occ) > 1 and not is_ref
-                                          for _, occ, is_ref in classes)
         assert shape.stride == stride
     assert len(set(class_of_id.values())) == len(class_of_id)
     assert back.owner == inst.owner
@@ -501,7 +511,7 @@ def test_serialization_roundtrip():
     vs = fair_bits(3)
     ev = EventSpec(
         0, (0, 1, 2),
-        CountThreshold(groups=((0, 1), (1, 2)), threshold=1.5, ref_var=0),
+        CountThreshold(groups=((0, 1), (0, 2)), threshold=1.5, ref_var=0),
     )
     ev2 = EventSpec(1, (0, 2), MaxPartLoad(counted=(0, 2), threshold=2))
     inst2 = build_instance(vs, [ev, ev2])

@@ -206,16 +206,20 @@ def count_threshold_cases(draw):
         else:
             variables.append(VariableSpec.uniform(size))
     var_ids = st.integers(0, n - 1)
-    # Groups may overlap and may repeat a variable.
-    groups = draw(st.lists(st.lists(var_ids, min_size=1, max_size=5).map(tuple),
-                           min_size=1, max_size=3))
+    # Groups of distinct variables; the reference variable may join any of
+    # them, and so occur in several, even twice in one.
+    members = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(members) - 1), max_size=2))
+                  if len(members) > 1 else ())
+    groups = [members[i:j] for i, j in zip([0, *cuts], [*cuts, len(members)])]
     if draw(st.booleans()):
         ref = {"ref_var": draw(var_ids)}
+        groups = [g + [ref["ref_var"]] * draw(st.integers(0, 2)) for g in groups]
     else:
         ref = {"ref_value": draw(st.integers(0, 3))}
     threshold = draw(st.integers(0, 12)) / 2
-    event = EventSpec(0, tuple(range(n)),
-                      CountThreshold(groups=tuple(groups), threshold=threshold, **ref))
+    event = EventSpec(0, tuple(range(n)), CountThreshold(
+        groups=tuple(map(tuple, groups)), threshold=threshold, **ref))
     fixed = {
         v: draw(st.integers(0, variables[v].domain_size - 1))
         for v in draw(st.sets(var_ids))
@@ -405,11 +409,11 @@ def test_vulnerability_capacity_error_names_offender():
 @pytest.mark.parametrize("key", [(3, 0, 1), (0, -1, 1), (0, 1), (0, 1, 1, 0),
                                  (True, 0, 1), (0.0, 0, 1), ("1", 0, 1)])
 def test_indicator_rejects_a_key_outside_the_domains(key):
-    # Three fair bits, var 0 twice in the group, var 2 the reference: three
-    # classes. The value 3 would pack as class 1 holding 0, and the key
-    # would alias a reveal with two class-1 zeros.
+    # Three fair bits in two groups, var 2 the reference: three classes.
+    # The value 3 would pack as class 1 holding 0, and the key would alias
+    # a reveal with two class-1 zeros.
     inst = build_instance(fair_bits(3), [
-        EventSpec(0, (0, 1, 2), CountThreshold(((0, 0, 1),), 2, ref_var=2))])
+        EventSpec(0, (0, 1, 2), CountThreshold(((0, 2), (1,)), 2, ref_var=2))])
     oracle = VulnerabilityOracle(inst, Partition.singleton(1), relaxed_config())
     assert oracle._layout(0)[0] == (2, None)
     with pytest.raises(InputError) as info:
@@ -510,29 +514,29 @@ def test_reachable_vector_budget_names_event_part_and_count():
 
 
 def sampled_twins():
-    """Twin events over 21 fair bits, each bit in both groups, so swapping
-    all 21 bits conditions on 2^21 match patterns and is sampled. Event 0
-    owns every bit. Returns the oracle and the all-zeros reveal."""
+    """Twin ``MaxPartLoad`` events over 21 fair bits, firing when 16 of
+    them agree, so swapping all 21 bits has support 2^21, above
+    EXACT_ENUM_CAP, and is sampled. Event 0 owns every bit. Returns the
+    oracle and a reveal with no 16 alike: the bits alternate."""
     bits = tuple(range(21))
-    events = [EventSpec(a, bits, CountThreshold((bits, bits), 21, ref_value=1))
-              for a in (0, 1)]
+    events = [EventSpec(a, bits, MaxPartLoad(bits, 16)) for a in (0, 1)]
     inst = build_instance(fair_bits(21), events, [0] * 21)
     return (VulnerabilityOracle(inst, Partition.singleton(2), relaxed_config()),
-            dict.fromkeys(bits, 0))
+            {v: v % 2 for v in bits})
 
 
 def test_sampled_swap_probability_is_not_shared():
     # The twin event samples its own swap probability.
-    oracle, zeros = sampled_twins()
-    assert [oracle.probability(a, zeros).exact for a in (0, 1)] == [False, False]
+    oracle, reveal = sampled_twins()
+    assert [oracle.probability(a, reveal).exact for a in (0, 1)] == [False, False]
     assert oracle.memo_counts == {"hits": 0, "misses": 2, "shortcuts": 0}
 
 
 def test_sampled_swap_draws_are_pinned():
     # Each twin's one sampled swap draws its 2,000 samples from the oracle's
     # rng in turn; the next draw fixes how many came before it.
-    oracle, zeros = sampled_twins()
-    assert [oracle.probability(a, zeros) for a in (0, 1)] == [
+    oracle, reveal = sampled_twins()
+    assert [oracle.probability(a, reveal) for a in (0, 1)] == [
         ProbabilityEstimate(0.0, exact=False, samples=2000)] * 2
     assert oracle._rng.random() == 0.7981722576743173
 
@@ -575,16 +579,22 @@ def shared_oracle_cases(draw, full_reveals=True):
         if layouts and draw(st.booleans()):
             # A twin of an earlier event: the same variables, groups and
             # threshold, so the two can differ only in the reference.
-            deps, groups, threshold = draw(st.sampled_from(layouts))
+            deps, groups, threshold, shared = draw(st.sampled_from(layouts))
         else:
             deps = tuple(sorted(draw(st.sets(var_ids, min_size=1, max_size=5))))
-            # Groups may repeat a variable.
-            groups = tuple(draw(st.lists(
-                st.lists(st.sampled_from(deps), min_size=1, max_size=4).map(tuple),
-                min_size=1, max_size=3)))
+            # Groups of distinct variables, or with one variable ``shared``
+            # by all of them, which must then be the reference.
+            members = draw(st.permutations(deps))
+            cuts = sorted(draw(st.sets(st.integers(1, len(deps)), max_size=2)))
+            groups = [members[i:j] for i, j in zip([0, *cuts], [*cuts, len(deps)])]
+            shared = draw(st.none() | st.sampled_from(deps))
+            groups = tuple(tuple(g) if shared is None or shared in g else (*g, shared)
+                           for g in groups if g)
             threshold = draw(st.integers(0, 8)) / 2
-            layouts.append((deps, groups, threshold))
-        if draw(st.booleans()):
+            layouts.append((deps, groups, threshold, shared))
+        if shared is not None:
+            ref = {"ref_var": shared}
+        elif draw(st.booleans()):
             ref = {"ref_var": draw(st.sampled_from(deps))}
         else:
             ref = {"ref_value": draw(st.integers(0, 3))}
@@ -637,12 +647,12 @@ def count_event(a, deps, groups, threshold, **ref):
 
 
 # Three pairs of queries whose shapes differ in one ingredient of the memo
-# key each, with indicators that differ. Variable 0 occurs twice in event 0's
-# group: (1, 0, 0) reaches 1/2 by swapping event 2's variable alone, (0, 1, 0)
-# at most 3/8.
+# key each, with indicators that differ. Variables 0 and 1 of event 0 sit in
+# different groups: (1, 0, 0) reaches 1/2 by swapping event 2's variable
+# alone, (0, 1, 0) at most 1/4.
 OCCURRENCE_CASE = oracle_case(
     (2, 2, 2),
-    [count_event(0, (0, 1, 2), ((0, 0, 1, 2),), 3, ref_value=1),
+    [count_event(0, (0, 1, 2), ((0, 2), (1,)), 2, ref_value=1),
      count_event(1, (0, 1), ((0, 1),), 2, ref_value=1),
      count_event(2, (2,), ((2,),), 1, ref_value=1)],
     (1, 1, 2), 1.0,
@@ -828,27 +838,28 @@ def swap_search_cases(draw):
     """An event over m uniform variables, and sometimes a sibling over
     fresh variables: the same types on a prefix of them, so a twin or a
     smaller event with the same threshold. Each variable takes one of up to
-    three types (a domain size and its occurrences per group), so many
-    variables share a class. Each is owned by its event or by a leaf event,
-    so a part holds up to m swap members; the parts are random. Queries are
-    full reveals of the two events.
+    three types (a domain size and the group that counts it, if any), so
+    many variables share a class. A reference variable is counted in the
+    groups ``ref_groups`` picks instead. Each variable is owned by its event
+    or by a leaf event, so a part holds up to m swap members; the parts are
+    random. Queries are full reveals of the two events.
 
     The kind decides the events' predicate: "shaped" a count threshold
     (m <= 12), which the oracle keys by shape; the other kinds (m <= 6) are
     keyed per event: a random ``TruthTable``, a ``MaxPartLoad``, a count
-    threshold over weighted variables, and one over uniform variables under
-    an ``EXACT_ENUM_CAP`` of 0, so that every swap probability is sampled.
+    threshold over weighted variables, and a ``MaxPartLoad`` under an
+    ``EXACT_ENUM_CAP`` of 0, so that every swap probability is sampled.
     Returns (kind, that cap, instance, partition, config, queries)."""
     kind = draw(st.sampled_from(SWAP_SEARCH_KINDS))
     m = draw(st.integers(1, 12 if kind == "shaped" else 6))
     n_groups = draw(st.integers(1, 3))
     types = draw(st.lists(st.tuples(st.integers(2 if kind == "weighted" else 1, 3),
-                                    st.lists(st.integers(0, 2), min_size=n_groups,
-                                             max_size=n_groups)),
+                                    st.none() | st.integers(0, n_groups - 1)),
                           min_size=1, max_size=3))
     typed = [draw(st.sampled_from(types)) for _ in range(m)]
     threshold = draw(st.integers(0, 12)) / 2
     ref_var = draw(st.none() | st.integers(0, m - 1))
+    ref_groups = draw(st.lists(st.booleans(), min_size=n_groups, max_size=n_groups))
     ref_values = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
     labels = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
     counts = [m] + draw(st.lists(st.integers(1, m), max_size=1))
@@ -861,15 +872,19 @@ def swap_search_cases(draw):
             variables.append(VariableSpec(size, tuple([(j + 1) / (size * (size + 1) / 2)
                                                        for j in range(size)]))
                              if kind == "weighted" else VariableSpec.uniform(size))
-        groups = tuple(tuple(ids[v] for v in range(count) for _ in range(typed[v][1][g]))
-                       or (ids[0],) for g in range(n_groups))
-        ref = ({"ref_var": ids[ref_var]} if ref_var is not None and ref_var < count
+        is_ref = [ref_var == v for v in range(count)]
+        groups = tuple(filter(None, (
+            tuple(ids[v] for v in range(count)
+                  if (ref_groups[g] if is_ref[v] else typed[v][1] == g))
+            for g in range(n_groups)))) or ((ids[0],),)
+        ref = ({"ref_var": ids[ref_var]} if any(is_ref)
                else {"ref_value": ref_values[t]})
         support = list(itertools.product(*(range(size) for size, _ in typed[:count])))
         predicate = {
             "truth-table": lambda: TruthTable(frozenset(
                 row for row in support if rnd.random() < 0.3)),
             "max-load": lambda: MaxPartLoad(tuple(ids), threshold),
+            "sampled": lambda: MaxPartLoad(tuple(ids), threshold),
         }.get(kind, lambda: CountThreshold(groups, threshold, **ref))()
         events.append(EventSpec(t, tuple(ids), predicate))
         keys.append(st.sampled_from(support))
@@ -896,13 +911,16 @@ def swap_search_cases(draw):
 
 
 def twelve_member_case(**ref):
-    """Two overlapping groups over 12 variables of domains 2 and 3, each
-    owned by its own leaf event in one part. The threshold asks for a whole
-    group, so each key tries every reachable vector and answers False, but
-    for all zeros under ``ref_var``, which the empty swap satisfies."""
+    """Two groups over 12 variables of domains 2 and 3, each owned by its
+    own leaf event in one part; a reference variable is counted in both.
+    The threshold asks for a whole group, so a key that answers False tries
+    every reachable vector: each key does under ``ref_value``. Under
+    ``ref_var`` the empty swap satisfies all zeros, and the last key passes
+    by a swap in the second group."""
     sizes = (2, 3) * 6
-    groups = (tuple(range(8)), tuple(range(4, 12)) + (0,))
-    hub = count_event(0, tuple(range(12)), groups, 8, **ref)
+    shared = (ref["ref_var"],) if "ref_var" in ref else ()
+    groups = (tuple(range(6)), tuple(range(6, 12)) + shared)
+    hub = count_event(0, tuple(range(12)), groups, 6, **ref)
     leaves = [EventSpec(v + 1, (v,), TruthTable(frozenset())) for v in range(12)]
     inst = build_instance([VariableSpec.uniform(d) for d in sizes],
                           [hub] + leaves, [v + 1 for v in range(12)])
@@ -926,19 +944,19 @@ def sibling_case():
 
 
 def carry_case():
-    """Count-all-ones events with threshold 3, at all zeros, over three
-    leaf-owned bits and over one leaf-owned bit that occurs three times in
-    its group: two classes. Swapping the three bits swaps three of the
-    first class, 1/8 in all, below 3^-1; the one bit's swap reaches 1/2. A
-    count vector numeral whose base did not exceed 3 would carry the
-    first into the second and answer the three bits with the one bit's
-    probability."""
-    events = [count_event(0, (0, 1, 2), ((0, 1, 2),), 3, ref_value=1),
-              count_event(1, (3,), ((3, 3, 3),), 3, ref_value=1)]
+    """Events that count ones with threshold 1, at all zeros, over three
+    leaf-owned bits, one class, and over one leaf-owned trit, a second
+    class. At 3^-0.2 (about 0.80) only swapping all three bits passes
+    (7/8); the trit's swap reaches 1/3. A count vector numeral whose base
+    did not exceed 3 would carry three of the first class into one of the
+    second and answer the three bits with the trit's probability."""
+    events = [count_event(0, (0, 1, 2), ((0, 1, 2),), 1, ref_value=1),
+              count_event(1, (3,), ((3,),), 1, ref_value=1)]
     events += [EventSpec(v + 2, (v,), TruthTable(frozenset())) for v in range(4)]
-    inst = build_instance(fair_bits(4), events, [v + 2 for v in range(4)])
+    inst = build_instance([VariableSpec.uniform(d) for d in (2, 2, 2, 3)], events,
+                          [v + 2 for v in range(4)])
     return ("shaped", EXACT_ENUM_CAP, inst, Partition.singleton(inst.event_count),
-            relaxed_config(), [(1, (0,)), (0, (0,) * 3)])
+            relaxed_config(c3=0.2), [(1, (0,)), (0, (0,) * 3)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -970,49 +988,23 @@ def test_vector_search_matches_reference_mask_loop(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(shared_oracle_cases(), st.integers(0, 16))
-def test_layout_sampling_rule_matches_class_rule(case, cap):
-    # The layout decides from the event's shape whether a swap probability
-    # could be sampled; under a small cap, it must agree with the
-    # probability engine's own rule on every part's full swap set.
-    inst, part, cfg, _ = case
-    with mock.patch.object(probability, "EXACT_ENUM_CAP", cap):
-        oracle = VulnerabilityOracle(inst, part, cfg)
-        for ev in inst.events:
-            a = ev.event_id
-            # A per-event layout's prefix is the event id; a shaped one's,
-            # shared by the events of its shape, is a tuple.
-            prefix = oracle._layout(a)[0]
-            if inst.shapes[a] is None:
-                assert prefix == a
-                continue
-            samples = any(
-                probability._conditioning(inst.variables, ev.predicate,
-                                          {v for _, sv in members for v in sv}) is None
-                for _, members in swap_groups(oracle, a))
-            assert (prefix == a) == samples
-            assert isinstance(prefix, tuple) != samples
-
-
-@settings(max_examples=300, deadline=None)
-@example(OCCURRENCE_CASE, EXACT_ENUM_CAP)
-@example(GROUPING_CASE, EXACT_ENUM_CAP)
-@example(REFERENCE_CASE, EXACT_ENUM_CAP)
-@given(shared_oracle_cases(), st.sampled_from([0, 2, 4, EXACT_ENUM_CAP]))
-def test_packed_memo_keys_match_reference_keys(case, cap):
+@example(OCCURRENCE_CASE)
+@example(GROUPING_CASE)
+@example(REFERENCE_CASE)
+@given(shared_oracle_cases())
+def test_packed_memo_keys_match_reference_keys(case):
     # Two (event, full reveal) pairs share a packed memo key exactly when
     # they share the reference key, so the memo's hits, misses and answers
-    # stay as they were. Small caps mix in per-event keys.
+    # stay as they were.
     inst, part, cfg, _ = case
     new, old = [], []
-    with mock.patch.object(probability, "EXACT_ENUM_CAP", cap):
-        oracle = VulnerabilityOracle(inst, part, cfg)
-        reference = ReferenceMemoKeys(oracle)
-        for ev in inst.events:
-            for key in itertools.product(*(range(inst.variables[v].domain_size)
-                                           for v in ev.dependent_vars)):
-                new.append(oracle._memo_key(ev.event_id, key))
-                old.append(reference._memo_key(ev.event_id, key))
+    oracle = VulnerabilityOracle(inst, part, cfg)
+    reference = ReferenceMemoKeys(oracle)
+    for ev in inst.events:
+        for key in itertools.product(*(range(inst.variables[v].domain_size)
+                                       for v in ev.dependent_vars)):
+            new.append(oracle._memo_key(ev.event_id, key))
+            old.append(reference._memo_key(ev.event_id, key))
     assert len(set(new)) == len(set(old)) == len(set(zip(new, old)))
 
 
